@@ -9,7 +9,7 @@ graph epimorphisms to group homomorphisms that induce the original map.
 
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, build_C,
                            build_L4, op_graph, verify_L4_is_S5)
-from .coxeter import (INFINITE, CoxeterMatrix, GroupElement, ball,
+from .coxeter import (INFINITE, CoxeterMatrix, GroupElement,
                       enumerate_parabolic, evaluate, identity, invert,
                       is_descent, is_spherical, leading_minors, length,
                       longest_element, mul, mul_gen, preserves_form,
@@ -36,7 +36,7 @@ __all__ = [
     "GeneratorMap", "GroupElement", "InternalInconsistencyError", "KGraph",
     "LabeledCoxeterSystem", "PointedReflexiveGraph", "PreconditionError",
     "Presentation", "VertexMap", "all_labeled_graphs", "are_isomorphic",
-    "are_special_conjugate", "ball", "bounded_centralizer_check", "build_C",
+    "are_special_conjugate", "bounded_centralizer_check", "build_C",
     "build_L4", "classify_s5_classes", "commuting_witness",
     "conjugacy_component", "enumerate_parabolic", "evaluate", "f_reduce",
     "find_epimorphism", "find_injective_hom", "identity", "induced_k_map",

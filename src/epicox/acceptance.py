@@ -2,8 +2,9 @@
 
 Each criterion is a function returning (passed, detail).  Where a criterion
 checks a derived quantity, the check runs against an independent brute-force
-oracle implemented here (plain breadth-first distances, naive enumeration of
-all vertex maps) rather than against the code path under test.
+oracle from ``oracles`` (plain breadth-first distances, naive enumeration of
+all vertex maps, relators evaluated as matrices) rather than against the
+code path under test.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from dataclasses import dataclass
 from . import coxeter
 from .construction import build_C, build_L4, verify_L4_is_S5
 from .coxeter import (enumerate_parabolic, evaluate, identity, is_spherical,
-                      length, longest_element, mul, mul_gen, preserves_form,
+                      length, longest_element, mul, preserves_form,
                       reduced_word)
 from .errors import FalsificationError
 from .graphs import (FiniteGraph, all_labeled_graphs, f_reduce,
                      find_epimorphism, find_injective_hom, make_pointed,
                      VertexMap)
-from .homomorphisms import (induced_k_map, is_onto_generators, lift_graph_epi,
-                            verify_relators)
+from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
+                            lift_graph_epi)
+from .oracles import bfs_lengths, naive_hom_exists, relators_hold_by_matrices
 from .parabolics import (conjugacy_component, ks_component_candidate, ks_step)
 from .reconstruction import (bounded_centralizer_check, commuting_witness,
                              k_graph, verify_reconstruction)
@@ -35,6 +37,7 @@ class CriterionResult:
     passed: bool
     seconds: float
     detail: str
+    falsified: bool = False
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -48,41 +51,7 @@ class AcceptanceConfig:
     enum_cap: int = coxeter.DEFAULT_ENUM_CAP
 
 
-# --- oracles ---------------------------------------------------------------
-
-
-def _bfs_distances(C, subset):
-    """Word-length of every element of a finite standard subgroup, by plain
-    breadth-first search over generator multiplication."""
-    idn = identity(C)
-    dist = {idn.mat: 0}
-    frontier = [idn]
-    d = 0
-    while frontier:
-        nxt = []
-        d += 1
-        for w in frontier:
-            for i in sorted(subset):
-                cand = mul_gen(C, w, i)
-                if cand.mat not in dist:
-                    dist[cand.mat] = d
-                    nxt.append(cand)
-        frontier = nxt
-    return dist
-
-
-def _naive_hom_exists(source, target, injective=False, onto=False):
-    """Exhaustive check over all vertex maps.  Loops count as edges."""
-    for image in itertools.product(range(target.n), repeat=source.n):
-        if injective and len(set(image)) != source.n:
-            continue
-        if onto and set(image) != set(range(target.n)):
-            continue
-        ok = all(not source.adj[u][v] or target.adj[image[u]][image[v]]
-                 for u in range(source.n) for v in range(u, source.n))
-        if ok:
-            return True
-    return False
+# --- instances -------------------------------------------------------------
 
 
 def _reduction_instances():
@@ -95,20 +64,14 @@ def _reduction_instances():
 def _base_preserving_epis(src_p, tgt_p):
     """Every base-preserving onto homomorphism between two pointed graphs,
     by naive enumeration."""
-    sg, tg = src_p.graph, tgt_p.graph
+    sg, tg, b = src_p.graph, tgt_p.graph, src_p.base
     out = []
-    others = [v for v in range(sg.n) if v != src_p.base]
-    for picks in itertools.product(range(tg.n), repeat=len(others)):
-        image = [0] * sg.n
-        image[src_p.base] = tgt_p.base
-        for v, w in zip(others, picks):
-            image[v] = w
-        if set(image) != set(range(tg.n)):
-            continue
-        ok = all(not sg.adj[u][v] or tg.adj[image[u]][image[v]]
-                 for u in range(sg.n) for v in range(u, sg.n))
-        if ok:
-            out.append(VertexMap(sg.n, tg.n, tuple(image)))
+    for picks in itertools.product(range(tg.n), repeat=sg.n - 1):
+        image = picks[:b] + (tgt_p.base,) + picks[b:]
+        if len(set(image)) == tg.n and all(
+                not sg.adj[u][v] or tg.adj[image[u]][image[v]]
+                for u in range(sg.n) for v in range(u, sg.n)):
+            out.append(VertexMap(sg.n, tg.n, image))
     return out
 
 
@@ -126,7 +89,7 @@ def criterion_1(config: AcceptanceConfig):
 
 def criterion_2(config: AcceptanceConfig):
     C = build_L4()
-    dist = _bfs_distances(C, range(4))
+    dist = bfs_lengths(C, range(4))
     w0 = longest_element(C, range(4))
     bfs_len = dist[w0.mat]
     max_len = max(dist.values())
@@ -145,11 +108,11 @@ def criterion_3(config: AcceptanceConfig):
     for g in graphs:
         for h in graphs:
             inj_search = find_injective_hom(g, h) is not None
-            inj_naive = _naive_hom_exists(g, h, injective=True)
+            inj_naive = naive_hom_exists(g, h, injective=True)
             fg, fh = f_reduce(g), f_reduce(h)
             # onto map from the reduced h down to the reduced g
             epi_found = find_epimorphism(fh, fg, base_preserving=False)
-            epi_naive = _naive_hom_exists(fh.graph, fg.graph, onto=True)
+            epi_naive = naive_hom_exists(fh.graph, fg.graph, onto=True)
             epi_search = epi_found is not None
             if not (inj_search == inj_naive == epi_search == epi_naive):
                 return False, (f"mismatch on pair {g.edges()} vs {h.edges()}: "
@@ -285,19 +248,19 @@ def theorem_report(max_vertices: int, radius: int, cap: int,
                     if corrupted is not None:
                         fault_pending = False
                         ok = False
-                        if verify_relators(corrupted):
+                        if relators_hold_by_matrices(corrupted):
                             message = "fault injection not detected"
                         else:
                             message = ("injected relator fault detected "
                                        "(expected failure)")
                         break
-                if not verify_relators(phi):
+                if not relators_hold_by_matrices(phi):
                     ok, message = False, f"relators failed for {f.image}"
                     break
                 if not is_onto_generators(phi):
                     ok, message = False, f"lift of onto map missed generators: {f.image}"
                     break
-                images = induced_k_map(sys1, sys2, phi, radius, cap)
+                images = induced_k_map(sys1, sys2, phi, cap)
                 for v in range(g1.n):
                     want_base = f.image[v] == p2.base
                     got = images[v]
@@ -324,7 +287,6 @@ def _corrupt(phi, sys1, sys2, f):
             fv = f.image[v]
             images = list(phi.images)
             images[g2] = sys2.generator(fv, 1)
-            from .homomorphisms import GeneratorMap
             return GeneratorMap(phi.source, phi.target, tuple(images))
     return None
 
@@ -382,14 +344,12 @@ CRITERIA = [
 def run_criterion(number: int, config: AcceptanceConfig) -> CriterionResult:
     entry = next(e for e in CRITERIA if e[0] == number)
     start = time.monotonic()
+    falsified = False
     try:
         passed, detail = entry[2](config)
     except FalsificationError as exc:
-        passed, detail = False, f"falsification: {exc}"
+        passed, detail, falsified = False, f"falsification: {exc}", True
     elapsed = time.monotonic() - start
-    return CriterionResult(number, entry[1], passed, elapsed, detail)
+    return CriterionResult(number, entry[1], passed, elapsed, detail,
+                           falsified)
 
-
-def run_all(config: AcceptanceConfig | None = None) -> list[CriterionResult]:
-    config = config or AcceptanceConfig()
-    return [run_criterion(num, config) for num, _, _ in CRITERIA]

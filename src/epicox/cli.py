@@ -248,7 +248,7 @@ def _cmd_acceptance(args) -> int:
         print(res.line())
     if all(res.passed for res in results):
         return 0
-    if any("falsification" in res.detail for res in results if not res.passed):
+    if any(res.falsified for res in results):
         return 3
     return 1
 

@@ -403,17 +403,6 @@ def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None) -> list[n
     return levels
 
 
-def ball(C: CoxeterMatrix, radius: int, cap: int | None = None) -> list[GroupElement]:
-    """All elements of length <= radius as exact GroupElements, shortest
-    first."""
-    out = []
-    for level in ball_levels(C, radius, cap):
-        for a in level:
-            out.append(GroupElement(
-                tuple(tuple(int(x) for x in row) for row in a)))
-    return out
-
-
 # --- serialization --------------------------------------------------------
 #
 # JSON: {"n": rank, "labels": [[i, j, m], ...] for i < j with finite m,

@@ -15,6 +15,7 @@ instances.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -164,42 +165,51 @@ def is_homomorphism(f: VertexMap, source: FiniteGraph, target: FiniteGraph) -> b
     return True
 
 
-def is_surjective(f: VertexMap) -> bool:
-    return set(f.image) == set(range(f.target_size))
+def _first_map(source: FiniteGraph, target: FiniteGraph, *,
+               injective: bool = False, onto: bool = False,
+               reflect: bool = False,
+               pin: tuple[int, int] | None = None) -> VertexMap | None:
+    """First edge-preserving map in lexicographic order, or None, by
+    backtracking over partial maps.  reflect also preserves non-edges, and
+    pin = (v, w) forces v to w."""
+    image: list[int] = []
+    uses = [0] * target.n
+
+    def fits(v: int, w: int) -> bool:
+        row = target.adj[w]
+        if reflect:
+            return all(row[image[u]] == source.adj[u][v] for u in range(v))
+        return all(row[image[u]] or not source.adj[u][v] for u in range(v))
+
+    def extend(v: int, missing: int) -> bool:
+        if v == source.n:
+            return missing == 0
+        if missing > source.n - v:
+            return False
+        for w in (pin[1],) if pin and v == pin[0] else range(target.n):
+            if (injective and uses[w]) or not fits(v, w):
+                continue
+            image.append(w)
+            uses[w] += 1
+            if extend(v + 1, missing - (onto and uses[w] == 1)):
+                return True
+            uses[w] -= 1
+            image.pop()
+        return False
+
+    if extend(0, target.n if onto else 0):
+        return VertexMap(source.n, target.n, tuple(image))
+    return None
 
 
 def find_injective_hom(source: FiniteGraph, target: FiniteGraph) -> VertexMap | None:
     """First injective edge-preserving map in lexicographic order, or None.
-
-    Backtracking over partial injections; both graphs must be irreflexive.
-    """
+    Both graphs must be irreflexive."""
     if source.reflexive or target.reflexive:
         raise PreconditionError("injective search expects irreflexive graphs")
     if source.n > target.n:
         return None
-    image: list[int] = []
-    used = [False] * target.n
-
-    def extend(v: int) -> bool:
-        if v == source.n:
-            return True
-        for w in range(target.n):
-            if used[w]:
-                continue
-            if any(source.adj[u][v] and not target.adj[image[u]][w]
-                   for u in range(v)):
-                continue
-            image.append(w)
-            used[w] = True
-            if extend(v + 1):
-                return True
-            used[w] = False
-            image.pop()
-        return False
-
-    if extend(0):
-        return VertexMap(source.n, target.n, tuple(image))
-    return None
+    return _first_map(source, target, injective=True)
 
 
 def _unwrap(g) -> tuple[FiniteGraph, int | None]:
@@ -226,32 +236,8 @@ def find_epimorphism(source, target, base_preserving: bool | None = None) -> Ver
         base_preserving = sb is not None
     if base_preserving and sb is None:
         raise PreconditionError("base-preserving search needs pointed inputs")
-    if sg.n < tg.n:
-        return None
-
-    image: list[int] = []
-    use_count = [0] * tg.n
-
-    def extend(v: int, missing: int) -> bool:
-        if v == sg.n:
-            return missing == 0
-        if missing > sg.n - v:
-            return False
-        candidates = (tb,) if (base_preserving and v == sb) else range(tg.n)
-        for w in candidates:
-            if any(sg.adj[u][v] and not tg.adj[image[u]][w] for u in range(v)):
-                continue
-            image.append(w)
-            use_count[w] += 1
-            if extend(v + 1, missing - (use_count[w] == 1)):
-                return True
-            use_count[w] -= 1
-            image.pop()
-        return False
-
-    if extend(0, tg.n):
-        return VertexMap(sg.n, tg.n, tuple(image))
-    return None
+    return _first_map(sg, tg, onto=True,
+                      pin=(sb, tb) if base_preserving else None)
 
 
 def are_isomorphic(g: FiniteGraph, h: FiniteGraph) -> VertexMap | None:
@@ -259,28 +245,7 @@ def are_isomorphic(g: FiniteGraph, h: FiniteGraph) -> VertexMap | None:
     handful of vertices."""
     if g.n != h.n or g.reflexive != h.reflexive:
         return None
-    image: list[int] = []
-    used = [False] * h.n
-
-    def extend(v: int) -> bool:
-        if v == g.n:
-            return True
-        for w in range(h.n):
-            if used[w]:
-                continue
-            if any(g.adj[u][v] != h.adj[image[u]][w] for u in range(v)):
-                continue
-            image.append(w)
-            used[w] = True
-            if extend(v + 1):
-                return True
-            used[w] = False
-            image.pop()
-        return False
-
-    if extend(0):
-        return VertexMap(g.n, h.n, tuple(image))
-    return None
+    return _first_map(g, h, injective=True, reflect=True)
 
 
 # --- file formats ---------------------------------------------------------
@@ -300,6 +265,15 @@ def graph_to_text(g) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _as_int(value, what: str) -> int:
+    """An integer from a text token or JSON value; floats and bools are
+    refused rather than truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise PreconditionError(f"{what} is not an integer: {value!r}")
+
+
 def graph_from_text(text: str):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -308,10 +282,7 @@ def graph_from_text(text: str):
     head = lines[0].split()
     if len(head) < 2 or head[0] != "n":
         raise PreconditionError("first line must be 'n <count> ...'")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise PreconditionError("vertex count is not an integer") from exc
+    n = _as_int(head[1], "vertex count")
     reflexive = False
     base = None
     rest = head[2:]
@@ -324,7 +295,7 @@ def graph_from_text(text: str):
         elif tok == "base":
             if not rest:
                 raise PreconditionError("'base' needs a vertex index")
-            base = int(rest.pop(0))
+            base = _as_int(rest.pop(0), "base vertex")
             reflexive = True
         else:
             raise PreconditionError(f"unknown header token {tok!r}")
@@ -333,7 +304,7 @@ def graph_from_text(text: str):
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "e":
             raise PreconditionError(f"bad edge line {ln!r}")
-        u, v = int(parts[1]), int(parts[2])
+        u, v = (_as_int(x, "edge endpoint") for x in parts[1:])
         if u == v:
             if not reflexive:
                 raise PreconditionError(f"loop at {u} in an irreflexive graph")
@@ -356,18 +327,20 @@ def graph_to_json_dict(g) -> dict:
 
 def graph_from_json_dict(d: dict):
     try:
-        n = int(d["n"])
-        edges = [(int(u), int(v)) for u, v in d.get("edges", [])]
+        n = _as_int(d["n"], "vertex count")
+        edges = [(_as_int(u, "edge endpoint"), _as_int(v, "edge endpoint"))
+                 for u, v in d.get("edges", [])]
         reflexive = bool(d.get("reflexive", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed graph JSON: {exc}") from exc
     base = d.get("base")
     if base is not None:
+        base = _as_int(base, "base vertex")
         reflexive = True
     edges = [e for e in edges if e[0] != e[1]] if reflexive else edges
     fg = FiniteGraph.from_edges(n, edges, reflexive)
     if base is not None:
-        return PointedReflexiveGraph(fg, int(base))
+        return PointedReflexiveGraph(fg, base)
     return fg
 
 

@@ -1,8 +1,6 @@
-"""Independent brute-force oracles.
-
-Everything here is deliberately naive: exhaustive vertex maps, Fraction
-Gaussian elimination, permutation composition, plain breadth-first search.
-Tests compare the package's answers against these.
+"""Brute-force oracles only the tests use: Fraction determinants and a
+permutation model of the 4-chain.  The oracles shared with the acceptance
+criteria live in ``epicox.oracles``.
 """
 
 from __future__ import annotations
@@ -10,19 +8,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from epicox.coxeter import gram_matrix, identity, mul_gen
-
-
-def naive_hom_exists(source, target, injective=False, onto=False) -> bool:
-    for image in itertools.product(range(target.n), repeat=source.n):
-        if injective and len(set(image)) != source.n:
-            continue
-        if onto and set(image) != set(range(target.n)):
-            continue
-        if all(not source.adj[u][v] or target.adj[image[u]][image[v]]
-               for u in range(source.n) for v in range(u, source.n)):
-            return True
-    return False
+from epicox.coxeter import gram_matrix
 
 
 def fraction_minors(C, subset):
@@ -53,26 +39,6 @@ def _det(a):
             prod *= a[i][perm[i]]
         total += sign * prod
     return total
-
-
-def bfs_lengths(C, subset):
-    """Word length of every element of the standard subgroup on subset,
-    keyed by matrix."""
-    idn = identity(C)
-    dist = {idn.mat: 0}
-    frontier = [idn]
-    d = 0
-    while frontier:
-        nxt = []
-        d += 1
-        for w in frontier:
-            for i in sorted(subset):
-                cand = mul_gen(C, w, i)
-                if cand.mat not in dist:
-                    dist[cand.mat] = d
-                    nxt.append(cand)
-        frontier = nxt
-    return dist
 
 
 # --- a permutation model for the 4-chain -----------------------------------

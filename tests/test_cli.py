@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from epicox import acceptance
 from epicox.cli import main
+from epicox.errors import FalsificationError
 
 PATH3_TEXT = "n 3 irreflexive\ne 0 1\ne 1 2\n"
 EDGE_TEXT = "n 2 irreflexive\ne 0 1\n"
@@ -65,6 +67,16 @@ def test_bad_json_is_input_error(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{broken")
     assert main(["reduce-f", str(f)]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    "n 3 base x\n", "n 2\ne a b\n", '{"n": 2, "base": "x"}', '{"n": 1.5}',
+    '{"n": 2, "edges": [[0, 0.5]]}'])
+def test_malformed_integer_is_input_error(tmp_path, capsys, content):
+    f = tmp_path / "graph"
+    f.write_text(content)
+    assert main(["reduce-f", str(f)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_pointed_input_rejected(tmp_path):
@@ -167,6 +179,24 @@ def test_acceptance_single_criterion(capsys):
     assert main(["acceptance", "--criterion", "1"]) == 0
     out = capsys.readouterr().out
     assert "criterion 1" in out and "PASS" in out
+
+
+def _falsified(config):
+    raise FalsificationError("planted counterexample")
+
+
+@pytest.mark.parametrize("criterion,code", [
+    (_falsified, 3),
+    # a plain failure exits 1 even when its detail mentions falsification
+    (lambda config: (False, "no falsification here"), 1)])
+def test_acceptance_exit_code_follows_exception(monkeypatch, capsys,
+                                                criterion, code):
+    (number, name, _), *rest = acceptance.CRITERIA
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [(number, name, criterion), *rest])
+    assert main(["acceptance", "--criterion", "1"]) == code
+    assert "criterion 1 [one-block group structure]: FAIL" in \
+        capsys.readouterr().out
 
 
 def test_acceptance_unknown_criterion(capsys):

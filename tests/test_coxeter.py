@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicox.construction import build_L4
-from epicox.coxeter import (INFINITE, CoxeterMatrix, ball, ball_levels,
+from epicox.coxeter import (INFINITE, CoxeterMatrix, ball_levels,
                             close_under_multiplication, enumerate_parabolic,
                             evaluate, identity, invert, is_descent,
                             is_spherical, leading_minors, length,
                             longest_element, mul, mul_gen, preserves_form,
                             reduced_word, simple_reflection, validate_element)
 from epicox.errors import EnumerationCapExceeded, PreconditionError
+from epicox.oracles import bfs_lengths
 
-from oracles import bfs_lengths, fraction_minors, inversions, perm_of_word
+from oracles import fraction_minors, inversions, perm_of_word
 
 L4 = build_L4()
 DIHEDRAL_INF = CoxeterMatrix.from_labels(2, [(0, 1, INFINITE)])
@@ -244,15 +245,14 @@ def test_ball_levels_infinite_dihedral():
 
 
 def test_ball_union_covers_finite_group():
-    els = ball(L4, 10)
-    assert len(els) == 120
-    assert len(ball(L4, 4)) == sum(
-        1 for mat, d in bfs_lengths(L4, range(4)).items() if d <= 4)
+    assert sum(map(len, ball_levels(L4, 10))) == 120
+    assert sum(map(len, ball_levels(L4, 4))) == sum(
+        1 for d in bfs_lengths(L4, range(4)).values() if d <= 4)
 
 
 def test_ball_cap_fires():
     with pytest.raises(EnumerationCapExceeded):
-        ball(DIHEDRAL_INF, 50, cap=20)
+        ball_levels(DIHEDRAL_INF, 50, cap=20)
 
 
 # --- properties --------------------------------------------------------------

@@ -75,6 +75,8 @@ def test_text_comments_and_blanks_skipped():
     "n 2 irreflexive\ne 0 0\n",
     "n 2 irreflexive\nedge 0 1\n",
     "n 2 irreflexive\ne 0 5\n",
+    "n 3 base x\n",
+    "n 2\ne a b\n",
 ])
 def test_malformed_text_rejected(bad):
     with pytest.raises(PreconditionError):

@@ -9,8 +9,7 @@ from epicox.graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
                            all_labeled_graphs, are_isomorphic, f_reduce,
                            find_epimorphism, find_injective_hom,
                            is_homomorphism, make_pointed)
-
-from oracles import naive_hom_exists
+from epicox.oracles import naive_hom_exists
 
 TRIANGLE = FiniteGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])

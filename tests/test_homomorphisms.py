@@ -1,20 +1,28 @@
-import pytest
+import itertools
 
-from epicox.construction import build_C, build_L4
-from epicox.coxeter import enumerate_parabolic, evaluate, identity
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epicox.construction import BLOCK_SIZE, build_C, build_L4
+from epicox.coxeter import (enumerate_parabolic, evaluate, identity,
+                            is_spherical)
 from epicox.errors import FalsificationError, PreconditionError
-from epicox.graphs import (FiniteGraph, VertexMap, find_epimorphism,
-                           make_pointed)
+from epicox.graphs import (FiniteGraph, VertexMap, all_labeled_graphs,
+                           find_epimorphism, make_pointed)
 from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
-                                  conjugate_onto, induced_k_map,
-                                  is_onto_generators, lift_graph_epi,
-                                  map_word, presentation_of, retraction_rho,
-                                  verify_relators)
+                                  induced_k_map, is_onto_generators,
+                                  lift_graph_epi, map_word, presentation_of,
+                                  retraction_rho, verify_relators)
+from epicox.oracles import relators_hold_by_matrices
 
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
 PATH3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
+# block systems over every graph on one or two vertices
+SMALL_SYSTEMS = dict(zip(["point", "two points", "edge"],
+                         map(build_C, all_labeled_graphs(2, min_n=1))))
 
 
 # --- presentations -----------------------------------------------------------
@@ -143,7 +151,7 @@ def test_retraction_needs_distinct_vertices():
 def test_induced_map_identity():
     sys_ = build_C(EDGE)
     phi = identity_map(sys_.matrix)
-    images = induced_k_map(sys_, sys_, phi, 2, 10000)
+    images = induced_k_map(sys_, sys_, phi, 10000)
     assert [(im.kind, im.target_vertex) for im in images] == \
         [("class", 0), ("class", 1)]
 
@@ -152,7 +160,7 @@ def test_induced_map_collapse():
     src, tgt = build_C(TWO_POINTS), build_C(EDGE)
     f = VertexMap(3, 3, (0, 2, 2))
     phi = lift_graph_epi(f, src, tgt)
-    images = induced_k_map(src, tgt, phi, 2, 10000)
+    images = induced_k_map(src, tgt, phi, 10000)
     assert images[0].kind == "class" and images[0].target_vertex == 0
     assert images[1].kind == "base"
 
@@ -161,7 +169,7 @@ def test_induced_map_needs_matching_endpoints():
     sys_ = build_C(EDGE)
     with pytest.raises(PreconditionError):
         induced_k_map(sys_, build_C(TWO_POINTS),
-                      identity_map(sys_.matrix), 2, 10000)
+                      identity_map(sys_.matrix), 10000)
 
 
 def test_induced_map_rejects_relator_violation():
@@ -170,29 +178,82 @@ def test_induced_map_rejects_relator_violation():
     images[1] = 0
     with pytest.raises(PreconditionError):
         induced_k_map(sys_, sys_, GeneratorMap(sys_.matrix, sys_.matrix,
-                                               tuple(images)), 2, 10000)
+                                               tuple(images)), 10000)
 
 
 def test_order_dichotomy_enforced():
     sys_ = build_C(EDGE)
     # two braided generators make an order-6 image: neither trivial nor full
-    with pytest.raises(FalsificationError):
-        _classify_block_image(sys_, (0, 1, None, None), 2, 10000)
+    with pytest.raises(FalsificationError, match="v0_1"):
+        _classify_block_image(sys_, (0, 1, None, None), 10000)
 
 
-def test_conjugate_onto_finds_inner_conjugator():
-    C = build_C(EDGE).matrix
-    block = frozenset(w.mat for w in enumerate_parabolic(C, range(4), 10000))
-    elements = enumerate_parabolic(C, range(4), 10000)
-    g = conjugate_onto(C, elements, block, 1)
-    assert g is not None  # identity works
+# --- labels against matrices -------------------------------------------------
 
 
-def test_conjugate_onto_distinguishes_blocks():
-    C = build_C(TWO_POINTS).matrix
-    first = enumerate_parabolic(C, range(4), 10000)
-    second = frozenset(w.mat for w in enumerate_parabolic(C, range(4, 8), 10000))
-    assert conjugate_onto(C, first, second, 2, cap=2000) is None
+def test_label_rule_matches_matrices_on_l4():
+    images = [None, *range(L4.n)]
+    outcomes = set()
+    for picks in itertools.product(images, repeat=L4.n):
+        phi = GeneratorMap(L4, L4, picks)
+        got = verify_relators(phi)
+        assert got == relators_hold_by_matrices(phi), picks
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def block_maps(source, target):
+    """Per source block: the identity, or one target block with positions
+    in order, reversed, all one, permuted, or arbitrary."""
+    chain = tuple(range(BLOCK_SIZE))
+    shapes = [chain, chain[::-1], *((p,) * BLOCK_SIZE for p in chain)]
+    positions = st.one_of(st.sampled_from(shapes), st.permutations(chain),
+                          st.lists(st.sampled_from([None, *chain]),
+                                   min_size=BLOCK_SIZE, max_size=BLOCK_SIZE))
+    block = st.tuples(
+        st.sampled_from([None, *range(target.n // BLOCK_SIZE)]), positions
+    ).map(lambda pick: [None if pick[0] is None or p is None
+                        else BLOCK_SIZE * pick[0] + p for p in pick[1]])
+    k = source.n // BLOCK_SIZE
+    return st.lists(block, min_size=k, max_size=k).map(
+        lambda blocks: sum(blocks, []))
+
+
+@pytest.mark.parametrize("source,target", [
+    pytest.param(s.matrix, t.matrix, id=f"{a}->{b}")
+    for a, s in SMALL_SYSTEMS.items() for b, t in SMALL_SYSTEMS.items()])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_label_rule_matches_matrices_between_systems(source, target, data):
+    random_maps = st.lists(st.sampled_from([None, *range(target.n)]),
+                           min_size=source.n, max_size=source.n)
+    images = data.draw(st.one_of(random_maps, block_maps(source, target)))
+    phi = GeneratorMap(source, target, tuple(images))
+    assert verify_relators(phi) == relators_hold_by_matrices(phi)
+
+
+@pytest.mark.parametrize("system", SMALL_SYSTEMS.values(),
+                         ids=SMALL_SYSTEMS.keys())
+def test_block_image_classification_matches_enumeration(system):
+    C = system.matrix
+
+    def subgroup(T):
+        return frozenset(w.mat for w in enumerate_parabolic(C, T, 10000))
+
+    blocks = [subgroup(system.block(u)) for u in range(system.vertex_count)]
+    for size in range(BLOCK_SIZE + 1):
+        for J in itertools.combinations(range(C.n), size):
+            images = J + (None,) * (BLOCK_SIZE - size)
+            mats = subgroup(J) if is_spherical(C, J) else None
+            if mats is not None and len(mats) <= 2:
+                expected = ("base", None)
+            elif mats in blocks:
+                expected = ("class", blocks.index(mats))
+            else:
+                with pytest.raises(FalsificationError):
+                    _classify_block_image(system, images, 10000)
+                continue
+            assert _classify_block_image(system, images, 10000) == expected
 
 
 # --- end to end --------------------------------------------------------------
@@ -209,7 +270,7 @@ def test_lift_round_trip():
     assert epi is not None
     phi = lift_graph_epi(epi, src, tgt)
     assert verify_relators(phi)
-    images = induced_k_map(src, tgt, phi, 2, 10000)
+    images = induced_k_map(src, tgt, phi, 10000)
     for v in range(g.n):
         if epi.image[v] == q.base:
             assert images[v].kind == "base"
