@@ -2,10 +2,14 @@
 """Print word-length ball sizes for the block system over a graph.
 
 Useful for eyeballing how fast the centralizer sweep grows with radius
-before committing to one.
+before committing to one.  With --sweep it also times the centralizer
+sweep on vertices 0 and 1 at the same radius, in the same process, after
+the ball (each process starts with empty caches, so run it several times
+for a spread).
 
     python scripts/ball_growth.py --vertices 2 --edges "" --radius 6
     python scripts/ball_growth.py --vertices 2 --edges "0-1" --radius 5
+    python scripts/ball_growth.py --vertices 2 --edges "" --radius 6 --sweep
 """
 
 import argparse
@@ -15,6 +19,7 @@ import time
 from epicox.construction import build_C
 from epicox.coxeter import ball_levels
 from epicox.graphs import FiniteGraph
+from epicox.reconstruction import bounded_centralizer_check
 
 
 def parse_edges(text: str):
@@ -34,6 +39,9 @@ def main() -> int:
     ap.add_argument("--radius", type=int, default=6)
     ap.add_argument("--cap", type=int, default=None,
                     help="abort past this many elements")
+    ap.add_argument("--sweep", action="store_true",
+                    help="also time bounded_centralizer_check(system, 0, 1, "
+                         "radius)")
     args = ap.parse_args()
 
     g = FiniteGraph.from_edges(args.vertices, parse_edges(args.edges))
@@ -46,6 +54,12 @@ def main() -> int:
         total += len(level)
         print(f"radius {r:2d}: {len(level):8d} new, {total:8d} total")
     print(f"{time.monotonic() - start:.2f}s")
+    if args.sweep:
+        start = time.monotonic()
+        ok = bounded_centralizer_check(system, 0, 1, args.radius)
+        print(f"sweep radius {args.radius}: "
+              f"{'clean' if ok else 'violation'} "
+              f"in {time.monotonic() - start:.2f}s")
     return 0
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (EnumerationCapExceeded, InternalInconsistencyError,
-                     PreconditionError)
+                     PreconditionError, as_int)
 
 INFINITE = 0  # label marker for an unbounded product order
 DEFAULT_ENUM_CAP = 10000
@@ -243,8 +243,7 @@ def leading_minors(C: CoxeterMatrix, subset) -> tuple[int, ...]:
     (sorted order), by fraction-free elimination.  Stops early at a zero
     pivot, which is enough for the positivity test below."""
     idx = sorted(subset)
-    B = gram_matrix(C)
-    M = [[B[i][j] for j in idx] for i in idx]
+    M = [[2 if i == j else _PAIRING[C.m[i][j]] for j in idx] for i in idx]
     k = len(idx)
     minors = []
     prev = 1
@@ -356,49 +355,56 @@ def close_under_multiplication(elements, rank: int,
     return tuple(out)
 
 
-def _flat_key(arr) -> tuple:
-    return tuple(arr.reshape(-1).tolist())
+def fits_int64(bound: int) -> bool:
+    """Whether integers of magnitude up to ``bound`` stay inside the int64
+    guard.  Callers pass a proven bound on every entry and partial sum they
+    are about to form, and switch to exact object arrays when this fails."""
+    return bound <= _INT64_SAFE
 
 
 def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None) -> list[np.ndarray]:
     """Matrices of all elements of length <= radius, grouped by length.
 
-    Level k is an array of shape (N_k, n, n).  Work is done in int64 while a
-    conservative growth bound holds and switches to exact object arrays
-    beyond it, so the result is always exact.  Deterministic order within a
-    level: previous level order, then generator index.
+    Level k is an array of shape (N_k, n, n).  Each element is generated
+    exactly once, from its lowest right descent s: an element w of level k
+    is extended by every ascent s of w (column s nonnegative), and ws is
+    kept only when no generator below s is a descent of ws (column
+    nonpositive).  So no set of seen elements is needed.  Order within a
+    level: by that lowest descent s, then in the order of the previous
+    level.
+
+    Right multiplication by a generator is the column update of ``mul_gen``
+    and at most triples the largest entry, so a level is built in int64
+    while ``fits_int64(3 * max|entry|)`` holds and in exact object arrays
+    from then on.  The result is always exact; no float dtype is used.
     """
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     n = C.n
-    idn = np.eye(n, dtype=np.int64)[None, :, :]
-    levels = [idn]
+    cur = np.eye(n, dtype=np.int64)[None, :, :]
+    levels = [cur]
     if radius == 0 or n == 0:
         return levels
-    gens = [np.array(simple_reflection(C, i).mat, dtype=np.int64)
-            for i in range(n)]
-    seen = {_flat_key(idn[0])}
     total = 1
-    cur = idn
-    as_object = False
     for _ in range(radius):
-        if not as_object and int(np.abs(cur).max()) > _INT64_SAFE // 3:
-            as_object = True
+        if cur.dtype != object and not fits_int64(3 * int(np.abs(cur).max())):
             cur = cur.astype(object)
-            gens = [g.astype(object) for g in gens]
-        cands = np.concatenate([cur.dot(g) for g in gens], axis=0)
-        fresh = []
-        for idx in range(cands.shape[0]):
-            key = _flat_key(cands[idx])
-            if key not in seen:
-                seen.add(key)
-                fresh.append(idx)
-        if not fresh:
+        parts = []
+        for s in range(n):
+            w = cur[(cur[:, :, s] >= 0).all(axis=1)]
+            col = w[:, :, s].copy()
+            w[:, :, s] = -col
+            for j, c in C._gen_coeffs[s]:
+                w[:, :, j] += c * col
+            if s:
+                w = w[~(w[:, :, :s] <= 0).all(axis=1).any(axis=1)]
+            parts.append(w)
+        cur = np.concatenate(parts, axis=0)
+        if not cur.shape[0]:
             break
-        total += len(fresh)
+        total += cur.shape[0]
         if cap is not None and total > cap:
             raise EnumerationCapExceeded(f"ball enumeration exceeded cap {cap}")
-        cur = cands[fresh]
         levels.append(cur)
     return levels
 
@@ -417,8 +423,9 @@ def coxeter_to_json_dict(C: CoxeterMatrix) -> dict:
 
 def coxeter_from_json_dict(d: dict) -> CoxeterMatrix:
     try:
-        n = int(d["n"])
-        labels = [(int(i), int(j), int(m)) for i, j, m in d.get("labels", [])]
+        n = as_int(d["n"], "rank")
+        labels = [(as_int(i, "label index"), as_int(j, "label index"),
+                   as_int(m, "label")) for i, j, m in d.get("labels", [])]
         names = d.get("names")
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed Coxeter JSON: {exc}") from exc

@@ -15,11 +15,10 @@ instances.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, as_int
 
 
 @dataclass(frozen=True)
@@ -265,15 +264,6 @@ def graph_to_text(g) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_int(value, what: str) -> int:
-    """An integer from a text token or JSON value; floats and bools are
-    refused rather than truncated."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        with contextlib.suppress(ValueError):
-            return int(value)
-    raise PreconditionError(f"{what} is not an integer: {value!r}")
-
-
 def graph_from_text(text: str):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -282,7 +272,7 @@ def graph_from_text(text: str):
     head = lines[0].split()
     if len(head) < 2 or head[0] != "n":
         raise PreconditionError("first line must be 'n <count> ...'")
-    n = _as_int(head[1], "vertex count")
+    n = as_int(head[1], "vertex count")
     reflexive = False
     base = None
     rest = head[2:]
@@ -295,7 +285,7 @@ def graph_from_text(text: str):
         elif tok == "base":
             if not rest:
                 raise PreconditionError("'base' needs a vertex index")
-            base = _as_int(rest.pop(0), "base vertex")
+            base = as_int(rest.pop(0), "base vertex")
             reflexive = True
         else:
             raise PreconditionError(f"unknown header token {tok!r}")
@@ -304,7 +294,7 @@ def graph_from_text(text: str):
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "e":
             raise PreconditionError(f"bad edge line {ln!r}")
-        u, v = (_as_int(x, "edge endpoint") for x in parts[1:])
+        u, v = (as_int(x, "edge endpoint") for x in parts[1:])
         if u == v:
             if not reflexive:
                 raise PreconditionError(f"loop at {u} in an irreflexive graph")
@@ -327,15 +317,18 @@ def graph_to_json_dict(g) -> dict:
 
 def graph_from_json_dict(d: dict):
     try:
-        n = _as_int(d["n"], "vertex count")
-        edges = [(_as_int(u, "edge endpoint"), _as_int(v, "edge endpoint"))
+        n = as_int(d["n"], "vertex count")
+        edges = [(as_int(u, "edge endpoint"), as_int(v, "edge endpoint"))
                  for u, v in d.get("edges", [])]
-        reflexive = bool(d.get("reflexive", False))
+        reflexive = d.get("reflexive", False)
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed graph JSON: {exc}") from exc
+    if not isinstance(reflexive, bool):
+        raise PreconditionError(
+            f"'reflexive' must be true or false, not {reflexive!r}")
     base = d.get("base")
     if base is not None:
-        base = _as_int(base, "base vertex")
+        base = as_int(base, "base vertex")
         reflexive = True
     edges = [e for e in edges if e[0] != e[1]] if reflexive else edges
     fg = FiniteGraph.from_edges(n, edges, reflexive)

@@ -1,5 +1,7 @@
-"""Brute-force oracles only the tests use: Fraction determinants and a
-permutation model of the 4-chain.  The oracles shared with the acceptance
+"""Brute-force oracles only the tests use: Fraction determinants, a
+permutation model of the 4-chain, and the set-deduplicating ball and
+membership-first centralizer sweep that the descent-keyed ball and the
+probe-first sweep replaced.  The oracles shared with the acceptance
 criteria live in ``epicox.oracles``.
 """
 
@@ -8,7 +10,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from epicox.coxeter import gram_matrix
+import numpy as np
+
+from epicox.construction import BLOCK_SIZE
+from epicox.coxeter import (enumerate_parabolic, gram_matrix, identity,
+                            length, mul, simple_reflection)
+from epicox.errors import EnumerationCapExceeded, PreconditionError
 
 
 def fraction_minors(C, subset):
@@ -62,3 +69,100 @@ def inversions(perm) -> int:
 def compose(p, q):
     """Apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
+
+
+# --- the ball and the centralizer sweep, by brute force ----------------------
+#
+# Breadth-first products with every generator, deduplicated against a set of
+# tuple keys holding the whole ball; the sweep drops the members of the first
+# block's subgroup before testing commutation.  Exact at the radii the tests
+# use: entries stay far below the int64 range.
+
+_ORACLE_INT64_SAFE = 2**61
+
+
+def _flat_key(arr) -> tuple:
+    return tuple(arr.reshape(-1).tolist())
+
+
+def ball_levels_by_set(C, radius, cap=None):
+    """Elements of length <= radius grouped by length, each level in order
+    of discovery: previous level order, then generator index."""
+    if radius < 0:
+        raise PreconditionError("radius must be nonnegative")
+    n = C.n
+    idn = np.eye(n, dtype=np.int64)[None, :, :]
+    levels = [idn]
+    if radius == 0 or n == 0:
+        return levels
+    gens = [np.array(simple_reflection(C, i).mat, dtype=np.int64)
+            for i in range(n)]
+    seen = {_flat_key(idn[0])}
+    total = 1
+    cur = idn
+    as_object = False
+    for _ in range(radius):
+        if not as_object and int(np.abs(cur).max()) > _ORACLE_INT64_SAFE // 3:
+            as_object = True
+            cur = cur.astype(object)
+            gens = [g.astype(object) for g in gens]
+        cands = np.concatenate([cur.dot(g) for g in gens], axis=0)
+        fresh = []
+        for idx in range(cands.shape[0]):
+            key = _flat_key(cands[idx])
+            if key not in seen:
+                seen.add(key)
+                fresh.append(idx)
+        if not fresh:
+            break
+        total += len(fresh)
+        if cap is not None and total > cap:
+            raise EnumerationCapExceeded(f"ball enumeration exceeded cap {cap}")
+        cur = cands[fresh]
+        levels.append(cur)
+    return levels
+
+
+def assert_same_levels(got, want):
+    """Same element set per level, compared by raw int64 bytes and by count
+    (exact object levels are cast back, which raises if out of range)."""
+    assert [len(lv) for lv in got] == [len(lv) for lv in want]
+    for lg, lw in zip(got, want):
+        keys = [w.tobytes() for w in lg.astype(np.int64)]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {w.tobytes() for w in lw.astype(np.int64)}
+
+
+def centralizer_sweep_by_membership(sub, radius) -> bool:
+    """True when no element of length 1..radius outside the subgroup of the
+    first block commutes with an even involution of that subgroup."""
+    first_block = frozenset(range(BLOCK_SIZE))
+    s5 = enumerate_parabolic(sub, first_block)
+    s5_mats = {w.mat for w in s5}
+    idn = identity(sub)
+    invs = [w for w in s5
+            if w != idn and mul(w, w) == idn and length(sub, w) % 2 == 0]
+    if radius == 0 or not invs:
+        return True
+    inv_np = [np.array(w.mat, dtype=np.int64) for w in invs]
+    for level in ball_levels_by_set(sub, radius)[1:]:
+        outside = []
+        for a in level:
+            mat = tuple(tuple(int(x) for x in row) for row in a)
+            if mat not in s5_mats:
+                outside.append(a)
+        if not outside:
+            continue
+        X = np.stack(outside)
+        if X.dtype == object:
+            for a in inv_np:
+                ao = a.astype(object)
+                for idx in range(X.shape[0]):
+                    if (X[idx].dot(ao) == ao.dot(X[idx])).all():
+                        return False
+        else:
+            for a in inv_np:
+                eq = np.matmul(X, a) == np.matmul(a, X)
+                if eq.all(axis=(1, 2)).any():
+                    return False
+    return True

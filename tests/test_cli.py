@@ -79,6 +79,13 @@ def test_malformed_integer_is_input_error(tmp_path, capsys, content):
     assert "input error" in capsys.readouterr().err
 
 
+def test_non_boolean_reflexive_is_input_error(tmp_path, capsys):
+    f = tmp_path / "graph.json"
+    f.write_text('{"n": 2, "reflexive": "false"}')
+    assert main(["reduce-f", str(f)]) == 2
+    assert "reflexive" in capsys.readouterr().err
+
+
 def test_pointed_input_rejected(tmp_path):
     f = tmp_path / "pointed.txt"
     f.write_text("n 3 base 2\ne 0 1\n")

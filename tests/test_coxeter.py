@@ -6,21 +6,25 @@ transposition (i, i+1) on five points and word length equals the inversion
 count.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicox.construction import build_L4
-from epicox.coxeter import (INFINITE, CoxeterMatrix, ball_levels,
-                            close_under_multiplication, enumerate_parabolic,
-                            evaluate, identity, invert, is_descent,
-                            is_spherical, leading_minors, length,
+from epicox.construction import build_C, build_L4
+from epicox.coxeter import (INFINITE, CoxeterMatrix, GroupElement,
+                            ball_levels, close_under_multiplication,
+                            enumerate_parabolic, evaluate, identity, invert,
+                            is_descent, is_spherical, leading_minors, length,
                             longest_element, mul, mul_gen, preserves_form,
                             reduced_word, simple_reflection, validate_element)
 from epicox.errors import EnumerationCapExceeded, PreconditionError
+from epicox.graphs import FiniteGraph
 from epicox.oracles import bfs_lengths
 
-from oracles import fraction_minors, inversions, perm_of_word
+from oracles import (assert_same_levels, ball_levels_by_set,
+                     fraction_minors, inversions, perm_of_word)
 
 L4 = build_L4()
 DIHEDRAL_INF = CoxeterMatrix.from_labels(2, [(0, 1, INFINITE)])
@@ -185,6 +189,16 @@ def test_minors_match_fraction_oracle():
             assert g == w
 
 
+def test_restricted_minors_match_full_pairing_on_block_system():
+    # the minors read the labels of the subset only; the oracle restricts
+    # the full pairing
+    C = build_C(FiniteGraph.from_edges(3, [(0, 1), (1, 2)])).matrix
+    for k in range(1, 4):
+        for subset in itertools.combinations(range(C.n), k):
+            got = leading_minors(C, subset)
+            assert got == fraction_minors(C, subset)[:len(got)]
+
+
 def test_infinite_dihedral_minors():
     assert leading_minors(DIHEDRAL_INF, (0, 1))[0] == 2
     assert 0 in leading_minors(DIHEDRAL_INF, (0, 1))
@@ -253,6 +267,25 @@ def test_ball_union_covers_finite_group():
 def test_ball_cap_fires():
     with pytest.raises(EnumerationCapExceeded):
         ball_levels(DIHEDRAL_INF, 50, cap=20)
+
+
+@pytest.mark.parametrize("C", [L4, DIHEDRAL_INF], ids=["L4", "dihedral_inf"])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 12])
+def test_ball_levels_match_set_oracle(C, radius):
+    # radius 12 exceeds the longest element of L4, whose ball then stops
+    assert_same_levels(ball_levels(C, radius), ball_levels_by_set(C, radius))
+
+
+def test_ball_levels_order_is_lowest_descent_first():
+    # level 1 lists the generators in index order; in level 2 every element
+    # ws generated from s comes before those generated from a higher s
+    levels = ball_levels(L4, 2)
+    assert [reduced_word(L4, GroupElement(tuple(map(tuple, w.tolist()))))
+            for w in levels[1]] == [(0,), (1,), (2,), (3,)]
+    lowest = [min(i for i in range(4) if is_descent(
+        L4, GroupElement(tuple(map(tuple, w.tolist()))), i))
+        for w in levels[2]]
+    assert lowest == sorted(lowest)
 
 
 # --- properties --------------------------------------------------------------

@@ -83,6 +83,12 @@ def test_malformed_text_rejected(bad):
         graph_from_text(bad)
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+def test_json_reflexive_must_be_boolean(flag):
+    with pytest.raises(PreconditionError):
+        graph_from_json_dict({"n": 2, "reflexive": flag})
+
+
 def test_loop_lines_tolerated_when_reflexive():
     g = graph_from_text("n 2 reflexive\ne 0 0\ne 0 1\n")
     assert g.reflexive and g.adjacent(0, 1)
@@ -106,6 +112,25 @@ def test_coxeter_json_rejects_other_labels():
     with pytest.raises(PreconditionError):
         coxeter_from_json_dict({"n": 2, "labels": [[0, 1, 5]],
                                 "names": ["a", "b"]})
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "x", 3.0])
+@pytest.mark.parametrize("field", ["n", "i", "j", "m"])
+def test_coxeter_json_integers_are_strict(field, bad):
+    # 1.5 and true in n, i or j, and 3.0 in m, would truncate to values the
+    # rest of the dict accepts, so only the integer rule refuses them
+    if field == "n":
+        d = {"n": bad}
+    else:
+        d = {"n": 3, "labels": [[0, 2, 3]]}
+        d["labels"][0]["ijm".index(field)] = bad
+    with pytest.raises(PreconditionError):
+        coxeter_from_json_dict(d)
+
+
+def test_coxeter_json_integer_strings_accepted():
+    C = coxeter_from_json_dict({"n": "2", "labels": [["0", "1", "3"]]})
+    assert C.n == 2 and C.label(0, 1) == 3
 
 
 # --- presentations -----------------------------------------------------------

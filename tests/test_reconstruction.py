@@ -4,15 +4,23 @@ Unit tests run the centralizer sweep at small radius to stay quick; the
 acceptance suite pushes the radius to its contracted value.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
+from epicox import coxeter, reconstruction
 from epicox.construction import build_C
-from epicox.coxeter import evaluate, mul
+from epicox.coxeter import ball_levels, evaluate, mul
 from epicox.errors import PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
-from epicox.reconstruction import (bounded_centralizer_check,
+from epicox.reconstruction import (_centralizer_core, _two_block_submatrix,
+                                   bounded_centralizer_check,
                                    commuting_witness, k_graph, k_pointed,
                                    verify_reconstruction)
+
+from oracles import (assert_same_levels, ball_levels_by_set,
+                     centralizer_sweep_by_membership)
 
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
@@ -84,3 +92,70 @@ def test_verify_reconstruction_reuses_prebuilt():
     kg = k_graph(PATH3, RADIUS, 10000)
     iso = verify_reconstruction(PATH3, RADIUS, 10000, kg=kg)
     assert tuple(iso.image) == (0, 1, 2)
+
+
+# --- descent-keyed ball and probe-first sweep against the oracles -----------
+
+
+def _two_block_subsystems():
+    """The distinct two-block subsystems over all graphs with 2 or 3
+    vertices, with the blocks taken in both orders."""
+    subs = {}
+    for g in all_labeled_graphs(3, min_n=2):
+        system = build_C(g)
+        for s, t in itertools.permutations(range(g.n), 2):
+            sub = _two_block_submatrix(system, s, t)
+            subs.setdefault(sub, g.adjacent(s, t))
+    return sorted(subs.items(), key=lambda item: item[1])
+
+
+SUBSYSTEMS = _two_block_subsystems()
+NON_ADJACENT = _two_block_submatrix(build_C(TWO_POINTS), 0, 1)
+
+
+def test_subsystems_cover_both_kinds_of_pair():
+    assert [adjacent for _, adjacent in SUBSYSTEMS] == [False, True]
+
+
+@pytest.mark.parametrize("sub", [sub for sub, _ in SUBSYSTEMS],
+                         ids=["non_adjacent", "adjacent"])
+@pytest.mark.parametrize("radius", range(5))
+def test_ball_and_sweep_match_oracles(sub, radius):
+    assert_same_levels(ball_levels(sub, radius),
+                       ball_levels_by_set(sub, radius))
+    assert _centralizer_core(sub, radius) == \
+        centralizer_sweep_by_membership(sub, radius)
+
+
+def test_radius_six_matches_oracles_on_non_adjacent_pair():
+    assert_same_levels(ball_levels(NON_ADJACENT, 6),
+                       ball_levels_by_set(NON_ADJACENT, 6))
+    assert _centralizer_core(NON_ADJACENT, 6) is True
+    assert centralizer_sweep_by_membership(NON_ADJACENT, 6) is True
+
+
+# 0 makes the ball switch to object arrays at once; 100 keeps the ball in
+# int64 at radius 3 but is below the sweep's product bound
+@pytest.mark.parametrize("safe", [0, 100])
+def test_exact_object_path_agrees_with_oracle(monkeypatch, safe):
+    seen = []
+    commuting = reconstruction._commuting
+
+    def recording(X, A, u, v):
+        seen.append(X.dtype == A.dtype == u.dtype == v.dtype == object)
+        return commuting(X, A, u, v)
+
+    monkeypatch.setattr(coxeter, "_INT64_SAFE", safe)
+    monkeypatch.setattr(reconstruction, "_commuting", recording)
+    _centralizer_core.cache_clear()
+    try:
+        for sub, _ in SUBSYSTEMS:
+            levels = ball_levels(sub, 3)
+            assert {lv.dtype for lv in levels[1:]} == (
+                {np.dtype(object) if safe == 0 else np.dtype(np.int64)})
+            assert_same_levels(levels, ball_levels_by_set(sub, 3))
+            assert _centralizer_core(sub, 3) == \
+                centralizer_sweep_by_membership(sub, 3)
+    finally:
+        _centralizer_core.cache_clear()
+    assert seen and all(seen)
