@@ -80,22 +80,24 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_irreflexive_graph(path: str) -> FiniteGraph:
     text = _read_source(path)
     if text.lstrip().startswith("{"):
+        # ValueError also covers integers past Python's digit limit
         try:
-            g = graph_from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise PreconditionError(f"bad JSON in {path}: {exc}") from exc
+        g = graph_from_json_dict(data)
     else:
         g = graph_from_text(text)
     if not isinstance(g, FiniteGraph) or g.reflexive:

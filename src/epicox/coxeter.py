@@ -17,7 +17,6 @@ not represent a group element at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -290,10 +289,11 @@ def longest_element(C: CoxeterMatrix, subset) -> GroupElement:
             raise InternalInconsistencyError("ascent failed to terminate")
 
 
-@lru_cache(maxsize=None)
-def _enumerate_parabolic_cached(C: CoxeterMatrix, subset: frozenset,
-                                cap: int) -> tuple[GroupElement, ...]:
-    gens = sorted(subset)
+def enumerate_parabolic(C: CoxeterMatrix, subset,
+                        cap: int = DEFAULT_ENUM_CAP) -> tuple[GroupElement, ...]:
+    """All elements of the standard subgroup on the subset, in breadth-first
+    order from the identity.  Raises EnumerationCapExceeded past the cap."""
+    gens = sorted(frozenset(subset))
     for i in gens:
         if not (0 <= i < C.n):
             raise PreconditionError(f"generator index {i} out of range")
@@ -316,13 +316,6 @@ def _enumerate_parabolic_cached(C: CoxeterMatrix, subset: frozenset,
                     nxt.append(cand)
         frontier = nxt
     return tuple(out)
-
-
-def enumerate_parabolic(C: CoxeterMatrix, subset,
-                        cap: int = DEFAULT_ENUM_CAP) -> tuple[GroupElement, ...]:
-    """All elements of the standard subgroup on the subset, in breadth-first
-    order from the identity.  Raises EnumerationCapExceeded past the cap."""
-    return _enumerate_parabolic_cached(C, frozenset(subset), cap)
 
 
 def close_under_multiplication(elements, rank: int,

@@ -20,6 +20,11 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, as_int
 
+# the parsers refuse more vertices before allocating the n-by-n adjacency;
+# the block system over 2048 vertices already has rank 8192, far past what
+# the census and the centralizer sweep can finish
+MAX_VERTICES = 2048
+
 
 @dataclass(frozen=True)
 class FiniteGraph:
@@ -264,6 +269,14 @@ def graph_to_text(g) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vertex_count(value) -> int:
+    n = as_int(value, "vertex count")
+    if n > MAX_VERTICES:
+        raise PreconditionError(
+            f"vertex count {n} is above the ceiling of {MAX_VERTICES}")
+    return n
+
+
 def graph_from_text(text: str):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -272,7 +285,7 @@ def graph_from_text(text: str):
     head = lines[0].split()
     if len(head) < 2 or head[0] != "n":
         raise PreconditionError("first line must be 'n <count> ...'")
-    n = as_int(head[1], "vertex count")
+    n = _vertex_count(head[1])
     reflexive = False
     base = None
     rest = head[2:]
@@ -317,7 +330,7 @@ def graph_to_json_dict(g) -> dict:
 
 def graph_from_json_dict(d: dict):
     try:
-        n = as_int(d["n"], "vertex count")
+        n = _vertex_count(d["n"])
         edges = [(as_int(u, "edge endpoint"), as_int(v, "edge endpoint"))
                  for u, v in d.get("edges", [])]
         reflexive = d.get("reflexive", False)

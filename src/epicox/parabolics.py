@@ -12,13 +12,11 @@ labels computes the whole conjugacy class of a subset.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .construction import LabeledCoxeterSystem, op_graph
-from .coxeter import (DEFAULT_ENUM_CAP, CoxeterMatrix, GroupElement,
-                      enumerate_parabolic, invert, is_spherical,
-                      longest_element, mul, simple_reflection)
+from .coxeter import (DEFAULT_ENUM_CAP, CoxeterMatrix, GroupElement, invert,
+                      is_spherical, longest_element, mul, simple_reflection)
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      InternalInconsistencyError, PreconditionError)
 
@@ -136,50 +134,43 @@ def are_special_conjugate(C: CoxeterMatrix, left, right,
     return R in conjugacy_component(C, L, cap).members
 
 
-def _abelian(C: CoxeterMatrix, subset) -> bool:
-    gens = [simple_reflection(C, i) for i in sorted(subset)]
-    return all(mul(a, b) == mul(b, a)
-               for a, b in itertools.combinations(gens, 2))
+def a4_chains(C: CoxeterMatrix) -> set[frozenset[int]]:
+    """Generator sets of the labelled 4-chains: label-3 paths a-b-c-d whose
+    pairs (a,c), (a,d) and (b,d) have label 2.  With labels in {2, 3, oo}
+    these are exactly the subsets of at most four generators whose standard
+    subgroup has order 120 and is nonabelian: type A_4, since every other
+    finite type on four simply laced generators has another order
+    (Humphreys, *Reflection Groups and Coxeter Groups* 2.11)."""
+    three = [[j for j in range(C.n) if C.m[i][j] == 3] for i in range(C.n)]
+    return {frozenset((a, b, c, d))
+            for a in range(C.n) for b in three[a] for c in three[b]
+            for d in three[c]
+            if C.m[a][c] == C.m[a][d] == C.m[b][d] == 2}
 
 
 def classify_s5_classes(system: LabeledCoxeterSystem,
                         cap: int = DEFAULT_ENUM_CAP) -> list[ConjugacyClass]:
     """Conjugacy classes of the order-120 nonabelian standard subgroups.
 
-    Scans every spherical generator subset of size at most 4, keeps the ones
-    whose subgroup has order 120 and is nonabelian, and groups them into
-    conjugacy components.  For a block system these must come out as one
+    Reads those subgroups off the labels as the labelled 4-chains
+    (``a4_chains``) and groups them into conjugacy components, whose size
+    ``cap`` bounds.  For a block system these must come out as one
     singleton class per graph vertex, in vertex order; any other outcome is
     reported as evidence against the construction, loudly.
     """
     C = system.matrix
-    hits = []
-    for size in range(1, 5):
-        for T in itertools.combinations(range(C.n), size):
-            sub = frozenset(T)
-            if not is_spherical(C, sub):
-                continue
-            order = len(enumerate_parabolic(C, sub, cap))
-            if order == 120 and not _abelian(C, sub):
-                hits.append(sub)
+    hits = a4_chains(C)
     expected = [system.block(v) for v in range(system.vertex_count)]
-    if set(hits) != set(expected):
+    if hits != set(expected):
         raise FalsificationError(
             "census mismatch: order-120 nonabelian subsets are "
             f"{sorted(tuple(sorted(h)) for h in hits)}, expected one per block")
     classes = []
-    covered = set()
     for T in expected:
-        if T in covered:
-            continue
         comp = conjugacy_component(C, T, cap)
-        covered |= comp.members
-        classes.append(comp)
-    for comp, T in zip(classes, expected):
         if comp.members != {T}:
             raise FalsificationError(
                 f"block {sorted(T)} is conjugate to {sorted(map(sorted, comp.members))}; "
                 "blocks were expected to be pairwise non-conjugate")
-    if len(classes) != system.vertex_count:
-        raise FalsificationError("class count differs from vertex count")
+        classes.append(comp)
     return classes

@@ -27,7 +27,7 @@ from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
                            build_C)
 from .coxeter import (DEFAULT_ENUM_CAP, CoxeterMatrix, Word, ball_levels,
                       enumerate_parabolic, evaluate, fits_int64, identity,
-                      invert, length, mul)
+                      length, mul)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
                      make_pointed)
@@ -50,9 +50,7 @@ def commuting_witness(system: LabeledCoxeterSystem, s: int,
         raise PreconditionError("witness needs two distinct vertices")
     C = system.matrix
     wa, wb = alt_involution(system, s), alt_involution(system, t)
-    a, b = evaluate(C, wa), evaluate(C, wb)
-    comm = mul(mul(a, b), mul(invert(C, a), invert(C, b)))
-    if comm == identity(C):
+    if evaluate(C, wa + wb) == evaluate(C, wb + wa):
         return wa, wb
     return None
 

@@ -1,8 +1,9 @@
 """Brute-force oracles only the tests use: Fraction determinants, a
-permutation model of the 4-chain, and the set-deduplicating ball and
-membership-first centralizer sweep that the descent-keyed ball and the
-probe-first sweep replaced.  The oracles shared with the acceptance
-criteria live in ``epicox.oracles``.
+permutation model of the 4-chain, the subset scan that the labelled 4-chain
+census replaced, and the set-deduplicating ball and membership-first
+centralizer sweep that the descent-keyed ball and the probe-first sweep
+replaced.  The oracles shared with the acceptance criteria live in
+``epicox.oracles``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from epicox.construction import BLOCK_SIZE
 from epicox.coxeter import (enumerate_parabolic, gram_matrix, identity,
-                            length, mul, simple_reflection)
+                            is_spherical, length, mul, simple_reflection)
 from epicox.errors import EnumerationCapExceeded, PreconditionError
 
 
@@ -46,6 +47,28 @@ def _det(a):
             prod *= a[i][perm[i]]
         total += sign * prod
     return total
+
+
+# --- the block census, by brute force ----------------------------------------
+
+
+def s5_subsets_by_enumeration(C) -> set[frozenset[int]]:
+    """Subsets of at most four generators whose standard subgroup has order
+    120 and is nonabelian: every subset is tested for sphericity, and every
+    spherical one is enumerated as a matrix group and its generators are
+    multiplied pairwise."""
+    hits = set()
+    for size in range(1, 5):
+        for T in itertools.combinations(range(C.n), size):
+            if not is_spherical(C, T):
+                continue
+            if len(enumerate_parabolic(C, T)) != 120:
+                continue
+            gens = [simple_reflection(C, i) for i in T]
+            if any(mul(a, b) != mul(b, a)
+                   for a, b in itertools.combinations(gens, 2)):
+                hits.add(frozenset(T))
+    return hits
 
 
 # --- a permutation model for the 4-chain -----------------------------------

@@ -79,6 +79,18 @@ def test_malformed_integer_is_input_error(tmp_path, capsys, content):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # nested too deep
+    b'{"n": ' + b"1" * 5000 + b"}",  # past Python's int-string digit limit
+    b"\xff\xfen 2\ne 0 1\n",  # not UTF-8
+], ids=["deep nesting", "long integer", "invalid utf-8"])
+def test_unreadable_bytes_are_input_errors(tmp_path, capsys, content):
+    f = tmp_path / "graph"
+    f.write_bytes(content)
+    assert main(["reduce-f", str(f)]) == 2
+    assert capsys.readouterr().err.strip()
+
+
 def test_non_boolean_reflexive_is_input_error(tmp_path, capsys):
     f = tmp_path / "graph.json"
     f.write_text('{"n": 2, "reflexive": "false"}')

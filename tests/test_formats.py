@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from epicox.construction import build_C, build_L4
 from epicox.coxeter import coxeter_from_json_dict, coxeter_to_json_dict
 from epicox.errors import PreconditionError
-from epicox.graphs import (FiniteGraph, PointedReflexiveGraph,
+from epicox.graphs import (MAX_VERTICES, FiniteGraph, PointedReflexiveGraph,
                            graph_from_json_dict, graph_from_text,
                            graph_to_json_dict, graph_to_text, make_pointed)
 from epicox.homomorphisms import (GeneratorMap, gen_map_from_json_dict,
@@ -87,6 +87,19 @@ def test_malformed_text_rejected(bad):
 def test_json_reflexive_must_be_boolean(flag):
     with pytest.raises(PreconditionError):
         graph_from_json_dict({"n": 2, "reflexive": flag})
+
+
+@pytest.mark.parametrize("parse", [
+    lambda n: graph_from_text(f"n {n} irreflexive\n"),
+    lambda n: graph_from_json_dict({"n": n}),
+], ids=["text", "json"])
+def test_vertex_ceiling_refused_before_allocation(monkeypatch, parse):
+    def allocate(*args, **kwargs):
+        raise AssertionError("adjacency allocated for an oversize graph")
+
+    monkeypatch.setattr(FiniteGraph, "from_edges", allocate)
+    with pytest.raises(PreconditionError, match="ceiling"):
+        parse(MAX_VERTICES + 1)
 
 
 def test_loop_lines_tolerated_when_reflexive():

@@ -1,16 +1,24 @@
 """Moves between standard subgroups, and the class census over a block
 system."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicox.construction import LabeledCoxeterSystem, build_C, build_L4
-from epicox.coxeter import CoxeterMatrix, is_spherical, mul, simple_reflection
+from epicox.coxeter import (INFINITE, CoxeterMatrix, is_spherical, mul,
+                            simple_reflection)
 from epicox.errors import (EnumerationCapExceeded, FalsificationError,
                            PreconditionError)
-from epicox.graphs import FiniteGraph
-from epicox.parabolics import (ConjugacyClass, are_special_conjugate,
-                               classify_s5_classes, conjugacy_component,
-                               ks_component_candidate, ks_step)
+from epicox.graphs import FiniteGraph, all_labeled_graphs
+from epicox.parabolics import (ConjugacyClass, a4_chains,
+                               are_special_conjugate, classify_s5_classes,
+                               conjugacy_component, ks_component_candidate,
+                               ks_step)
+
+from oracles import s5_subsets_by_enumeration
 
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
@@ -105,6 +113,60 @@ def test_classify_spots_a_broken_census():
         classify_s5_classes(fake, 10000)
 
 
-def test_classify_respects_cap():
+def test_component_respects_cap():
+    # the four singletons of the 4-chain form one class
     with pytest.raises(EnumerationCapExceeded):
-        classify_s5_classes(build_C(EDGE), 60)
+        conjugacy_component(L4, {0}, 3)
+
+
+# --- the census read off the labels, against the subset scan -----------------
+
+
+def test_census_matches_enumeration_on_small_graphs():
+    for graph in all_labeled_graphs(4):
+        C = build_C(graph).matrix
+        assert a4_chains(C) == s5_subsets_by_enumeration(C), graph.edges()
+
+
+def _labelled(n, threes, twos):
+    """Rank-n matrix with the given label-3 and label-2 pairs; every other
+    pair is unbounded."""
+    return CoxeterMatrix.from_labels(
+        n, [(i, j, 3) for i, j in threes] + [(i, j, 2) for i, j in twos])
+
+
+A5 = _labelled(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+               [(i, j) for i in range(5) for j in range(i + 2, 5)])
+D4_STAR = _labelled(4, [(0, 1), (0, 2), (0, 3)], [(1, 2), (1, 3), (2, 3)])
+CYCLE_OF_3S = _labelled(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 2), (1, 3)])
+# a triangle of 3s with a tail: 0-1-2-3 is a path of 3s, but (0,2) is a 3
+TRIANGLE_OF_3S = _labelled(4, [(0, 1), (1, 2), (0, 2), (2, 3)],
+                           [(0, 3), (1, 3)])
+
+
+@pytest.mark.parametrize("C,expected", [
+    (L4, {frozenset(range(4))}),
+    (A5, {frozenset(range(4)), frozenset(range(1, 5))}),
+    (D4_STAR, set()),
+    (CYCLE_OF_3S, set()),
+    (TRIANGLE_OF_3S, set()),
+], ids=["A4 chain", "A5 chain", "D4 star", "4-cycle of 3s", "triangle of 3s"])
+def test_census_on_named_diagrams(C, expected):
+    assert a4_chains(C) == expected
+    assert s5_subsets_by_enumeration(C) == expected
+
+
+@st.composite
+def label_matrices(draw):
+    n = draw(st.integers(0, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    labels = draw(st.lists(st.sampled_from([2, 3, INFINITE]),
+                           min_size=len(pairs), max_size=len(pairs)))
+    return CoxeterMatrix.from_labels(
+        n, [(i, j, m) for (i, j), m in zip(pairs, labels)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_matrices())
+def test_census_matches_enumeration_on_random_labels(C):
+    assert a4_chains(C) == s5_subsets_by_enumeration(C)

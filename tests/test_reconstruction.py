@@ -5,6 +5,7 @@ acceptance suite pushes the radius to its contracted value.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from oracles import (assert_same_levels, ball_levels_by_set,
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
 PATH3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
+# seeded G(16, 1/2): a rank-64 system, census and sweep at scale
+_rng = random.Random(16)
+G16 = FiniteGraph.from_edges(
+    16, [p for p in itertools.combinations(range(16), 2) if _rng.random() < 0.5])
 
 RADIUS = 3  # plenty for unit-scale systems
 
@@ -65,10 +70,11 @@ def test_bounded_check_rejects_negative_radius():
         bounded_centralizer_check(build_C(EDGE), 0, 1, -1)
 
 
-@pytest.mark.parametrize("graph", [EDGE, TWO_POINTS, PATH3])
+@pytest.mark.parametrize("graph", [EDGE, TWO_POINTS, PATH3, G16])
 def test_k_graph_is_reflexive_closure(graph):
     kg = k_graph(graph, RADIUS, 10000)
     assert kg.graph == graph.reflexive_closure()
+    assert set(kg.witnesses) == set(graph.edges())
 
 
 def test_k_graph_witness_support():
