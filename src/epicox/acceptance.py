@@ -13,7 +13,6 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from . import coxeter
 from .construction import build_C, build_L4, verify_L4_is_S5
 from .coxeter import (enumerate_parabolic, evaluate, identity, is_spherical,
                       length, longest_element, mul, preserves_form,
@@ -48,7 +47,6 @@ class CriterionResult:
 @dataclass(frozen=True)
 class AcceptanceConfig:
     radius: int = 6
-    enum_cap: int = coxeter.DEFAULT_ENUM_CAP
 
 
 # --- instances -------------------------------------------------------------
@@ -79,7 +77,7 @@ def _base_preserving_epis(src_p, tgt_p):
 
 
 def criterion_1(config: AcceptanceConfig):
-    report = verify_L4_is_S5(config.enum_cap)
+    report = verify_L4_is_S5()
     ok = (report.order == 120 and report.nonabelian
           and report.even_order == 60 and report.even_is_subgroup
           and report.even_is_simple)
@@ -143,7 +141,7 @@ def criterion_4(config: AcceptanceConfig):
                 if ks_step(C, block, s) is not None:
                     return False, f"{name}: unexpected step out of block {v}"
                 checked += 1
-            comp = conjugacy_component(C, block, config.enum_cap)
+            comp = conjugacy_component(C, block)
             if comp.members != {block}:
                 return False, f"{name}: block {v} is not alone in its class"
     return True, f"{checked} outgoing candidates all non-spherical"
@@ -170,7 +168,7 @@ def criterion_6(config: AcceptanceConfig):
     g = FiniteGraph.from_edges(2, [])
     system = build_C(g)
     sub = system.matrix.submatrix(sorted(system.block(0)) + sorted(system.block(1)))
-    s5 = enumerate_parabolic(sub, range(4), config.enum_cap)
+    s5 = enumerate_parabolic(sub, range(4))
     idn = identity(sub)
     invs = [w for w in s5
             if w != idn and mul(w, w) == idn and length(sub, w) % 2 == 0]
@@ -186,7 +184,7 @@ def criterion_6(config: AcceptanceConfig):
 def criterion_7(config: AcceptanceConfig):
     count = 0
     for g in all_labeled_graphs(3):
-        iso = verify_reconstruction(g, config.radius, config.enum_cap)
+        iso = verify_reconstruction(g, config.radius)
         if tuple(iso.image) != tuple(range(g.n)):
             return False, f"unexpected class order for graph {g.edges()}"
         count += 1
@@ -216,7 +214,7 @@ class TheoremReport:
         return sum(p.epi_count for p in self.pair_outcomes)
 
 
-def theorem_report(max_vertices: int, radius: int, cap: int,
+def theorem_report(max_vertices: int, radius: int,
                    inject_fault: bool = False) -> TheoremReport:
     """For every ordered pair of reflexive graphs with at most max_vertices
     vertices and every base-preserving epimorphism f between their pointed
@@ -230,21 +228,20 @@ def theorem_report(max_vertices: int, radius: int, cap: int,
     graphs = all_labeled_graphs(max_vertices)
     cache = {}
     for idx, g in enumerate(graphs):
-        system = build_C(g)
-        kg = k_graph(g, radius, cap)
-        verify_reconstruction(g, radius, cap, kg=kg)
-        cache[idx] = (g, system, make_pointed(g.reflexive_closure()))
+        kg = k_graph(g, radius)
+        verify_reconstruction(g, radius, kg=kg)
+        cache[idx] = (g, kg, make_pointed(g.reflexive_closure()))
     outcomes = []
     fault_pending = inject_fault
-    for i, (g1, sys1, p1) in cache.items():
-        for j, (g2, sys2, p2) in cache.items():
+    for i, (g1, kg1, p1) in cache.items():
+        for j, (g2, kg2, p2) in cache.items():
             epis = _base_preserving_epis(p1, p2)
             ok = True
             message = "ok"
             for f in epis:
-                phi = lift_graph_epi(f, sys1, sys2)
+                phi = lift_graph_epi(f, kg1.system, kg2.system)
                 if fault_pending:
-                    corrupted = _corrupt(phi, sys1, sys2, f)
+                    corrupted = _corrupt(phi, kg1.system, kg2.system, f)
                     if corrupted is not None:
                         fault_pending = False
                         ok = False
@@ -260,7 +257,7 @@ def theorem_report(max_vertices: int, radius: int, cap: int,
                 if not is_onto_generators(phi):
                     ok, message = False, f"lift of onto map missed generators: {f.image}"
                     break
-                images = induced_k_map(sys1, sys2, phi, cap)
+                images = induced_k_map(kg1.system, kg2, phi)
                 for v in range(g1.n):
                     want_base = f.image[v] == p2.base
                     got = images[v]
@@ -292,7 +289,7 @@ def _corrupt(phi, sys1, sys2, f):
 
 
 def criterion_8(config: AcceptanceConfig):
-    report = theorem_report(3, config.radius, config.enum_cap)
+    report = theorem_report(3, config.radius)
     bad = [p for p in report.pair_outcomes if not p.ok]
     if bad:
         p = bad[0]
@@ -317,7 +314,7 @@ def criterion_9(config: AcceptanceConfig):
             for T in itertools.combinations(range(C.n), size):
                 if not is_spherical(C, T):
                     continue
-                for w in enumerate_parabolic(C, T, config.enum_cap):
+                for w in enumerate_parabolic(C, T):
                     union[w.mat] = w
         for w in union.values():
             if not preserves_form(C, w):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -25,17 +24,11 @@ from .homomorphisms import (presentation_of, presentation_to_json_dict,
 from .parabolics import classify_s5_classes
 from .reconstruction import DEFAULT_RADIUS, k_graph
 
-ENUM_CAP_ENV = "EPICOX_ENUM_CAP"
-
-# one block's subgroup has 120 elements; anything useful holds two
-MIN_ENUM_CAP = 240
-
 
 @dataclass(frozen=True)
 class RunConfig:
     max_vertices: int = 2
     radius: int = DEFAULT_RADIUS
-    enum_cap: int = coxeter.DEFAULT_ENUM_CAP
     fmt: str = "text"
 
     def __post_init__(self):
@@ -43,38 +36,16 @@ class RunConfig:
             raise PreconditionError("max_vertices must be nonnegative")
         if self.radius < 0:
             raise PreconditionError("radius must be nonnegative")
-        if self.enum_cap < MIN_ENUM_CAP:
-            raise PreconditionError(
-                f"enum_cap below {MIN_ENUM_CAP} cannot hold two blocks")
         if self.fmt not in ("text", "json"):
             raise PreconditionError(f"unknown format {self.fmt!r}")
-
-
-def effective_enum_cap(config: RunConfig) -> int:
-    """The enumeration cap actually used.  The environment variable wins
-    over the configured value and is allowed below the configured floor,
-    so deliberately tiny caps can be exercised."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return config.enum_cap
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise PreconditionError(
-            f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise PreconditionError(f"{ENUM_CAP_ENV} must be positive")
-    return value
 
 
 def _config_from_args(args) -> RunConfig:
     radius = getattr(args, "radius", None)
     max_vertices = getattr(args, "max_vertices", None)
-    enum_cap = getattr(args, "enum_cap", None)
     return RunConfig(
         max_vertices=2 if max_vertices is None else max_vertices,
         radius=DEFAULT_RADIUS if radius is None else radius,
-        enum_cap=coxeter.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap,
         fmt="json" if getattr(args, "json", False) else "text",
     )
 
@@ -164,8 +135,7 @@ def _cmd_ks_classes(args) -> int:
     config = _config_from_args(args)
     g = _load_irreflexive_graph(args.graph)
     system = build_C(g)
-    cap = effective_enum_cap(config)
-    classes = classify_s5_classes(system, cap)
+    classes = classify_s5_classes(system)
     names = system.matrix.names
     if config.fmt == "json":
         payload = {"classes": [
@@ -185,9 +155,8 @@ def _cmd_ks_classes(args) -> int:
 def _cmd_k_graph(args) -> int:
     config = _config_from_args(args)
     g = _load_irreflexive_graph(args.graph)
-    cap = effective_enum_cap(config)
-    kg = k_graph(g, config.radius, cap)
-    names = build_C(g).matrix.names
+    kg = k_graph(g, config.radius)
+    names = kg.system.matrix.names
 
     def word_names(word):
         return [names[i] for i in word]
@@ -208,8 +177,7 @@ def _cmd_k_graph(args) -> int:
 
 
 def _cmd_verify_l4(args) -> int:
-    config = _config_from_args(args)
-    report = verify_L4_is_S5(effective_enum_cap(config))
+    report = verify_L4_is_S5()
     print(f"order {report.order}")
     print(f"nonabelian {report.nonabelian}")
     print(f"even subgroup order {report.even_order}")
@@ -220,8 +188,7 @@ def _cmd_verify_l4(args) -> int:
 
 def _cmd_check_theorem(args) -> int:
     config = _config_from_args(args)
-    cap = effective_enum_cap(config)
-    report = theorem_report(config.max_vertices, config.radius, cap,
+    report = theorem_report(config.max_vertices, config.radius,
                             inject_fault=args.inject_fault)
     print(f"graphs: {report.graph_count}")
     print(f"ordered pairs: {len(report.pair_outcomes)}")
@@ -238,8 +205,7 @@ def _cmd_check_theorem(args) -> int:
 
 def _cmd_acceptance(args) -> int:
     config = _config_from_args(args)
-    acc = AcceptanceConfig(radius=config.radius,
-                           enum_cap=effective_enum_cap(config))
+    acc = AcceptanceConfig(radius=config.radius)
     known = [num for num, _, _ in CRITERIA]
     numbers = args.criterion or known
     for num in numbers:
@@ -291,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ks-classes",
                        help="conjugacy classes of the block subgroups")
     add_io(p)
-    p.add_argument("--enum-cap", type=int, default=None)
     p.set_defaults(func=_cmd_ks_classes)
 
     p = sub.add_parser("k-graph",
@@ -299,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--radius", type=int, default=None,
                    help="centralizer sweep radius (default 6)")
-    p.add_argument("--enum-cap", type=int, default=None)
     p.set_defaults(func=_cmd_k_graph)
 
     p = sub.add_parser("verify-l4",
                        help="check the one-block group is the expected "
                             "order-120 group with a simple even half")
-    p.add_argument("--enum-cap", type=int, default=None)
     p.set_defaults(func=_cmd_verify_l4)
 
     p = sub.add_parser("check-theorem",
@@ -313,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "check the round trip")
     p.add_argument("--max-vertices", type=int, default=2)
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--enum-cap", type=int, default=None)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one lifted map to confirm the relator "
                             "check can fail")
@@ -323,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", type=int, action="append", default=None,
                    help="run only this criterion (repeatable)")
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--enum-cap", type=int, default=None)
     p.set_defaults(func=_cmd_acceptance)
 
     return parser

@@ -13,10 +13,9 @@ even involutions, which is what the reconstruction module recovers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .coxeter import (DEFAULT_ENUM_CAP, INFINITE, CoxeterMatrix, GroupElement,
-                      Word, close_under_multiplication, enumerate_parabolic,
+from .coxeter import (INFINITE, CoxeterMatrix, GroupElement, Word,
+                      close_under_multiplication, enumerate_parabolic,
                       identity, invert, length, mul, simple_reflection)
 from .errors import FalsificationError, PreconditionError
 from .graphs import FiniteGraph
@@ -91,7 +90,6 @@ def build_C(graph: FiniteGraph) -> LabeledCoxeterSystem:
         CoxeterMatrix.from_labels(BLOCK_SIZE * n, labels, names), core)
 
 
-@lru_cache(maxsize=None)
 def op_graph(C: CoxeterMatrix) -> FiniteGraph:
     """Opposed diagram on the generators: an edge wherever the label is 3 or
     infinite, a non-edge wherever it is 2."""
@@ -119,13 +117,13 @@ class L4Report:
     even_is_simple: bool
 
 
-def verify_L4_is_S5(cap: int = DEFAULT_ENUM_CAP) -> L4Report:
+def verify_L4_is_S5() -> L4Report:
     """Check the one-block group has order 120, is nonabelian, and that its
     even-length elements form a simple subgroup of order 60.  Simplicity is
     brute force: the normal closure of every nontrivial element must be the
     whole even part."""
     C = build_L4()
-    elements = enumerate_parabolic(C, frozenset(range(4)), cap)
+    elements = enumerate_parabolic(C, frozenset(range(4)))
     order = len(elements)
     gens = [simple_reflection(C, i) for i in range(4)]
     nonabelian = any(mul(a, b) != mul(b, a) for a in gens for b in gens)
@@ -144,7 +142,7 @@ def verify_L4_is_S5(cap: int = DEFAULT_ENUM_CAP) -> L4Report:
     simple = True
     for cls in classes:
         seeds = [GroupElement(mat) for mat in cls]
-        closure = close_under_multiplication(seeds, C.n, cap)
+        closure = close_under_multiplication(seeds, C.n)
         if len(closure) != len(evens):
             simple = False
             break

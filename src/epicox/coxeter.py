@@ -24,7 +24,8 @@ from .errors import (EnumerationCapExceeded, InternalInconsistencyError,
                      PreconditionError, as_int)
 
 INFINITE = 0  # label marker for an unbounded product order
-DEFAULT_ENUM_CAP = 10000
+# element budget of the enumerations that can meet an infinite set
+ELEMENT_CAP = 10000
 
 # reduced-word extraction strictly shortens a valid element each step, so
 # only a corrupt matrix can loop; this bound is how we notice
@@ -290,7 +291,7 @@ def longest_element(C: CoxeterMatrix, subset) -> GroupElement:
 
 
 def enumerate_parabolic(C: CoxeterMatrix, subset,
-                        cap: int = DEFAULT_ENUM_CAP) -> tuple[GroupElement, ...]:
+                        cap: int = ELEMENT_CAP) -> tuple[GroupElement, ...]:
     """All elements of the standard subgroup on the subset, in breadth-first
     order from the identity.  Raises EnumerationCapExceeded past the cap."""
     gens = sorted(frozenset(subset))
@@ -319,7 +320,7 @@ def enumerate_parabolic(C: CoxeterMatrix, subset,
 
 
 def close_under_multiplication(elements, rank: int,
-                               cap: int = DEFAULT_ENUM_CAP) -> tuple[GroupElement, ...]:
+                               cap: int = ELEMENT_CAP) -> tuple[GroupElement, ...]:
     """Subgroup generated by the given elements (finite expected).  In a
     finite group the multiplicative closure of any set containing it is
     already a subgroup, so no inverses are needed."""
@@ -392,12 +393,14 @@ def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None) -> list[n
             if s:
                 w = w[~(w[:, :, :s] <= 0).all(axis=1).any(axis=1)]
             parts.append(w)
+            # checked per part, so an over-cap level is never concatenated
+            total += w.shape[0]
+            if cap is not None and total > cap:
+                raise EnumerationCapExceeded(
+                    f"ball enumeration to radius {radius} exceeded cap {cap}")
         cur = np.concatenate(parts, axis=0)
         if not cur.shape[0]:
             break
-        total += cur.shape[0]
-        if cap is not None and total > cap:
-            raise EnumerationCapExceeded(f"ball enumeration exceeded cap {cap}")
         levels.append(cur)
     return levels
 

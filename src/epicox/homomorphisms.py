@@ -12,14 +12,13 @@ assignment extends to a group homomorphism, and what each block maps onto.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .construction import LabeledCoxeterSystem
-from .coxeter import DEFAULT_ENUM_CAP, INFINITE, CoxeterMatrix, Word
+from .coxeter import INFINITE, CoxeterMatrix, Word
 from .errors import (FalsificationError, InternalInconsistencyError,
                      PreconditionError)
 from .graphs import VertexMap, is_homomorphism, make_pointed
-from .parabolics import classify_s5_classes
+from .reconstruction import KGraph
 
 
 @dataclass(frozen=True)
@@ -167,48 +166,35 @@ class ClassImage:
     target_vertex: int | None = None
 
 
-@lru_cache(maxsize=None)
-def _target_blocks(target_system: LabeledCoxeterSystem,
-                   cap: int) -> tuple[frozenset[int], ...]:
-    """The target blocks, once the class census has confirmed they are the
-    only order-120 nonabelian standard subgroups on at most four generators,
-    pairwise non-conjugate."""
-    classify_s5_classes(target_system, cap)
-    return tuple(target_system.block(u)
-                 for u in range(target_system.vertex_count))
-
-
-def _classify_block_image(target_system: LabeledCoxeterSystem,
-                          gen_images: tuple,
-                          cap: int) -> tuple[str, int | None]:
+def _classify_block_image(target: KGraph,
+                          gen_images: tuple) -> tuple[str, int | None]:
     """Classify the standard subgroup on the given target generators: at
-    most one generator collapses to the base, a target block gives its
-    class, and any other set aborts loudly."""
-    blocks = _target_blocks(target_system, cap)
+    most one generator collapses to the base, a member of a target class
+    gives that class, and any other set aborts loudly."""
     J = frozenset(j for j in gen_images if j is not None)
     if len(J) <= 1:
         return "base", None
-    if J in blocks:
-        return "class", blocks.index(J)
-    names = [target_system.matrix.names[j] for j in sorted(J)]
+    for u, cls in enumerate(target.classes):
+        if J in cls.members:
+            return "class", u
+    names = [target.system.matrix.names[j] for j in sorted(J)]
     raise FalsificationError(
         f"a block image generates the standard subgroup on {names}, which "
         "violates the order dichotomy {1, 2, 120} for block quotients")
 
 
-def induced_k_map(source_system: LabeledCoxeterSystem,
-                  target_system: LabeledCoxeterSystem,
-                  phi: GeneratorMap,
-                  cap: int = DEFAULT_ENUM_CAP) -> tuple[ClassImage, ...]:
+def induced_k_map(source_system: LabeledCoxeterSystem, target: KGraph,
+                  phi: GeneratorMap) -> tuple[ClassImage, ...]:
     """Where each source class vertex goes under a relator-respecting map.
 
     A block's image is the standard subgroup on the set J of its image
     generators.  The relators force J to be empty, one generator, or a
-    labelled 4-chain, and the class census shows the 4-chains are exactly
-    the target blocks.  So |J| <= 1 collapses the class to the base point
-    and J equal to a target block gives that block's class.
+    labelled 4-chain, and the target's class census shows the 4-chains are
+    exactly the target blocks, each alone in its class.  So |J| <= 1
+    collapses the class to the base point and J equal to a target block
+    gives that block's class.
     """
-    if phi.source != source_system.matrix or phi.target != target_system.matrix:
+    if phi.source != source_system.matrix or phi.target != target.system.matrix:
         raise PreconditionError("map endpoints do not match the systems")
     if not verify_relators(phi):
         raise PreconditionError("map does not respect the source relators")
@@ -216,7 +202,7 @@ def induced_k_map(source_system: LabeledCoxeterSystem,
     for v in range(source_system.vertex_count):
         gen_images = tuple(phi.images[g]
                            for g in sorted(source_system.block(v)))
-        kind, u = _classify_block_image(target_system, gen_images, cap)
+        kind, u = _classify_block_image(target, gen_images)
         out.append(ClassImage(v, kind, u))
     return tuple(out)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construction import LabeledCoxeterSystem, op_graph
-from .coxeter import (DEFAULT_ENUM_CAP, CoxeterMatrix, GroupElement, invert,
+from .construction import LabeledCoxeterSystem
+from .coxeter import (ELEMENT_CAP, CoxeterMatrix, GroupElement, invert,
                       is_spherical, longest_element, mul, simple_reflection)
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      InternalInconsistencyError, PreconditionError)
@@ -44,15 +44,16 @@ class ConjugacyClass:
 
 
 def ks_component_candidate(C: CoxeterMatrix, subset, s: int) -> frozenset[int]:
-    """Component of s in the opposed diagram induced on subset + s."""
+    """Component of s in the opposed diagram induced on subset + s: the
+    diagram of ``op_graph``, read straight off the labels (an edge wherever
+    the label is not 2)."""
     nodes = frozenset(subset) | {s}
-    op = op_graph(C)
     comp = {s}
     frontier = [s]
     while frontier:
         x = frontier.pop()
         for y in nodes:
-            if y not in comp and op.adjacent(x, y):
+            if y not in comp and C.m[x][y] != 2:
                 comp.add(y)
                 frontier.append(y)
     return frozenset(comp)
@@ -99,7 +100,7 @@ def ks_step(C: CoxeterMatrix, subset, s: int) -> KSEdge | None:
 
 
 def conjugacy_component(C: CoxeterMatrix, subset,
-                        cap: int = DEFAULT_ENUM_CAP) -> ConjugacyClass:
+                        cap: int = ELEMENT_CAP) -> ConjugacyClass:
     """Breadth-first closure of a spherical subset under steps along every
     outside generator."""
     I = frozenset(subset)
@@ -123,7 +124,7 @@ def conjugacy_component(C: CoxeterMatrix, subset,
 
 
 def are_special_conjugate(C: CoxeterMatrix, left, right,
-                          cap: int = DEFAULT_ENUM_CAP) -> bool:
+                          cap: int = ELEMENT_CAP) -> bool:
     """Whether two spherical subsets carry conjugate standard subgroups."""
     L, R = frozenset(left), frozenset(right)
     for sub in (L, R):
@@ -148,15 +149,14 @@ def a4_chains(C: CoxeterMatrix) -> set[frozenset[int]]:
             if C.m[a][c] == C.m[a][d] == C.m[b][d] == 2}
 
 
-def classify_s5_classes(system: LabeledCoxeterSystem,
-                        cap: int = DEFAULT_ENUM_CAP) -> list[ConjugacyClass]:
+def classify_s5_classes(system: LabeledCoxeterSystem) -> list[ConjugacyClass]:
     """Conjugacy classes of the order-120 nonabelian standard subgroups.
 
     Reads those subgroups off the labels as the labelled 4-chains
-    (``a4_chains``) and groups them into conjugacy components, whose size
-    ``cap`` bounds.  For a block system these must come out as one
-    singleton class per graph vertex, in vertex order; any other outcome is
-    reported as evidence against the construction, loudly.
+    (``a4_chains``) and groups them into conjugacy components.  For a block
+    system these must come out as one singleton class per graph vertex, in
+    vertex order; any other outcome is reported as evidence against the
+    construction, loudly.
     """
     C = system.matrix
     hits = a4_chains(C)
@@ -167,7 +167,7 @@ def classify_s5_classes(system: LabeledCoxeterSystem,
             f"{sorted(tuple(sorted(h)) for h in hits)}, expected one per block")
     classes = []
     for T in expected:
-        comp = conjugacy_component(C, T, cap)
+        comp = conjugacy_component(C, T)
         if comp.members != {T}:
             raise FalsificationError(
                 f"block {sorted(T)} is conjugate to {sorted(map(sorted, comp.members))}; "

@@ -25,9 +25,8 @@ import numpy as np
 
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
                            build_C)
-from .coxeter import (DEFAULT_ENUM_CAP, CoxeterMatrix, Word, ball_levels,
-                      enumerate_parabolic, evaluate, fits_int64, identity,
-                      length, mul)
+from .coxeter import (CoxeterMatrix, Word, ball_levels, enumerate_parabolic,
+                      evaluate, fits_int64, identity, length, mul)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
                      make_pointed)
@@ -35,12 +34,26 @@ from .parabolics import ConjugacyClass, classify_s5_classes
 
 DEFAULT_RADIUS = 6
 
+# Elements the sweep's ball may hold.  In a two-block subsystem (rank 8) the
+# ball grows about 5.9x per radius: 69,420 elements at radius 6, 405,826 at
+# 7 and about 2.4 M at 8, each an 8x8 int64 matrix of 512 bytes.  Radius 9
+# would be about 14 M elements, some 7 GB.  This cap lets radius 8 through
+# (about 1.2 GB); ball_levels checks it after each per-generator part of a
+# level, so radius 9 is refused after at most one part past the cap.
+SWEEP_BALL_CAP = 4_000_000
+
 
 @dataclass
 class KGraph:
+    """The class graph of a graph's block system, with the system and the
+    class census it was read from.  Only ``k_graph`` builds one, so holding
+    a KGraph means the census has confirmed that the blocks are the only
+    order-120 nonabelian standard subgroups, pairwise non-conjugate, and
+    ``classes[v]`` is the class of the block of vertex v."""
     graph: FiniteGraph
     classes: tuple[ConjugacyClass, ...]
     witnesses: dict[tuple[int, int], tuple[Word, Word]]
+    system: LabeledCoxeterSystem
 
 
 def commuting_witness(system: LabeledCoxeterSystem, s: int,
@@ -84,6 +97,9 @@ def _commuting(X: np.ndarray, A: np.ndarray, u: np.ndarray,
     return np.unique(i[(np.matmul(Y, B) == np.matmul(B, Y)).all(axis=(1, 2))])
 
 
+# Unbounded, yet small: a build_C system has only two two-block shapes,
+# adjacent or not, and _two_block_submatrix names both canonically, so the
+# keys are those two shapes times the radii used.
 @lru_cache(maxsize=None)
 def _centralizer_core(sub: CoxeterMatrix, radius: int) -> bool:
     first_block = frozenset(range(BLOCK_SIZE))
@@ -104,7 +120,7 @@ def _centralizer_core(sub: CoxeterMatrix, radius: int) -> bool:
     growth = max(int(np.abs(u).sum() * np.abs(np.matmul(A, v)).sum(1).max()),
                  int(np.abs(v).sum() * np.abs(np.matmul(u, A)).sum(1).max()),
                  int(absA.sum(1).max()), int(absA.sum(2).max()))
-    for X in ball_levels(sub, radius)[1:]:
+    for X in ball_levels(sub, radius, SWEEP_BALL_CAP)[1:]:
         if X.dtype != object and not fits_int64(int(np.abs(X).max()) * growth):
             X = X.astype(object)
         args = (A, u, v) if X.dtype != object else (
@@ -134,8 +150,7 @@ def bounded_centralizer_check(system: LabeledCoxeterSystem, s: int, t: int,
     return _centralizer_core(_two_block_submatrix(system, s, t), radius)
 
 
-def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS,
-            cap: int = DEFAULT_ENUM_CAP) -> KGraph:
+def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS) -> KGraph:
     """Class graph of the block system of the input graph.
 
     Reflexive by construction; an off-diagonal edge is present exactly when
@@ -144,7 +159,7 @@ def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS,
     in doubt and we abort loudly.
     """
     system = build_C(graph)
-    classes = tuple(classify_s5_classes(system, cap))
+    classes = tuple(classify_s5_classes(system))
     n = len(classes)
     adj = [[u == v for v in range(n)] for u in range(n)]
     witnesses: dict[tuple[int, int], tuple[Word, Word]] = {}
@@ -161,24 +176,23 @@ def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS,
                         f"element of length <= {radius} commutes with an even "
                         "involution from outside its block subgroup")
     g = FiniteGraph(n, tuple(tuple(row) for row in adj), reflexive=True)
-    return KGraph(g, classes, witnesses)
+    return KGraph(g, classes, witnesses, system)
 
 
-def k_pointed(graph: FiniteGraph, radius: int = DEFAULT_RADIUS,
-              cap: int = DEFAULT_ENUM_CAP) -> PointedReflexiveGraph:
+def k_pointed(graph: FiniteGraph,
+              radius: int = DEFAULT_RADIUS) -> PointedReflexiveGraph:
     """Class graph with a fresh dominating base adjoined."""
-    return make_pointed(k_graph(graph, radius, cap).graph)
+    return make_pointed(k_graph(graph, radius).graph)
 
 
 def verify_reconstruction(graph: FiniteGraph, radius: int = DEFAULT_RADIUS,
-                          cap: int = DEFAULT_ENUM_CAP,
                           kg: KGraph | None = None) -> VertexMap:
     """Check vertex -> class-of-its-block is an isomorphism onto the class
     graph and return it.  Adjacency is compared in both directions against
     the reflexive closure of the input."""
     if kg is None:
-        kg = k_graph(graph, radius, cap)
-    system = build_C(graph)
+        kg = k_graph(graph, radius)
+    system = kg.system
     refl = graph.reflexive_closure()
     image = []
     for v in range(graph.n):

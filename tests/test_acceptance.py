@@ -7,7 +7,7 @@ sweep that 7 and 8 reuse.  Run with -s to watch the lines appear.
 
 from epicox.acceptance import AcceptanceConfig, run_criterion
 
-CONFIG = AcceptanceConfig(radius=6, enum_cap=10000)
+CONFIG = AcceptanceConfig(radius=6)
 
 BUDGET_SECONDS = {
     1: 5, 2: 5, 3: 30, 4: 10, 5: 30, 6: 120, 7: 60, 8: 120, 9: 60,

@@ -1,10 +1,14 @@
 """End-to-end command line checks, run in process through main()."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epicox import acceptance
+from epicox import acceptance, reconstruction
 from epicox.cli import main
 from epicox.errors import FalsificationError
 
@@ -104,6 +108,51 @@ def test_pointed_input_rejected(tmp_path):
     assert main(["reduce-f", str(f)]) == 2
 
 
+# JSON values of every kind, and near-valid graphs weighted in so that some
+# inputs get past the parser and the reduction
+_json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+_small = st.integers(-1, 4)
+_graph_dict = st.fixed_dictionaries(
+    {"n": st.one_of(_small, _json_value)},
+    optional={"edges": st.one_of(st.lists(st.lists(_small, min_size=2,
+                                                   max_size=2), max_size=6),
+                                 _json_value),
+              "reflexive": st.one_of(st.just(False), _json_value),
+              "base": st.one_of(st.none(), _json_value)})
+_graph_text = st.builds(
+    lambda n, edges: f"n {n}\n" + "".join(f"e {u} {v}\n" for u, v in edges),
+    _small, st.lists(st.tuples(_small, _small), max_size=6))
+_graph_tokens = st.lists(st.sampled_from(
+    ["n", "e", "0", "1", "2", "3", "-1", "x", "1.5", "irreflexive",
+     "reflexive", "base", "#", "\n"]), max_size=30).map(" ".join)
+_graph_input = st.one_of(
+    st.binary(max_size=200),
+    st.one_of(st.text(max_size=200), _graph_tokens,
+              _graph_text).map(str.encode),
+    _graph_dict.map(lambda d: json.dumps(d).encode()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_graph_input)
+def test_any_input_exits_cleanly(tmp_path_factory, content):
+    """Any file exits 0 or 2 with no exception escaping, and 2 always
+    comes with a message."""
+    f = tmp_path_factory.mktemp("fuzz") / "graph"
+    f.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce-f", str(f)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().strip()
+
+
 def test_emit_presentation_text(edge_file, capsys):
     assert main(["emit-presentation", edge_file]) == 0
     out = capsys.readouterr().out
@@ -165,18 +214,13 @@ def test_verify_l4(capsys):
     assert "simple True" in out
 
 
-def test_verify_l4_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("EPICOX_ENUM_CAP", "100")
-    assert main(["verify-l4"]) == 2
-
-
-def test_env_cap_must_be_integer(monkeypatch, edge_file):
-    monkeypatch.setenv("EPICOX_ENUM_CAP", "many")
-    assert main(["ks-classes", edge_file]) == 2
-
-
-def test_enum_cap_flag_validated(edge_file):
-    assert main(["ks-classes", edge_file, "--enum-cap", "100"]) == 2
+def test_sweep_ball_cap_exits_2(monkeypatch, tmp_path, capsys):
+    f = tmp_path / "two.txt"
+    f.write_text(TWO_POINTS_TEXT)
+    monkeypatch.setattr(reconstruction, "SWEEP_BALL_CAP", 1000)
+    reconstruction._centralizer_core.cache_clear()
+    assert main(["k-graph", str(f)]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
 
 
 def test_check_theorem_tiny(capsys):

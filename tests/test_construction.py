@@ -7,7 +7,7 @@ from epicox.construction import (LabeledCoxeterSystem, alt_involution,
                                  verify_L4_is_S5)
 from epicox.coxeter import (INFINITE, enumerate_parabolic, evaluate, identity,
                             length, mul)
-from epicox.errors import EnumerationCapExceeded, PreconditionError
+from epicox.errors import PreconditionError
 from epicox.graphs import FiniteGraph
 
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
@@ -28,17 +28,12 @@ def test_l4_names():
 
 
 def test_verify_l4_report():
-    rep = verify_L4_is_S5(10000)
+    rep = verify_L4_is_S5()
     assert rep.order == 120
     assert rep.nonabelian
     assert rep.even_order == 60
     assert rep.even_is_subgroup
     assert rep.even_is_simple
-
-
-def test_verify_l4_respects_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        verify_L4_is_S5(100)
 
 
 class TestBuildC:

@@ -8,6 +8,7 @@ count.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +268,22 @@ def test_ball_union_covers_finite_group():
 def test_ball_cap_fires():
     with pytest.raises(EnumerationCapExceeded):
         ball_levels(DIHEDRAL_INF, 50, cap=20)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_ball_cap_refuses_a_level_before_concatenating_it(monkeypatch, k):
+    cap = sum(len(level) for level in ball_levels(DIHEDRAL_INF, k))
+    concatenate, calls = np.concatenate, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counting)
+    with pytest.raises(EnumerationCapExceeded,
+                       match=f"radius {k + 3} exceeded cap {cap}"):
+        ball_levels(DIHEDRAL_INF, k + 3, cap)
+    assert len(calls) == k
 
 
 @pytest.mark.parametrize("C", [L4, DIHEDRAL_INF], ids=["L4", "dihedral_inf"])

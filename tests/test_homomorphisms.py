@@ -15,11 +15,13 @@ from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   lift_graph_epi, map_word, presentation_of,
                                   retraction_rho, verify_relators)
 from epicox.oracles import relators_hold_by_matrices
+from epicox.reconstruction import k_graph
 
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
 PATH3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
+RADIUS = 2  # the class census, not the sweep, is what these tests read
 # block systems over every graph on one or two vertices
 SMALL_SYSTEMS = dict(zip(["point", "two points", "edge"],
                          map(build_C, all_labeled_graphs(2, min_n=1))))
@@ -149,18 +151,18 @@ def test_retraction_needs_distinct_vertices():
 
 
 def test_induced_map_identity():
-    sys_ = build_C(EDGE)
-    phi = identity_map(sys_.matrix)
-    images = induced_k_map(sys_, sys_, phi, 10000)
+    kg = k_graph(EDGE, RADIUS)
+    phi = identity_map(kg.system.matrix)
+    images = induced_k_map(kg.system, kg, phi)
     assert [(im.kind, im.target_vertex) for im in images] == \
         [("class", 0), ("class", 1)]
 
 
 def test_induced_map_collapse():
-    src, tgt = build_C(TWO_POINTS), build_C(EDGE)
+    src, tgt = build_C(TWO_POINTS), k_graph(EDGE, RADIUS)
     f = VertexMap(3, 3, (0, 2, 2))
-    phi = lift_graph_epi(f, src, tgt)
-    images = induced_k_map(src, tgt, phi, 10000)
+    phi = lift_graph_epi(f, src, tgt.system)
+    images = induced_k_map(src, tgt, phi)
     assert images[0].kind == "class" and images[0].target_vertex == 0
     assert images[1].kind == "base"
 
@@ -168,24 +170,23 @@ def test_induced_map_collapse():
 def test_induced_map_needs_matching_endpoints():
     sys_ = build_C(EDGE)
     with pytest.raises(PreconditionError):
-        induced_k_map(sys_, build_C(TWO_POINTS),
-                      identity_map(sys_.matrix), 10000)
+        induced_k_map(sys_, k_graph(TWO_POINTS, RADIUS),
+                      identity_map(sys_.matrix))
 
 
 def test_induced_map_rejects_relator_violation():
-    sys_ = build_C(EDGE)
+    kg = k_graph(EDGE, RADIUS)
+    C = kg.system.matrix
     images = list(range(8))
     images[1] = 0
     with pytest.raises(PreconditionError):
-        induced_k_map(sys_, sys_, GeneratorMap(sys_.matrix, sys_.matrix,
-                                               tuple(images)), 10000)
+        induced_k_map(kg.system, kg, GeneratorMap(C, C, tuple(images)))
 
 
 def test_order_dichotomy_enforced():
-    sys_ = build_C(EDGE)
     # two braided generators make an order-6 image: neither trivial nor full
     with pytest.raises(FalsificationError, match="v0_1"):
-        _classify_block_image(sys_, (0, 1, None, None), 10000)
+        _classify_block_image(k_graph(EDGE, RADIUS), (0, 1, None, None))
 
 
 # --- labels against matrices -------------------------------------------------
@@ -236,6 +237,7 @@ def test_label_rule_matches_matrices_between_systems(source, target, data):
                          ids=SMALL_SYSTEMS.keys())
 def test_block_image_classification_matches_enumeration(system):
     C = system.matrix
+    target = k_graph(system.graph, RADIUS)
 
     def subgroup(T):
         return frozenset(w.mat for w in enumerate_parabolic(C, T, 10000))
@@ -251,9 +253,9 @@ def test_block_image_classification_matches_enumeration(system):
                 expected = ("class", blocks.index(mats))
             else:
                 with pytest.raises(FalsificationError):
-                    _classify_block_image(system, images, 10000)
+                    _classify_block_image(target, images)
                 continue
-            assert _classify_block_image(system, images, 10000) == expected
+            assert _classify_block_image(target, images) == expected
 
 
 # --- end to end --------------------------------------------------------------
@@ -270,7 +272,7 @@ def test_lift_round_trip():
     assert epi is not None
     phi = lift_graph_epi(epi, src, tgt)
     assert verify_relators(phi)
-    images = induced_k_map(src, tgt, phi, 10000)
+    images = induced_k_map(src, k_graph(h, RADIUS), phi)
     for v in range(g.n):
         if epi.image[v] == q.base:
             assert images[v].kind == "base"

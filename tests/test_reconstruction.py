@@ -72,31 +72,32 @@ def test_bounded_check_rejects_negative_radius():
 
 @pytest.mark.parametrize("graph", [EDGE, TWO_POINTS, PATH3, G16])
 def test_k_graph_is_reflexive_closure(graph):
-    kg = k_graph(graph, RADIUS, 10000)
+    kg = k_graph(graph, RADIUS)
+    assert kg.system == build_C(graph)
     assert kg.graph == graph.reflexive_closure()
     assert set(kg.witnesses) == set(graph.edges())
 
 
 def test_k_graph_witness_support():
-    kg = k_graph(PATH3, RADIUS, 10000)
+    kg = k_graph(PATH3, RADIUS)
     assert set(kg.witnesses) == {(0, 1), (1, 2)}
 
 
 def test_k_pointed_appends_base():
-    p = k_pointed(EDGE, RADIUS, 10000)
+    p = k_pointed(EDGE, RADIUS)
     assert p.base == 2
     assert p.graph.n == 3
 
 
 def test_verify_reconstruction_identity():
     for g in all_labeled_graphs(2):
-        iso = verify_reconstruction(g, RADIUS, 10000)
+        iso = verify_reconstruction(g, RADIUS)
         assert tuple(iso.image) == tuple(range(g.n))
 
 
 def test_verify_reconstruction_reuses_prebuilt():
-    kg = k_graph(PATH3, RADIUS, 10000)
-    iso = verify_reconstruction(PATH3, RADIUS, 10000, kg=kg)
+    kg = k_graph(PATH3, RADIUS)
+    iso = verify_reconstruction(PATH3, RADIUS, kg=kg)
     assert tuple(iso.image) == (0, 1, 2)
 
 
