@@ -13,20 +13,21 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .construction import build_C, build_L4, verify_L4_is_S5
-from .coxeter import (enumerate_parabolic, evaluate, identity, is_spherical,
-                      length, longest_element, mul, preserves_form,
-                      reduced_word)
-from .errors import FalsificationError
-from .graphs import (FiniteGraph, all_labeled_graphs, f_reduce,
-                     find_epimorphism, find_injective_hom, make_pointed,
-                     VertexMap)
+from .construction import alt_involution, build_C, build_L4, verify_L4_is_S5
+from .coxeter import (Word, enumerate_parabolic, evaluate, identity,
+                      is_spherical, length, longest_element, mul,
+                      preserves_form, reduced_word)
+from .errors import FalsificationError, PreconditionError
+from .graphs import (FiniteGraph, all_labeled_graphs, epimorphisms, f_reduce,
+                     find_epimorphism, find_injective_hom)
 from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
-                            lift_graph_epi)
-from .oracles import bfs_lengths, naive_hom_exists, relators_hold_by_matrices
+                            lift_graph_epi, presentation_of)
+from .oracles import (RelatorMemo, bfs_lengths, naive_hom_exists,
+                      words_commute_by_matrices)
 from .parabolics import (conjugacy_component, ks_component_candidate, ks_step)
-from .reconstruction import (bounded_centralizer_check, commuting_witness,
-                             k_graph, verify_reconstruction)
+from .reconstruction import (KGraph, bounded_centralizer_check,
+                             commuting_witness, k_graph,
+                             verify_reconstruction)
 
 
 @dataclass
@@ -57,20 +58,6 @@ def _reduction_instances():
     vertex."""
     return [g for g in all_labeled_graphs(3)
             if not any(g.is_isolated(v) for v in g.vertices())]
-
-
-def _base_preserving_epis(src_p, tgt_p):
-    """Every base-preserving onto homomorphism between two pointed graphs,
-    by naive enumeration."""
-    sg, tg, b = src_p.graph, tgt_p.graph, src_p.base
-    out = []
-    for picks in itertools.product(range(tg.n), repeat=sg.n - 1):
-        image = picks[:b] + (tgt_p.base,) + picks[b:]
-        if len(set(image)) == tg.n and all(
-                not sg.adj[u][v] or tg.adj[image[u]][image[v]]
-                for u in range(sg.n) for v in range(u, sg.n)):
-            out.append(VertexMap(sg.n, tg.n, image))
-    return out
 
 
 # --- criteria --------------------------------------------------------------
@@ -155,11 +142,15 @@ def criterion_5(config: AcceptanceConfig):
             for t in range(g.n):
                 if s == t:
                     continue
+                wa, wb = alt_involution(system, s), alt_involution(system, t)
                 wit = commuting_witness(system, s, t)
-                if (wit is not None) != g.adjacent(s, t):
+                by_matrices = words_commute_by_matrices(system.matrix, wa, wb)
+                want = (wa, wb) if g.adjacent(s, t) else None
+                if wit != want or by_matrices != g.adjacent(s, t):
                     return False, (f"graph {g.edges()} on {g.n} vertices: "
-                                   f"witness for ({s},{t}) is "
-                                   f"{wit is not None}, adjacency {g.adjacent(s, t)}")
+                                   f"witness for ({s},{t}) is {wit}, "
+                                   f"full-rank matrices {by_matrices}, "
+                                   f"adjacency {g.adjacent(s, t)}")
                 pairs += 1
     return True, f"{pairs} ordered pairs across all graphs on <= 4 vertices"
 
@@ -214,6 +205,22 @@ class TheoremReport:
         return sum(p.epi_count for p in self.pair_outcomes)
 
 
+# check-theorem enumerates every labelled graph up to this many vertices,
+# 2^C(n, 2) of them at n: 1,024 at 5, and about 2.1 M at 7 before any pair
+# is formed.  Larger requests are refused before the enumeration starts.
+THEOREM_MAX_VERTICES = 5
+
+
+@dataclass
+class _TheoremGraph:
+    """What the epimorphism loop needs of one graph, built once: its class
+    graph (which carries the system and the pointed graph), its relators as
+    a source, and its matrix relator memo as a target."""
+    kg: KGraph
+    relators: tuple[Word, ...]
+    memo: RelatorMemo
+
+
 def theorem_report(max_vertices: int, radius: int,
                    inject_fault: bool = False) -> TheoremReport:
     """For every ordered pair of reflexive graphs with at most max_vertices
@@ -222,44 +229,55 @@ def theorem_report(max_vertices: int, radius: int,
     the induced class map reproduces f through the reconstruction
     isomorphisms.
 
+    Relators are checked as matrices through one RelatorMemo per target,
+    held for this run only, so each distinct mapped word is evaluated once.
     inject_fault corrupts the first liftable map to prove the relator check
     can fail; the corrupted pair is reported as a failure.
     """
+    if max_vertices > THEOREM_MAX_VERTICES:
+        raise PreconditionError(
+            f"max vertices {max_vertices} is above the ceiling of "
+            f"{THEOREM_MAX_VERTICES} for the exhaustive theorem check")
     graphs = all_labeled_graphs(max_vertices)
-    cache = {}
-    for idx, g in enumerate(graphs):
+    entries = []
+    for g in graphs:
         kg = k_graph(g, radius)
         verify_reconstruction(g, radius, kg=kg)
-        cache[idx] = (g, kg, make_pointed(g.reflexive_closure()))
+        entries.append(_TheoremGraph(
+            kg, presentation_of(kg.system.matrix).relators,
+            RelatorMemo(kg.system.matrix)))
     outcomes = []
     fault_pending = inject_fault
-    for i, (g1, kg1, p1) in cache.items():
-        for j, (g2, kg2, p2) in cache.items():
-            epis = _base_preserving_epis(p1, p2)
+    for i, src in enumerate(entries):
+        sys1 = src.kg.system
+        for j, tgt in enumerate(entries):
+            sys2 = tgt.kg.system
+            base = sys2.pointed.base
+            epis = list(epimorphisms(sys1.pointed, sys2.pointed))
             ok = True
             message = "ok"
             for f in epis:
-                phi = lift_graph_epi(f, kg1.system, kg2.system)
+                phi = lift_graph_epi(f, sys1, sys2)
                 if fault_pending:
-                    corrupted = _corrupt(phi, kg1.system, kg2.system, f)
+                    corrupted = _corrupt(phi, sys1, sys2, f)
                     if corrupted is not None:
                         fault_pending = False
                         ok = False
-                        if relators_hold_by_matrices(corrupted):
+                        if tgt.memo.relators_hold(corrupted, src.relators):
                             message = "fault injection not detected"
                         else:
                             message = ("injected relator fault detected "
                                        "(expected failure)")
                         break
-                if not relators_hold_by_matrices(phi):
+                if not tgt.memo.relators_hold(phi, src.relators):
                     ok, message = False, f"relators failed for {f.image}"
                     break
                 if not is_onto_generators(phi):
                     ok, message = False, f"lift of onto map missed generators: {f.image}"
                     break
-                images = induced_k_map(kg1.system, kg2, phi)
-                for v in range(g1.n):
-                    want_base = f.image[v] == p2.base
+                images = induced_k_map(sys1, tgt.kg, phi)
+                for v in range(sys1.vertex_count):
+                    want_base = f.image[v] == base
                     got = images[v]
                     if want_base and got.kind != "base":
                         ok, message = False, f"vertex {v} should collapse, got {got.kind}"

@@ -13,12 +13,13 @@ even involutions, which is what the reconstruction module recovers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coxeter import (INFINITE, CoxeterMatrix, GroupElement, Word,
                       close_under_multiplication, enumerate_parabolic,
                       identity, invert, length, mul, simple_reflection)
 from .errors import FalsificationError, PreconditionError
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, PointedReflexiveGraph, make_pointed
 
 BLOCK_SIZE = 4
 
@@ -51,6 +52,13 @@ class LabeledCoxeterSystem:
     @property
     def vertex_count(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def pointed(self) -> PointedReflexiveGraph:
+        """The graph made reflexive with the base appended last: the domain
+        or codomain of the graph maps that lift to this system.  Built once
+        per system."""
+        return make_pointed(self.graph.reflexive_closure())
 
     def generator(self, v: int, pos: int) -> int:
         if not (0 <= v < self.graph.n and 1 <= pos <= BLOCK_SIZE):

@@ -16,6 +16,7 @@ instances.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import PreconditionError, as_int
@@ -169,41 +170,63 @@ def is_homomorphism(f: VertexMap, source: FiniteGraph, target: FiniteGraph) -> b
     return True
 
 
-def _first_map(source: FiniteGraph, target: FiniteGraph, *,
-               injective: bool = False, onto: bool = False,
-               reflect: bool = False,
-               pin: tuple[int, int] | None = None) -> VertexMap | None:
-    """First edge-preserving map in lexicographic order, or None, by
-    backtracking over partial maps.  reflect also preserves non-edges, and
-    pin = (v, w) forces v to w."""
-    image: list[int] = []
-    uses = [0] * target.n
+def _maps(source: FiniteGraph, target: FiniteGraph, *,
+          injective: bool = False, onto: bool = False,
+          reflect: bool = False,
+          pin: tuple[int, int] | None = None) -> Iterator[VertexMap]:
+    """Every edge-preserving map in lexicographic order, by backtracking
+    over partial maps.  reflect also preserves non-edges, and pin = (v, w)
+    forces v to w.
 
-    def fits(v: int, w: int) -> bool:
-        row = target.adj[w]
-        if reflect:
-            return all(row[image[u]] == source.adj[u][v] for u in range(v))
-        return all(row[image[u]] or not source.adj[u][v] for u in range(v))
+    Image sets are bitmasks over the target.  The pinned vertex is placed
+    first: its image is fixed, so the maps still come out in lexicographic
+    order, and the onto bound counts its image from the start.
+    """
+    n, m = source.n, target.n
+    if n == 0:
+        if not (onto and m):
+            yield VertexMap(0, m, ())
+        return
+    order = list(range(n))
+    if pin:
+        order.remove(pin[0])
+        order.insert(0, pin[0])
+    # per place in the order: the vertices placed before it that constrain
+    # its image, and whether each is adjacent to it
+    constraints = [[(u, source.adj[u][v]) for u in order[:k]
+                    if reflect or source.adj[u][v]]
+                   for k, v in enumerate(order)]
+    neighbours = [sum(1 << x for x in range(m) if target.adj[w][x])
+                  for w in range(m)]
+    image = [0] * n
 
-    def extend(v: int, missing: int) -> bool:
-        if v == source.n:
-            return missing == 0
-        if missing > source.n - v:
-            return False
-        for w in (pin[1],) if pin and v == pin[0] else range(target.n):
-            if (injective and uses[w]) or not fits(v, w):
+    def extend(k: int, used: int) -> Iterator[VertexMap]:
+        v = order[k]
+        cand = 1 << pin[1] if pin and v == pin[0] else (1 << m) - 1
+        for u, edge in constraints[k]:
+            near = neighbours[image[u]]
+            cand &= near if edge else ~near
+        if injective:
+            cand &= ~used
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            # every image still missing must be hit after this place
+            if onto and m - (used | low).bit_count() > n - k - 1:
                 continue
-            image.append(w)
-            uses[w] += 1
-            if extend(v + 1, missing - (onto and uses[w] == 1)):
-                return True
-            uses[w] -= 1
-            image.pop()
-        return False
+            image[v] = low.bit_length() - 1
+            if k == n - 1:
+                yield VertexMap(n, m, tuple(image))
+            else:
+                yield from extend(k + 1, used | low)
 
-    if extend(0, target.n if onto else 0):
-        return VertexMap(source.n, target.n, tuple(image))
-    return None
+    yield from extend(0, 0)
+
+
+def _first_map(source: FiniteGraph, target: FiniteGraph,
+               **kwargs) -> VertexMap | None:
+    """First map of ``_maps`` with the same options, or None."""
+    return next(_maps(source, target, **kwargs), None)
 
 
 def find_injective_hom(source: FiniteGraph, target: FiniteGraph) -> VertexMap | None:
@@ -222,8 +245,10 @@ def _unwrap(g) -> tuple[FiniteGraph, int | None]:
     return g, None
 
 
-def find_epimorphism(source, target, base_preserving: bool | None = None) -> VertexMap | None:
-    """First surjective homomorphism from source onto target, or None.
+def epimorphisms(source, target,
+                 base_preserving: bool | None = None) -> Iterator[VertexMap]:
+    """Every surjective homomorphism from source onto target, in
+    lexicographic order of the image tuple.
 
     Both arguments are reflexive graphs or both are pointed graphs.  For
     pointed inputs the search restricts to base-preserving maps by default;
@@ -240,8 +265,13 @@ def find_epimorphism(source, target, base_preserving: bool | None = None) -> Ver
         base_preserving = sb is not None
     if base_preserving and sb is None:
         raise PreconditionError("base-preserving search needs pointed inputs")
-    return _first_map(sg, tg, onto=True,
-                      pin=(sb, tb) if base_preserving else None)
+    return _maps(sg, tg, onto=True,
+                 pin=(sb, tb) if base_preserving else None)
+
+
+def find_epimorphism(source, target, base_preserving: bool | None = None) -> VertexMap | None:
+    """First map of ``epimorphisms``, or None."""
+    return next(epimorphisms(source, target, base_preserving), None)
 
 
 def are_isomorphic(g: FiniteGraph, h: FiniteGraph) -> VertexMap | None:

@@ -17,7 +17,7 @@ from .construction import LabeledCoxeterSystem
 from .coxeter import INFINITE, CoxeterMatrix, Word
 from .errors import (FalsificationError, InternalInconsistencyError,
                      PreconditionError)
-from .graphs import VertexMap, is_homomorphism, make_pointed
+from .graphs import VertexMap, is_homomorphism
 from .reconstruction import KGraph
 
 
@@ -93,9 +93,10 @@ def verify_relators(phi: GeneratorMap) -> bool:
     even, or they are distinct generators with target label m.
     """
     src, tgt, img = phi.source, phi.target, phi.images
-    for i in range(src.n):
+    for i, a in enumerate(img):
+        row = src.m[i]
         for j in range(i + 1, src.n):
-            m, a, b = src.m[i][j], img[i], img[j]
+            m, b = row[j], img[j]
             if m == INFINITE or a == b:
                 continue
             if a is None or b is None:
@@ -115,14 +116,13 @@ def lift_graph_epi(f: VertexMap, source_system: LabeledCoxeterSystem,
                    target_system: LabeledCoxeterSystem) -> GeneratorMap:
     """Lift a base-preserving map of pointed graphs to a generator map.
 
-    The pointed graphs are the systems' graphs made reflexive with the base
-    appended last (the make_pointed convention), so f must have sizes n+1
-    and m+1 and send index n to index m.  Position i of the block of v maps
-    to position i of the block of f(v), or to the identity when f(v) is the
-    base.
+    The pointed graphs are the systems' ``pointed`` graphs, made reflexive
+    with the base appended last (the make_pointed convention), so f must
+    have sizes n+1 and m+1 and send index n to index m.  Position i of the
+    block of v maps to position i of the block of f(v), or to the identity
+    when f(v) is the base.
     """
-    src_p = make_pointed(source_system.graph.reflexive_closure())
-    tgt_p = make_pointed(target_system.graph.reflexive_closure())
+    src_p, tgt_p = source_system.pointed, target_system.pointed
     if f.source_size != src_p.n or f.target_size != tgt_p.n:
         raise PreconditionError("map sizes do not match the pointed graphs")
     if f.image[src_p.base] != tgt_p.base:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from .coxeter import evaluate, identity, mul_gen
+from .coxeter import CoxeterMatrix, Word, evaluate, identity, mul_gen
+from .errors import PreconditionError
 from .homomorphisms import GeneratorMap, map_word, presentation_of
 
 
@@ -47,9 +48,56 @@ def bfs_lengths(C, subset):
     return dist
 
 
+class RelatorMemo:
+    """The matrix relator oracle for maps into one target system, memoised
+    per mapped word.
+
+    Each distinct mapped word is evaluated once as integer matrices, from
+    the target's identity, which is built once; a later map that pushes
+    some relator to the same word reuses that answer.  ``answers`` holds
+    one entry per distinct word and ``_pushed`` one per distinct pushed
+    relator, so a memo lives only as long as the run that fills it.
+    """
+
+    def __init__(self, target: CoxeterMatrix):
+        self.target = target
+        self.identity = identity(target)
+        self.answers: dict[Word, bool] = {}
+        # relator letters replaced by their images, None for the identity
+        self._pushed: dict[tuple, bool] = {}
+
+    def word_is_identity(self, word: Word) -> bool:
+        hit = self.answers.get(word)
+        if hit is None:
+            hit = self.answers[word] = (evaluate(self.target, word)
+                                        == self.identity)
+        return hit
+
+    def relators_hold(self, phi: GeneratorMap, relators) -> bool:
+        """Does every relator, pushed through the map, evaluate to the
+        identity?  relators are the source's, as ``presentation_of``
+        gives them."""
+        if phi.target != self.target:
+            raise PreconditionError("map into a different target system")
+        image = phi.images.__getitem__
+        for rel in relators:
+            pushed = tuple(map(image, rel))
+            hit = self._pushed.get(pushed)
+            if hit is None:
+                hit = self._pushed[pushed] = self.word_is_identity(
+                    map_word(phi, rel))
+            if not hit:
+                return False
+        return True
+
+
 def relators_hold_by_matrices(phi: GeneratorMap) -> bool:
     """Does every source relator, pushed through the map, evaluate to the
-    identity matrix of the target?"""
-    idn = identity(phi.target)
-    return all(evaluate(phi.target, map_word(phi, rel)) == idn
-               for rel in presentation_of(phi.source).relators)
+    identity matrix of the target?  One-shot: a fresh memo per call."""
+    return RelatorMemo(phi.target).relators_hold(
+        phi, presentation_of(phi.source).relators)
+
+
+def words_commute_by_matrices(C: CoxeterMatrix, wa: Word, wb: Word) -> bool:
+    """Do the two words commute, evaluated at the full rank of C?"""
+    return evaluate(C, wa + wb) == evaluate(C, wb + wa)

@@ -56,15 +56,24 @@ class KGraph:
     system: LabeledCoxeterSystem
 
 
+# Two block involutions lie in the standard subgroup on their two blocks,
+# and elements of a standard subgroup commute in W exactly when they commute
+# in it.  That subgroup is the block system over two vertices, adjacent or
+# not, so there are only two answers: decided once each, at rank 8.
+@lru_cache(maxsize=2)
+def _shape_commutes(adjacent: bool) -> bool:
+    pair = build_C(FiniteGraph.from_edges(2, [(0, 1)] if adjacent else []))
+    wa, wb = alt_involution(pair, 0), alt_involution(pair, 1)
+    return evaluate(pair.matrix, wa + wb) == evaluate(pair.matrix, wb + wa)
+
+
 def commuting_witness(system: LabeledCoxeterSystem, s: int,
                       t: int) -> tuple[Word, Word] | None:
     """The pair of block involution words if they commute, else None."""
     if s == t:
         raise PreconditionError("witness needs two distinct vertices")
-    C = system.matrix
-    wa, wb = alt_involution(system, s), alt_involution(system, t)
-    if evaluate(C, wa + wb) == evaluate(C, wb + wa):
-        return wa, wb
+    if _shape_commutes(system.graph.adjacent(s, t)):
+        return alt_involution(system, s), alt_involution(system, t)
     return None
 
 

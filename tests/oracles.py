@@ -1,8 +1,9 @@
 """Brute-force oracles only the tests use: Fraction determinants, a
 permutation model of the 4-chain, the subset scan that the labelled 4-chain
-census replaced, and the set-deduplicating ball and membership-first
+census replaced, the set-deduplicating ball and membership-first
 centralizer sweep that the descent-keyed ball and the probe-first sweep
-replaced.  The oracles shared with the acceptance criteria live in
+replaced, and the product over all vertex maps that the backtracking
+epimorphism enumeration replaced.  The oracles shared with the acceptance criteria live in
 ``epicox.oracles``.
 """
 
@@ -17,6 +18,7 @@ from epicox.construction import BLOCK_SIZE
 from epicox.coxeter import (enumerate_parabolic, gram_matrix, identity,
                             is_spherical, length, mul, simple_reflection)
 from epicox.errors import EnumerationCapExceeded, PreconditionError
+from epicox.graphs import VertexMap
 
 
 def fraction_minors(C, subset):
@@ -189,3 +191,21 @@ def centralizer_sweep_by_membership(sub, radius) -> bool:
                 if eq.all(axis=(1, 2)).any():
                     return False
     return True
+
+
+# --- base-preserving epimorphisms, by naive enumeration ------------------------
+
+
+def base_preserving_epis_by_product(src_p, tgt_p) -> list[VertexMap]:
+    """Every base-preserving onto homomorphism between two pointed graphs:
+    each tuple of images for the non-base vertices, in product order, with
+    the base spliced in, kept when onto and edge-preserving."""
+    sg, tg, b = src_p.graph, tgt_p.graph, src_p.base
+    out = []
+    for picks in itertools.product(range(tg.n), repeat=sg.n - 1):
+        image = picks[:b] + (tgt_p.base,) + picks[b:]
+        if len(set(image)) == tg.n and all(
+                not sg.adj[u][v] or tg.adj[image[u]][image[v]]
+                for u in range(sg.n) for v in range(u, sg.n)):
+            out.append(VertexMap(sg.n, tg.n, image))
+    return out

@@ -238,6 +238,35 @@ def test_check_theorem_fault_injection(capsys):
     assert "verdict: FAIL" in out
 
 
+@pytest.mark.parametrize("vertices,counts", [
+    (2, "graphs: 4\nordered pairs: 16\nepimorphisms: 17\n"),
+    (3, "graphs: 12\nordered pairs: 144\nepimorphisms: 375\n")])
+def test_check_theorem_fault_caught_by_matrices(capsys, vertices, counts):
+    """The memoised matrix relator oracle still catches the injected
+    fault, and the whole output is as before memoisation."""
+    rc = main(["check-theorem", "--max-vertices", str(vertices),
+               "--radius", "2", "--inject-fault"])
+    assert rc == 3
+    assert capsys.readouterr().out == counts + (
+        "pair 1 -> 1: injected relator fault detected (expected failure)\n"
+        "verdict: FAIL\n")
+
+
+def test_check_theorem_vertex_ceiling_refused_before_enumeration(
+        monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("graphs enumerated above the ceiling")
+
+    monkeypatch.setattr(acceptance, "all_labeled_graphs", unreachable)
+    assert acceptance.THEOREM_MAX_VERTICES == 5
+    assert main(["check-theorem", "--max-vertices", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "ceiling of 5" in err
+    # the ceiling itself is admitted
+    with pytest.raises(AssertionError, match="enumerated"):
+        acceptance.theorem_report(5, 2)
+
+
 def test_acceptance_single_criterion(capsys):
     assert main(["acceptance", "--criterion", "1"]) == 0
     out = capsys.readouterr().out

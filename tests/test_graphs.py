@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from epicox.errors import PreconditionError
 from epicox.graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
-                           all_labeled_graphs, are_isomorphic, f_reduce,
-                           find_epimorphism, find_injective_hom,
+                           all_labeled_graphs, are_isomorphic, epimorphisms,
+                           f_reduce, find_epimorphism, find_injective_hom,
                            is_homomorphism, make_pointed)
 from epicox.oracles import naive_hom_exists
+
+from oracles import base_preserving_epis_by_product
 
 TRIANGLE = FiniteGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -147,6 +149,39 @@ def test_epimorphism_matches_oracle_on_pointed_pairs():
             assert got.image[p.base] == q.base
             assert is_homomorphism(got, p.graph, q.graph)
             assert set(got.image) == set(range(q.n))
+
+
+def test_epimorphisms_match_naive_product():
+    """Same maps in the same order as the product over all image tuples, on
+    every ordered pair of pointed graphs over <= 3 vertices, and the first
+    of them is what find_epimorphism returns."""
+    pointed = [make_pointed(g.reflexive_closure())
+               for g in all_labeled_graphs(3)]
+    total = 0
+    for p, q in itertools.product(pointed, repeat=2):
+        got = list(epimorphisms(p, q))
+        assert got == base_preserving_epis_by_product(p, q), (p, q)
+        assert find_epimorphism(p, q) == (got[0] if got else None)
+        total += len(got)
+    assert total == 375  # the check-theorem count at 3 vertices
+
+
+def test_epimorphisms_pinned_base_not_last():
+    # the pin need not be the last vertex: the base of a pointed graph can
+    # sit anywhere, and the order stays lexicographic
+    star = FiniteGraph.from_edges(3, [(1, 0), (1, 2)], reflexive=True)
+    p = PointedReflexiveGraph(star, 1)
+    q = make_pointed(EDGE.reflexive_closure())
+    got = list(epimorphisms(p, q))
+    assert got == base_preserving_epis_by_product(p, q)
+    assert [f.image for f in got] == sorted(f.image for f in got)
+    assert got
+
+
+def test_epimorphisms_on_empty_source():
+    empty = FiniteGraph.from_edges(0, [], reflexive=True)
+    assert [f.image for f in epimorphisms(empty, empty)] == [()]
+    assert list(epimorphisms(empty, EDGE.reflexive_closure())) == []
 
 
 def test_find_epimorphism_unrestricted_mode():

@@ -9,12 +9,13 @@ from epicox.coxeter import (enumerate_parabolic, evaluate, identity,
                             is_spherical)
 from epicox.errors import FalsificationError, PreconditionError
 from epicox.graphs import (FiniteGraph, VertexMap, all_labeled_graphs,
-                           find_epimorphism, make_pointed)
+                           epimorphisms, find_epimorphism, make_pointed)
 from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   induced_k_map, is_onto_generators,
                                   lift_graph_epi, map_word, presentation_of,
                                   retraction_rho, verify_relators)
-from epicox.oracles import relators_hold_by_matrices
+from epicox import acceptance, oracles
+from epicox.oracles import RelatorMemo, relators_hold_by_matrices
 from epicox.reconstruction import k_graph
 
 L4 = build_L4()
@@ -256,6 +257,71 @@ def test_block_image_classification_matches_enumeration(system):
                     _classify_block_image(target, images)
                 continue
             assert _classify_block_image(target, images) == expected
+
+
+# --- the memoised matrix relator oracle --------------------------------------
+
+
+def test_relator_memo_matches_fresh_evaluation(monkeypatch):
+    """Every answer the theorem check's memos hold, over all pairs of graphs
+    with <= 3 vertices, equals a fresh matrix evaluation, and each distinct
+    mapped word was evaluated exactly once."""
+    memos, evaluated = [], []
+
+    class Recording(RelatorMemo):
+        def __init__(self, target):
+            super().__init__(target)
+            memos.append(self)
+
+    def counting_evaluate(C, word):
+        evaluated.append(word)
+        return evaluate(C, word)
+
+    monkeypatch.setattr(acceptance, "RelatorMemo", Recording)
+    monkeypatch.setattr(oracles, "evaluate", counting_evaluate)
+    report = acceptance.theorem_report(3, RADIUS)
+    assert report.passed and report.total_epis == 375
+    assert len(memos) == 12
+    assert len(evaluated) == sum(len(m.answers) for m in memos) == 470
+    for memo in memos:
+        idn = identity(memo.target)
+        for word, answer in memo.answers.items():
+            assert answer == (evaluate(memo.target, word) == idn), word
+        for pushed, answer in memo._pushed.items():
+            word = tuple(x for x in pushed if x is not None)
+            assert answer == memo.answers[word]
+
+
+def test_relator_memo_catches_corruption_after_sibling():
+    """Negative control: on every lift between graphs with <= 3 vertices,
+    the corrupted map of the fault injection fails the memo that the
+    correct map has just filled, and a fresh evaluation agrees."""
+    graphs = all_labeled_graphs(3)
+    systems = [build_C(g) for g in graphs]
+    relators = [presentation_of(sys_.matrix).relators for sys_ in systems]
+    corrupted_maps = 0
+    for src, rels in zip(systems, relators):
+        for tgt in systems:
+            memo = RelatorMemo(tgt.matrix)
+            for f in epimorphisms(src.pointed, tgt.pointed):
+                phi = lift_graph_epi(f, src, tgt)
+                assert memo.relators_hold(phi, rels)
+                bad = acceptance._corrupt(phi, src, tgt, f)
+                if bad is None:
+                    continue
+                assert not memo.relators_hold(bad, rels)
+                assert not relators_hold_by_matrices(bad)
+                corrupted_maps += 1
+    # only the 12 lifts onto the empty graph, every block collapsed, have
+    # no surviving block to corrupt
+    assert corrupted_maps == 375 - 12
+
+
+def test_relator_memo_refuses_other_target():
+    memo = RelatorMemo(build_C(EDGE).matrix)
+    C = build_C(TWO_POINTS).matrix
+    with pytest.raises(PreconditionError):
+        memo.relators_hold(identity_map(C), presentation_of(C).relators)
 
 
 # --- end to end --------------------------------------------------------------

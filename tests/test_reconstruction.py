@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from epicox import coxeter, reconstruction
-from epicox.construction import build_C
+from epicox.construction import alt_involution, build_C
 from epicox.coxeter import ball_levels, evaluate, mul
 from epicox.errors import PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
+from epicox.oracles import words_commute_by_matrices
 from epicox.reconstruction import (_centralizer_core, _two_block_submatrix,
                                    bounded_centralizer_check,
                                    commuting_witness, k_graph, k_pointed,
@@ -45,6 +46,23 @@ def test_witness_on_adjacent_pair():
 
 def test_no_witness_on_nonadjacent_pair():
     assert commuting_witness(build_C(TWO_POINTS), 0, 1) is None
+
+
+def test_witness_matches_full_rank_matrices_and_adjacency():
+    """The witness, decided once per two-block shape at rank 8, against
+    the block involutions evaluated at full rank, on every ordered pair of
+    vertices of every graph with <= 4 vertices."""
+    pairs = 0
+    for g in all_labeled_graphs(4):
+        system = build_C(g)
+        for s, t in itertools.permutations(range(g.n), 2):
+            wa, wb = alt_involution(system, s), alt_involution(system, t)
+            commute = words_commute_by_matrices(system.matrix, wa, wb)
+            assert commute == g.adjacent(s, t)
+            want = (wa, wb) if commute else None
+            assert commuting_witness(system, s, t) == want
+            pairs += 1
+    assert pairs == 820
 
 
 def test_witness_needs_distinct_vertices():

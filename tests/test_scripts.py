@@ -22,3 +22,23 @@ def test_script_runs(script, args):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_bench_pairs_verdict():
+    """The pair summary: ties count for neither side, and the gap is set
+    against the parent's interquartile range."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.pop(0)
+    parent = [1.0, 1.1, 0.9, 1.0, 1.2]
+    change = [0.4, 1.1, 0.5, 0.4, 0.3]
+    got = bench_pairs.compare(parent, change, "lower")
+    assert (got["change_wins"], got["change_losses"]) == (4, 0)
+    assert got["parent"]["median"] == 1.0
+    assert (got["parent"]["q1"], got["parent"]["q3"]) == (1.0, 1.1)
+    assert got["change"]["median"] == 0.4
+    assert got["gap_exceeds_parent_iqr"]
+    flipped = bench_pairs.compare(change, parent, "higher")
+    assert (flipped["change_wins"], flipped["change_losses"]) == (4, 0)
