@@ -3,16 +3,18 @@
 BENCH_<label>.json.
 
     python3 scripts/bench_pairs.py --parent ../epicox-parent --change . \\
-        --label pr6 --pairs 10 --seconds 30 --seed 601
+        --label pr6 --seed 601
 
-Both sides are checkouts holding their own ``perfbench/run.py``.  Pair k
-runs every workload once on each side at seed + k, the parent first when k
-is even and the change first when k is odd; then each side makes one traced
-run (``--trace 1``) per workload at the first seed.  Every figure is read
-from what ``run.py`` prints; this script only orders the runs and
-summarises them.  Per workload and end-to-end metric it reports each side's
-samples, median and quartiles, the pairs the change won (ties count for
-neither side), and whether the medians differ by more than the distance
+Both sides are checkouts holding their own ``perfbench/run.py``; each run
+lasts the ``run_seconds`` that the change side's ``BENCHMARK.json`` sets.
+There are ten pairs.  Pair k runs every workload once on each side at
+seed + k, the parent first when k is even and the change first when k is
+odd; then each side makes one traced run (``--trace 1``) per workload at
+the first seed.  Every figure is read from what ``run.py`` prints; this
+script only orders the runs and summarises them into ``BENCH_<label>.json``
+in the change checkout.  Per workload and end-to-end metric it reports each
+side's samples, median and quartiles, the pairs the change won (ties count
+for neither side), and whether the medians differ by more than the distance
 between the parent's quartiles.
 """
 
@@ -27,6 +29,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: float,
@@ -78,12 +81,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="parent checkout")
     ap.add_argument("--change", required=True, help="change checkout")
     ap.add_argument("--label", required=True, help="BENCH_<label>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--out", default=None,
-                    help="output file (default BENCH_<label>.json in the "
-                         "change checkout)")
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json"),
@@ -91,28 +89,29 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
+    seconds = spec["run_seconds"]
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     orders = []
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         orders.append(list(order))
         for w in workloads:
             for side in order:
-                run = run_bench(dirs[side], w, args.seed + k, args.seconds, 0)
+                run = run_bench(dirs[side], w, args.seed + k, seconds, 0)
                 runs[w][side].append(run)
                 print(f"pair {k} {w} {side}: "
                       f"wall_s {run['result']['metrics']['wall_s']['value']:.4f}",
                       file=sys.stderr)
-    traced = {w: {side: run_bench(dirs[side], w, args.seed, args.seconds, 1)
+    traced = {w: {side: run_bench(dirs[side], w, args.seed, seconds, 1)
                   for side in SIDES} for w in workloads}
 
     report = {
         "label": args.label,
         "command": "perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0|1",
-        "pairs": args.pairs,
-        "seeds": [args.seed + k for k in range(args.pairs)],
+                   f"--seconds {seconds:g} --trace 0|1",
+        "pairs": PAIRS,
+        "seeds": [args.seed + k for k in range(PAIRS)],
         "pair_orders": orders,
         "host": {"cpu": cpu_model(), "nproc": len(os.sched_getaffinity(0))},
         "sides": {side: {key: runs[workloads[0]][side][0]["meta"][key]
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
                    for name, v in traced[w][side]["result"]["metrics"].items()}
             for side in SIDES}
         report["workloads"][w] = entry
-    out = args.out or os.path.join(args.change, f"BENCH_{args.label}.json")
+    out = os.path.join(args.change, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -150,7 +149,7 @@ def main(argv=None) -> int:
                   f"[{e['parent']['q1']:.4g}, {e['parent']['q3']:.4g}] "
                   f"change {e['change']['median']:.4g} "
                   f"[{e['change']['q1']:.4g}, {e['change']['q3']:.4g}] "
-                  f"wins {e['change_wins']}/{args.pairs}")
+                  f"wins {e['change_wins']}/{PAIRS}")
     return 0
 
 

@@ -55,23 +55,14 @@ class RelatorMemo:
     Each distinct mapped word is evaluated once as integer matrices, from
     the target's identity, which is built once; a later map that pushes
     some relator to the same word reuses that answer.  ``answers`` holds
-    one entry per distinct word and ``_pushed`` one per distinct pushed
-    relator, so a memo lives only as long as the run that fills it.
+    one entry per distinct word, so a memo lives only as long as the run
+    that fills it.
     """
 
     def __init__(self, target: CoxeterMatrix):
         self.target = target
         self.identity = identity(target)
         self.answers: dict[Word, bool] = {}
-        # relator letters replaced by their images, None for the identity
-        self._pushed: dict[tuple, bool] = {}
-
-    def word_is_identity(self, word: Word) -> bool:
-        hit = self.answers.get(word)
-        if hit is None:
-            hit = self.answers[word] = (evaluate(self.target, word)
-                                        == self.identity)
-        return hit
 
     def relators_hold(self, phi: GeneratorMap, relators) -> bool:
         """Does every relator, pushed through the map, evaluate to the
@@ -79,13 +70,12 @@ class RelatorMemo:
         gives them."""
         if phi.target != self.target:
             raise PreconditionError("map into a different target system")
-        image = phi.images.__getitem__
         for rel in relators:
-            pushed = tuple(map(image, rel))
-            hit = self._pushed.get(pushed)
+            word = map_word(phi, rel)
+            hit = self.answers.get(word)
             if hit is None:
-                hit = self._pushed[pushed] = self.word_is_identity(
-                    map_word(phi, rel))
+                hit = self.answers[word] = (evaluate(self.target, word)
+                                            == self.identity)
             if not hit:
                 return False
         return True

@@ -56,15 +56,38 @@ class KGraph:
     system: LabeledCoxeterSystem
 
 
+def _two_block_labels(system: LabeledCoxeterSystem, s: int,
+                      t: int) -> tuple[tuple[int, ...], ...]:
+    """The labels among the generators of the blocks of s and t, the block
+    of s first, each block in position order."""
+    order = sorted(system.block(s)) + sorted(system.block(t))
+    m = system.matrix.m
+    return tuple(tuple(m[i][j] for j in order) for i in order)
+
+
+def _named(labels: tuple[tuple[int, ...], ...]) -> CoxeterMatrix:
+    # canonical names so structurally equal pairs share a cache entry
+    return CoxeterMatrix(len(labels), labels,
+                         tuple(f"g{i}" for i in range(len(labels))))
+
+
+def _two_block_submatrix(system: LabeledCoxeterSystem, s: int,
+                         t: int) -> CoxeterMatrix:
+    return _named(_two_block_labels(system, s, t))
+
+
 # Two block involutions lie in the standard subgroup on their two blocks,
 # and elements of a standard subgroup commute in W exactly when they commute
-# in it.  That subgroup is the block system over two vertices, adjacent or
-# not, so there are only two answers: decided once each, at rank 8.
-@lru_cache(maxsize=2)
-def _shape_commutes(adjacent: bool) -> bool:
-    pair = build_C(FiniteGraph.from_edges(2, [(0, 1)] if adjacent else []))
-    wa, wb = alt_involution(pair, 0), alt_involution(pair, 1)
-    return evaluate(pair.matrix, wa + wb) == evaluate(pair.matrix, wb + wa)
+# in it.  So the answer depends only on the pair's rank-8 label block, read
+# from the group, and is decided once per distinct block at rank 8.  A
+# build_C system has two such blocks, adjacent or not; the bound keeps any
+# other system's cache small.
+@lru_cache(maxsize=64)
+def _shape_commutes(labels: tuple[tuple[int, ...], ...]) -> bool:
+    sub = _named(labels)
+    # alt_involution's positions 1 and 3 in each of the two blocks
+    wa, wb = (0, 2), (BLOCK_SIZE, BLOCK_SIZE + 2)
+    return evaluate(sub, wa + wb) == evaluate(sub, wb + wa)
 
 
 def commuting_witness(system: LabeledCoxeterSystem, s: int,
@@ -72,17 +95,9 @@ def commuting_witness(system: LabeledCoxeterSystem, s: int,
     """The pair of block involution words if they commute, else None."""
     if s == t:
         raise PreconditionError("witness needs two distinct vertices")
-    if _shape_commutes(system.graph.adjacent(s, t)):
+    if _shape_commutes(_two_block_labels(system, s, t)):
         return alt_involution(system, s), alt_involution(system, t)
     return None
-
-
-def _two_block_submatrix(system: LabeledCoxeterSystem, s: int,
-                         t: int) -> CoxeterMatrix:
-    order = sorted(system.block(s)) + sorted(system.block(t))
-    sub = system.matrix.submatrix(order)
-    # canonical names so structurally equal pairs share a cache entry
-    return CoxeterMatrix(sub.n, sub.m, tuple(f"g{i}" for i in range(sub.n)))
 
 
 # fixed probe vectors for the first commute test; any vectors give the same

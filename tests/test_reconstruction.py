@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from epicox import coxeter, reconstruction
-from epicox.construction import alt_involution, build_C
+from epicox.construction import (LabeledCoxeterSystem, alt_involution,
+                                 build_C)
 from epicox.coxeter import ball_levels, evaluate, mul
 from epicox.errors import PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
@@ -63,6 +64,15 @@ def test_witness_matches_full_rank_matrices_and_adjacency():
             assert commuting_witness(system, s, t) == want
             pairs += 1
     assert pairs == 820
+
+
+def test_witness_reads_the_group_not_the_graph():
+    """The witness follows the labels of the matrix, so a system whose
+    stored graph disagrees with its matrix gets the matrix's answer."""
+    edge, apart = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
+    assert commuting_witness(LabeledCoxeterSystem(edge, TWO_POINTS), 0, 1) \
+        == ((0, 2), (4, 6))
+    assert commuting_witness(LabeledCoxeterSystem(apart, EDGE), 0, 1) is None
 
 
 def test_witness_needs_distinct_vertices():
