@@ -5,7 +5,9 @@ Useful for eyeballing how fast the centralizer sweep grows with radius
 before committing to one.  With --sweep it also times the centralizer
 sweep on vertices 0 and 1 at the same radius, in the same process, after
 the ball (each process starts with empty caches, so run it several times
-for a spread).
+for a spread), and prints the process's peak resident memory beside the
+time.  The printed ball is dropped before the sweep builds its own, so
+that peak is the larger of the two, not their sum.
 
     python scripts/ball_growth.py --vertices 2 --edges "" --radius 6
     python scripts/ball_growth.py --vertices 2 --edges "0-1" --radius 5
@@ -13,6 +15,7 @@ for a spread).
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -48,18 +51,22 @@ def main() -> int:
     system = build_C(g)
     print(f"system rank {system.matrix.n} over {args.vertices} vertices")
     start = time.monotonic()
-    levels = ball_levels(system.matrix, args.radius, cap=args.cap)
+    sizes = [len(level) for level in
+             ball_levels(system.matrix, args.radius, cap=args.cap)]
     total = 0
-    for r, level in enumerate(levels):
-        total += len(level)
-        print(f"radius {r:2d}: {len(level):8d} new, {total:8d} total")
+    for r, size in enumerate(sizes):
+        total += size
+        print(f"radius {r:2d}: {size:8d} new, {total:8d} total")
     print(f"{time.monotonic() - start:.2f}s")
     if args.sweep:
         start = time.monotonic()
         ok = bounded_centralizer_check(system, 0, 1, args.radius)
+        elapsed = time.monotonic() - start
+        # ru_maxrss is in kilobytes on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"sweep radius {args.radius}: "
               f"{'clean' if ok else 'violation'} "
-              f"in {time.monotonic() - start:.2f}s")
+              f"in {elapsed:.2f}s, peak RSS {peak_mb:.0f} MB")
     return 0
 
 

@@ -31,8 +31,11 @@ ELEMENT_CAP = 10000
 # only a corrupt matrix can loop; this bound is how we notice
 _WORD_GUARD = 1_000_000
 
-# beyond this magnitude one more generator product could leave int64 range
-# (a right multiplication at most triples the largest entry)
+# Guards of the exact integer dtypes, each a quarter of its type's range:
+# a bound at or below a guard is safe to form in that type.  _INT64_SAFE is
+# the top rung; past it exact_dtype falls back to object arrays.
+_INT16_SAFE = 2**13
+_INT32_SAFE = 2**29
 _INT64_SAFE = 2**61
 
 Word = tuple[int, ...]
@@ -349,11 +352,17 @@ def close_under_multiplication(elements, rank: int,
     return tuple(out)
 
 
-def fits_int64(bound: int) -> bool:
-    """Whether integers of magnitude up to ``bound`` stay inside the int64
-    guard.  Callers pass a proven bound on every entry and partial sum they
-    are about to form, and switch to exact object arrays when this fails."""
-    return bound <= _INT64_SAFE
+def exact_dtype(bound: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 whose guard covers integers
+    of magnitude up to ``bound``, or object past ``_INT64_SAFE``.  Callers
+    pass a proven bound on every entry and partial sum they are about to
+    form."""
+    if bound > _INT64_SAFE:
+        return np.dtype(object)
+    for dtype, safe in ((np.int16, _INT16_SAFE), (np.int32, _INT32_SAFE)):
+        if bound <= safe:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None) -> list[np.ndarray]:
@@ -368,21 +377,26 @@ def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None) -> list[n
     level.
 
     Right multiplication by a generator is the column update of ``mul_gen``
-    and at most triples the largest entry, so a level is built in int64
-    while ``fits_int64(3 * max|entry|)`` holds and in exact object arrays
-    from then on.  The result is always exact; no float dtype is used.
+    and at most triples the largest entry.  The ball starts in int16 and
+    each level is built in ``exact_dtype(3 * max|entry|)`` of the level
+    before, moving up a rung (int32, int64, then exact object arrays) and
+    never down.  In rank 8 the ball stays int16 through radius 8, at 128
+    bytes per element.  The result is always exact; no float dtype is used.
     """
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     n = C.n
-    cur = np.eye(n, dtype=np.int64)[None, :, :]
+    cur = np.eye(n, dtype=np.int16)[None, :, :]
     levels = [cur]
     if radius == 0 or n == 0:
         return levels
     total = 1
     for _ in range(radius):
-        if cur.dtype != object and not fits_int64(3 * int(np.abs(cur).max())):
-            cur = cur.astype(object)
+        if cur.dtype != object:
+            dtype = np.result_type(cur.dtype,
+                                   exact_dtype(3 * int(np.abs(cur).max())))
+            if dtype != cur.dtype:
+                cur = cur.astype(dtype)
         parts = []
         for s in range(n):
             w = cur[(cur[:, :, s] >= 0).all(axis=1)]

@@ -12,6 +12,7 @@ assignment extends to a group homomorphism, and what each block maps onto.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .construction import LabeledCoxeterSystem
 from .coxeter import INFINITE, CoxeterMatrix, Word
@@ -68,7 +69,10 @@ def presentation_from_json_dict(d: dict) -> Presentation:
 
 @dataclass(frozen=True)
 class GeneratorMap:
-    """Per-generator assignment; None sends a generator to the identity."""
+    """Per-generator assignment; None sends a generator to the identity.
+
+    ``relators_hold`` runs ``verify_relators`` on first use and keeps the
+    answer, so a map checked once (as every lift is) is not checked again."""
     source: CoxeterMatrix
     target: CoxeterMatrix
     images: tuple[int | None, ...]
@@ -79,6 +83,10 @@ class GeneratorMap:
         for x in self.images:
             if x is not None and not (0 <= x < self.target.n):
                 raise PreconditionError(f"image index {x} out of range")
+
+    @cached_property
+    def relators_hold(self) -> bool:
+        return verify_relators(self)
 
 
 def map_word(phi: GeneratorMap, word) -> Word:
@@ -139,7 +147,7 @@ def lift_graph_epi(f: VertexMap, source_system: LabeledCoxeterSystem,
             images.append(target_system.generator(fv, pos))
     phi = GeneratorMap(source_system.matrix, target_system.matrix,
                        tuple(images))
-    if not verify_relators(phi):
+    if not phi.relators_hold:
         raise InternalInconsistencyError(
             "lift of a graph homomorphism failed relator verification")
     return phi
@@ -154,7 +162,7 @@ def retraction_rho(system: LabeledCoxeterSystem, s: int,
     images = tuple(g if g in keep else None
                    for g in range(system.matrix.n))
     phi = GeneratorMap(system.matrix, system.matrix, images)
-    if not verify_relators(phi):
+    if not phi.relators_hold:
         raise InternalInconsistencyError("retraction failed relator check")
     return phi
 
@@ -196,7 +204,7 @@ def induced_k_map(source_system: LabeledCoxeterSystem, target: KGraph,
     """
     if phi.source != source_system.matrix or phi.target != target.system.matrix:
         raise PreconditionError("map endpoints do not match the systems")
-    if not verify_relators(phi):
+    if not phi.relators_hold:
         raise PreconditionError("map does not respect the source relators")
     out = []
     for v in range(source_system.vertex_count):

@@ -8,12 +8,14 @@ witness, a bounded sweep corroborates the expected picture: inside the
 subsystem on the two blocks, nothing of small length outside the first
 block's subgroup commutes with any of its even involutions.
 
-The sweep tests commutation first, a whole ball level against all the
+The sweep tests commutation first, a chunk of a ball level against all the
 involutions at once: a scalar probe u^T X a v == u^T a X v with fixed
 vectors u, v, then the full Xa == aX on the pairs that pass it.  Only those
 full hits (44 elements in the radius-6 ball of a non-adjacent pair) are
-looked up in the block's subgroup.  Products run in int64 while an overflow
-guard proves them safe, and on exact object arrays otherwise.
+looked up in the block's subgroup.  The ball and the probe each run in the
+narrowest integer dtype that a proven bound allows (``coxeter.exact_dtype``):
+at radius 6 the ball is int16 and the probe int32, and past the int64 guard
+both fall back to exact object arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
                            build_C)
 from .coxeter import (CoxeterMatrix, Word, ball_levels, enumerate_parabolic,
-                      evaluate, fits_int64, identity, length, mul)
+                      evaluate, exact_dtype, length)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
                      make_pointed)
@@ -36,10 +38,13 @@ DEFAULT_RADIUS = 6
 
 # Elements the sweep's ball may hold.  In a two-block subsystem (rank 8) the
 # ball grows about 5.9x per radius: 69,420 elements at radius 6, 405,826 at
-# 7 and about 2.4 M at 8, each an 8x8 int64 matrix of 512 bytes.  Radius 9
-# would be about 14 M elements, some 7 GB.  This cap lets radius 8 through
-# (about 1.2 GB); ball_levels checks it after each per-generator part of a
-# level, so radius 9 is refused after at most one part past the cap.
+# 7 and 2,372,410 at 8.  Its largest entry is 269 at radius 6 and 1,913 at
+# 8, so the whole ball stays int16 there: 128 bytes per element (an int64
+# matrix would take 512), about 0.3 GB at radius 8 and 0.6 GB peak while the
+# last level is concatenated.  Radius 9 would be about 14 M elements, some
+# 1.8 GB.  This cap lets radius 8 through; ball_levels checks it after each
+# per-generator part of a level, so radius 9 is refused after at most one
+# part past the cap.
 SWEEP_BALL_CAP = 4_000_000
 
 
@@ -71,11 +76,6 @@ def _named(labels: tuple[tuple[int, ...], ...]) -> CoxeterMatrix:
                          tuple(f"g{i}" for i in range(len(labels))))
 
 
-def _two_block_submatrix(system: LabeledCoxeterSystem, s: int,
-                         t: int) -> CoxeterMatrix:
-    return _named(_two_block_labels(system, s, t))
-
-
 # Two block involutions lie in the standard subgroup on their two blocks,
 # and elements of a standard subgroup commute in W exactly when they commute
 # in it.  So the answer depends only on the pair's rank-8 label block, read
@@ -104,6 +104,9 @@ def commuting_witness(system: LabeledCoxeterSystem, s: int,
 # answer, and ones with unpatterned entries rarely make u^T (Xa - aX) v
 # vanish by chance, so few pairs reach the full comparison
 _PROBES = ((2, 7, 1, 8, 3, 1, 4, 6), (3, 1, 4, 1, 5, 9, 2, 6))
+# elements probed at once; bounds the probe's temporaries (its cast copy of
+# the chunk and the chunk-by-involution tables) apart from the ball's size
+_PROBE_CHUNK = 8192
 
 
 def _commuting(X: np.ndarray, A: np.ndarray, u: np.ndarray,
@@ -118,23 +121,31 @@ def _commuting(X: np.ndarray, A: np.ndarray, u: np.ndarray,
     rhs = np.matmul(np.matmul(X, v), np.matmul(u, A).T)
     i, k = np.nonzero(lhs == rhs)
     Y, B = X[i], A[k]
-    return np.unique(i[(np.matmul(Y, B) == np.matmul(B, Y)).all(axis=(1, 2))])
+    # a mask rather than np.unique, whose first call imports numpy.ma
+    hit = np.zeros(len(X), dtype=bool)
+    hit[i[(np.matmul(Y, B) == np.matmul(B, Y)).all(axis=(1, 2))]] = True
+    return np.flatnonzero(hit)
 
 
-# Unbounded, yet small: a build_C system has only two two-block shapes,
-# adjacent or not, and _two_block_submatrix names both canonically, so the
-# keys are those two shapes times the radii used.
-@lru_cache(maxsize=None)
-def _centralizer_core(sub: CoxeterMatrix, radius: int) -> bool:
-    first_block = frozenset(range(BLOCK_SIZE))
-    s5 = enumerate_parabolic(sub, first_block)
-    s5_mats = {w.mat for w in s5}
-    idn = identity(sub)
-    invs = [w.mat for w in s5
-            if w != idn and mul(w, w) == idn and length(sub, w) % 2 == 0]
-    if radius == 0 or not invs:
+# Keyed, like _shape_commutes, by the pair's rank-8 label block read from the
+# group, so the subsystem is built only on a miss.  A build_C system has two
+# such blocks, adjacent or not, times the radii used; the bound keeps any
+# other system's cache small.
+@lru_cache(maxsize=16)
+def _centralizer_core(labels: tuple[tuple[int, ...], ...], radius: int) -> bool:
+    sub = _named(labels)
+    s5 = enumerate_parabolic(sub, frozenset(range(BLOCK_SIZE)))
+    S = np.array([w.mat for w in s5], dtype=np.int64)
+    eye = np.eye(sub.n, dtype=np.int64)
+    # the nonidentity involutions of the block subgroup, by S @ S == I over
+    # the whole subgroup at once; the parity test then runs on those alone
+    inv = (np.matmul(S, S) == eye).all(axis=(1, 2)) & \
+        (S != eye).any(axis=(1, 2))
+    even = [k for k in np.flatnonzero(inv) if length(sub, s5[k]) % 2 == 0]
+    if radius == 0 or not even:
         return True
-    A = np.array(invs, dtype=np.int64)
+    A = S[even]
+    s5_mats = {w.mat for w in s5}
     u, v = (np.array([p[i % len(p)] for i in range(sub.n)], dtype=np.int64)
             for p in _PROBES)
     # every entry and partial sum _commuting forms is at most max|X| times
@@ -145,14 +156,14 @@ def _centralizer_core(sub: CoxeterMatrix, radius: int) -> bool:
                  int(np.abs(v).sum() * np.abs(np.matmul(u, A)).sum(1).max()),
                  int(absA.sum(1).max()), int(absA.sum(2).max()))
     for X in ball_levels(sub, radius, SWEEP_BALL_CAP)[1:]:
-        if X.dtype != object and not fits_int64(int(np.abs(X).max()) * growth):
-            X = X.astype(object)
-        args = (A, u, v) if X.dtype != object else (
-            A.astype(object), u.astype(object), v.astype(object))
-        for i in _commuting(X, *args):
-            if tuple(tuple(int(x) for x in row) for row in X[i]) \
-                    not in s5_mats:
-                return False
+        dtype = exact_dtype(int(np.abs(X).max()) * growth)
+        args = [a.astype(dtype) for a in (A, u, v)]
+        for start in range(0, len(X), _PROBE_CHUNK):
+            Y = X[start:start + _PROBE_CHUNK].astype(dtype, copy=False)
+            for i in _commuting(Y, *args):
+                if tuple(tuple(int(x) for x in row) for row in Y[i]) \
+                        not in s5_mats:
+                    return False
     return True
 
 
@@ -171,7 +182,7 @@ def bounded_centralizer_check(system: LabeledCoxeterSystem, s: int, t: int,
         raise PreconditionError("centralizer check needs two distinct vertices")
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
-    return _centralizer_core(_two_block_submatrix(system, s, t), radius)
+    return _centralizer_core(_two_block_labels(system, s, t), radius)
 
 
 def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS) -> KGraph:

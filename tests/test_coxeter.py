@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from epicox.construction import build_C, build_L4
 from epicox.coxeter import (INFINITE, CoxeterMatrix, GroupElement,
                             ball_levels, close_under_multiplication,
-                            enumerate_parabolic, evaluate, identity, invert,
+                            enumerate_parabolic, evaluate, exact_dtype,
+                            identity, invert,
                             is_descent, is_spherical, leading_minors, length,
                             longest_element, mul, mul_gen, preserves_form,
                             reduced_word, simple_reflection, validate_element)
@@ -291,6 +292,25 @@ def test_ball_cap_refuses_a_level_before_concatenating_it(monkeypatch, k):
 def test_ball_levels_match_set_oracle(C, radius):
     # radius 12 exceeds the longest element of L4, whose ball then stops
     assert_same_levels(ball_levels(C, radius), ball_levels_by_set(C, radius))
+
+
+def test_exact_dtype_rungs():
+    rungs = [(0, np.int16), (2**13, np.int16), (2**13 + 1, np.int32),
+             (2**29, np.int32), (2**29 + 1, np.int64), (2**61, np.int64),
+             (2**61 + 1, object)]
+    assert [exact_dtype(bound) for bound, _ in rungs] == \
+        [np.dtype(dtype) for _, dtype in rungs]
+
+
+def test_ball_crosses_to_int32_unpatched():
+    """With every label infinite, the largest entry of level 9 is 4,895, and
+    three times that passes the int16 guard: level 10 is the first in int32.
+    """
+    C = CoxeterMatrix.from_labels(3, [])
+    levels = ball_levels(C, 12)
+    assert [lv.dtype for lv in levels] == \
+        [np.dtype(np.int16)] * 10 + [np.dtype(np.int32)] * 3
+    assert_same_levels(levels, ball_levels_by_set(C, 12))
 
 
 def test_ball_levels_order_is_lowest_descent_first():

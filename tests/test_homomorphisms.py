@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   induced_k_map, is_onto_generators,
                                   lift_graph_epi, map_word, presentation_of,
                                   retraction_rho, verify_relators)
-from epicox import acceptance, oracles
+from epicox import acceptance, homomorphisms, oracles
 from epicox.oracles import RelatorMemo, relators_hold_by_matrices
 from epicox.reconstruction import k_graph
 
@@ -182,6 +183,28 @@ def test_induced_map_rejects_relator_violation():
     images[1] = 0
     with pytest.raises(PreconditionError):
         induced_k_map(kg.system, kg, GeneratorMap(C, C, tuple(images)))
+
+
+def test_induced_map_rejects_altered_lift():
+    """A map rebuilt from a checked lift carries no check of its own."""
+    src, tgt = build_C(TWO_POINTS), k_graph(EDGE, RADIUS)
+    phi = lift_graph_epi(VertexMap(3, 3, (0, 2, 2)), src, tgt.system)
+    images = list(phi.images)
+    images[1] = images[0]  # (s1 s2)^3 now maps to a commuting pair
+    bad = dataclasses.replace(phi, images=tuple(images))
+    with pytest.raises(PreconditionError):
+        induced_k_map(src, tgt, bad)
+
+
+def test_relators_checked_once_per_lift(monkeypatch):
+    calls = []
+    check = homomorphisms.verify_relators
+    monkeypatch.setattr(homomorphisms, "verify_relators",
+                        lambda phi: calls.append(phi) or check(phi))
+    src, tgt = build_C(TWO_POINTS), k_graph(EDGE, RADIUS)
+    phi = lift_graph_epi(VertexMap(3, 3, (0, 2, 2)), src, tgt.system)
+    induced_k_map(src, tgt, phi)
+    assert calls == [phi]
 
 
 def test_order_dichotomy_enforced():

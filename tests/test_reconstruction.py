@@ -17,7 +17,7 @@ from epicox.coxeter import ball_levels, evaluate, mul
 from epicox.errors import PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
 from epicox.oracles import words_commute_by_matrices
-from epicox.reconstruction import (_centralizer_core, _two_block_submatrix,
+from epicox.reconstruction import (_centralizer_core, _named, _two_block_labels,
                                    bounded_centralizer_check,
                                    commuting_witness, k_graph, k_pointed,
                                    verify_reconstruction)
@@ -34,6 +34,13 @@ G16 = FiniteGraph.from_edges(
     16, [p for p in itertools.combinations(range(16), 2) if _rng.random() < 0.5])
 
 RADIUS = 3  # plenty for unit-scale systems
+
+
+@pytest.fixture
+def fresh_sweep_cache():
+    _centralizer_core.cache_clear()
+    yield
+    _centralizer_core.cache_clear()
 
 
 def test_witness_on_adjacent_pair():
@@ -89,6 +96,23 @@ def test_bounded_check_flags_adjacent_pair():
     assert not bounded_centralizer_check(build_C(EDGE), 0, 1, RADIUS)
 
 
+def test_bounded_check_reads_the_group_not_the_graph():
+    """Like the witness, the sweep is keyed by the labels of the matrix."""
+    edge, apart = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
+    assert bounded_centralizer_check(
+        LabeledCoxeterSystem(apart, EDGE), 0, 1, RADIUS)
+    assert not bounded_centralizer_check(
+        LabeledCoxeterSystem(edge, TWO_POINTS), 0, 1, RADIUS)
+
+
+def test_bounded_check_shares_one_entry_per_shape(fresh_sweep_cache):
+    # every pair of PATH3's ends and of TWO_POINTS is the same shape
+    assert bounded_centralizer_check(build_C(PATH3), 0, 2, RADIUS)
+    assert bounded_centralizer_check(build_C(TWO_POINTS), 0, 1, RADIUS)
+    info = _centralizer_core.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_bounded_check_radius_zero_is_vacuous():
     assert bounded_centralizer_check(build_C(EDGE), 0, 1, 0)
 
@@ -139,13 +163,13 @@ def _two_block_subsystems():
     for g in all_labeled_graphs(3, min_n=2):
         system = build_C(g)
         for s, t in itertools.permutations(range(g.n), 2):
-            sub = _two_block_submatrix(system, s, t)
+            sub = _named(_two_block_labels(system, s, t))
             subs.setdefault(sub, g.adjacent(s, t))
     return sorted(subs.items(), key=lambda item: item[1])
 
 
 SUBSYSTEMS = _two_block_subsystems()
-NON_ADJACENT = _two_block_submatrix(build_C(TWO_POINTS), 0, 1)
+NON_ADJACENT = _named(_two_block_labels(build_C(TWO_POINTS), 0, 1))
 
 
 def test_subsystems_cover_both_kinds_of_pair():
@@ -158,39 +182,98 @@ def test_subsystems_cover_both_kinds_of_pair():
 def test_ball_and_sweep_match_oracles(sub, radius):
     assert_same_levels(ball_levels(sub, radius),
                        ball_levels_by_set(sub, radius))
-    assert _centralizer_core(sub, radius) == \
+    assert _centralizer_core(sub.m, radius) == \
         centralizer_sweep_by_membership(sub, radius)
 
 
 def test_radius_six_matches_oracles_on_non_adjacent_pair():
     assert_same_levels(ball_levels(NON_ADJACENT, 6),
                        ball_levels_by_set(NON_ADJACENT, 6))
-    assert _centralizer_core(NON_ADJACENT, 6) is True
+    assert _centralizer_core(NON_ADJACENT.m, 6) is True
     assert centralizer_sweep_by_membership(NON_ADJACENT, 6) is True
 
 
-# 0 makes the ball switch to object arrays at once; 100 keeps the ball in
-# int64 at radius 3 but is below the sweep's product bound
-@pytest.mark.parametrize("safe", [0, 100])
-def test_exact_object_path_agrees_with_oracle(monkeypatch, safe):
+def _recording_commuting(monkeypatch):
+    """Patch the sweep's probe to record the dtype of each level it gets,
+    after checking that all four arguments share it."""
     seen = []
     commuting = reconstruction._commuting
 
     def recording(X, A, u, v):
-        seen.append(X.dtype == A.dtype == u.dtype == v.dtype == object)
+        assert X.dtype == A.dtype == u.dtype == v.dtype
+        seen.append(X.dtype)
         return commuting(X, A, u, v)
 
-    monkeypatch.setattr(coxeter, "_INT64_SAFE", safe)
     monkeypatch.setattr(reconstruction, "_commuting", recording)
-    _centralizer_core.cache_clear()
-    try:
-        for sub, _ in SUBSYSTEMS:
-            levels = ball_levels(sub, 3)
-            assert {lv.dtype for lv in levels[1:]} == (
-                {np.dtype(object) if safe == 0 else np.dtype(np.int64)})
-            assert_same_levels(levels, ball_levels_by_set(sub, 3))
-            assert _centralizer_core(sub, 3) == \
-                centralizer_sweep_by_membership(sub, 3)
-    finally:
-        _centralizer_core.cache_clear()
-    assert seen and all(seen)
+    return seen
+
+
+def _patch_guards(monkeypatch, int16, int32, int64):
+    monkeypatch.setattr(coxeter, "_INT16_SAFE", int16)
+    monkeypatch.setattr(coxeter, "_INT32_SAFE", int32)
+    monkeypatch.setattr(coxeter, "_INT64_SAFE", int64)
+
+
+INT16, INT32, INT64, OBJECT = map(np.dtype, (np.int16, np.int32, np.int64,
+                                             object))
+
+
+def test_sweep_dtypes_at_radius_six(monkeypatch, fresh_sweep_cache):
+    """Unpatched: the radius-6 ball stays int16 and the probe runs int32."""
+    seen = _recording_commuting(monkeypatch)
+    assert {lv.dtype for lv in ball_levels(NON_ADJACENT, 6)} == {INT16}
+    assert _centralizer_core(NON_ADJACENT.m, 6) is True
+    assert set(seen) == {INT32}
+
+
+# 0 makes the ball switch to object arrays at once; 100 keeps the ball in
+# int16 at radius 3 but is below the sweep's product bound
+@pytest.mark.parametrize("safe", [0, 100])
+def test_exact_object_path_agrees_with_oracle(monkeypatch, fresh_sweep_cache,
+                                              safe):
+    seen = _recording_commuting(monkeypatch)
+    monkeypatch.setattr(coxeter, "_INT64_SAFE", safe)
+    for sub, _ in SUBSYSTEMS:
+        levels = ball_levels(sub, 3)
+        assert {lv.dtype for lv in levels[1:]} == (
+            {OBJECT if safe == 0 else INT16})
+        assert_same_levels(levels, ball_levels_by_set(sub, 3))
+        assert _centralizer_core(sub.m, 3) == \
+            centralizer_sweep_by_membership(sub, 3)
+    assert seen and set(seen) == {OBJECT}
+
+
+def test_ball_climbs_every_rung_and_agrees_with_oracle(monkeypatch,
+                                                       fresh_sweep_cache):
+    """Guards 3, 6 and 15 against level maxima 1, 2, 5 and 14 (12 on the
+    adjacent shape): each level of the radius-4 ball needs the next rung,
+    and every probe bound is past the int64 guard."""
+    seen = _recording_commuting(monkeypatch)
+    _patch_guards(monkeypatch, 3, 6, 15)
+    for sub, _ in SUBSYSTEMS:
+        levels = ball_levels(sub, 4)
+        assert [lv.dtype for lv in levels] == [INT16, INT16, INT32, INT64,
+                                               OBJECT]
+        assert_same_levels(levels, ball_levels_by_set(sub, 4))
+        assert _centralizer_core(sub.m, 4) == \
+            centralizer_sweep_by_membership(sub, 4)
+    # the adjacent shape stops at its first violation, in level 1
+    assert seen == [OBJECT] * 5
+
+
+def test_probe_climbs_every_rung_and_agrees_with_oracle(monkeypatch,
+                                                        fresh_sweep_cache):
+    """The probe bound of a level is its largest entry times the sweep's
+    growth factor: 27,040 on the non-adjacent shape and 22,560 on the
+    adjacent one, against level maxima 2, 5 and 14 (12).  With these
+    guards levels 1, 2 and 3 take int32, int64 and object, while the whole
+    ball is int32."""
+    seen = _recording_commuting(monkeypatch)
+    _patch_guards(monkeypatch, 0, 2 * 27_040, 5 * 27_040)
+    for sub, _ in SUBSYSTEMS:
+        levels = ball_levels(sub, 3)
+        assert {lv.dtype for lv in levels[1:]} == {INT32}
+        assert _centralizer_core(sub.m, 3) == \
+            centralizer_sweep_by_membership(sub, 3)
+    # the adjacent shape stops at its first violation, in level 1
+    assert seen == [INT32, INT64, OBJECT, INT32]

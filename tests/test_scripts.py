@@ -2,12 +2,20 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+# a line each script must print, where one is checked
+EXPECT = {
+    "ball_growth.py":
+        r"^sweep radius 3: clean in \d+\.\d\ds, peak RSS \d+ MB$",
+}
 
 
 @pytest.mark.parametrize("script,args", [
@@ -22,6 +30,9 @@ def test_script_runs(script, args):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if script in EXPECT:
+        assert re.search(EXPECT[script], proc.stdout, re.MULTILINE), \
+            proc.stdout
 
 
 def test_bench_pairs_verdict():
