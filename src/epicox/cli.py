@@ -7,6 +7,7 @@ cap, 3 a checked mathematical claim failed on the given instance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -290,9 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call and reused: parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PreconditionError as exc:

@@ -17,6 +17,7 @@ not represent a group element at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -264,11 +265,15 @@ def leading_minors(C: CoxeterMatrix, subset) -> tuple[int, ...]:
 
 def is_spherical(C: CoxeterMatrix, subset) -> bool:
     """Whether the standard subgroup on the subset is finite, by positive
-    definiteness of the restricted pairing (all leading minors positive)."""
+    definiteness of the restricted pairing (all leading minors positive).
+    A subset holding an infinite label is refused without elimination: that
+    pair's 2x2 principal minor is 2 * 2 - (-2)^2 = 0."""
     subset = frozenset(subset)
     for i in subset:
         if not (0 <= i < C.n):
             raise PreconditionError(f"generator index {i} out of range")
+    if any(C.m[i][j] == INFINITE for i, j in combinations(subset, 2)):
+        return False
     minors = leading_minors(C, subset)
     return len(minors) == len(subset) and all(d > 0 for d in minors)
 
@@ -293,21 +298,21 @@ def longest_element(C: CoxeterMatrix, subset) -> GroupElement:
             raise InternalInconsistencyError("ascent failed to terminate")
 
 
-def enumerate_parabolic(C: CoxeterMatrix, subset,
-                        cap: int = ELEMENT_CAP) -> tuple[GroupElement, ...]:
-    """All elements of the standard subgroup on the subset, in breadth-first
-    order from the identity.  Raises EnumerationCapExceeded past the cap."""
+def parabolic_levels(C: CoxeterMatrix, subset, cap: int = ELEMENT_CAP
+                     ) -> tuple[tuple[GroupElement, ...], ...]:
+    """All elements of the standard subgroup on the subset, grouped by
+    length: the frontiers of a breadth-first search from the identity.
+    Raises EnumerationCapExceeded past the cap."""
     gens = sorted(frozenset(subset))
     for i in gens:
         if not (0 <= i < C.n):
             raise PreconditionError(f"generator index {i} out of range")
     idn = identity(C)
     seen = {idn.mat}
-    out = [idn]
-    frontier = [idn]
-    while frontier:
+    levels = [(idn,)]
+    while True:
         nxt = []
-        for w in frontier:
+        for w in levels[-1]:
             for i in gens:
                 cand = mul_gen(C, w, i)
                 if cand.mat not in seen:
@@ -316,10 +321,18 @@ def enumerate_parabolic(C: CoxeterMatrix, subset,
                             f"parabolic enumeration exceeded cap {cap}; "
                             "nonspherical subset or budget too small")
                     seen.add(cand.mat)
-                    out.append(cand)
                     nxt.append(cand)
-        frontier = nxt
-    return tuple(out)
+        if not nxt:
+            return tuple(levels)
+        levels.append(tuple(nxt))
+
+
+def enumerate_parabolic(C: CoxeterMatrix, subset,
+                        cap: int = ELEMENT_CAP) -> tuple[GroupElement, ...]:
+    """All elements of the standard subgroup on the subset, in breadth-first
+    order from the identity.  Raises EnumerationCapExceeded past the cap."""
+    return tuple(w for level in parabolic_levels(C, subset, cap)
+                 for w in level)
 
 
 def close_under_multiplication(elements, rank: int,
@@ -365,58 +378,110 @@ def exact_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None) -> list[np.ndarray]:
-    """Matrices of all elements of length <= radius, grouped by length.
+def max_abs(a: np.ndarray) -> int:
+    """The largest magnitude of an entry, without an |a| temporary."""
+    return max(int(a.max()), -int(a.min()))
+
+
+def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None,
+                reps_of=frozenset()) -> list[np.ndarray]:
+    """Matrices of the elements of length <= radius that have no left
+    descent in ``reps_of``, grouped by length.  With the default empty set
+    that is the whole ball; with a set J it is the ball's part of the
+    minimal coset representatives of W_J, which meet each coset W_J X once.
 
     Level k is an array of shape (N_k, n, n).  Each element is generated
     exactly once, from its lowest right descent s: an element w of level k
-    is extended by every ascent s of w (column s nonnegative), and ws is
-    kept only when no generator below s is a descent of ws (column
-    nonpositive).  So no set of seen elements is needed.  Order within a
-    level: by that lowest descent s, then in the order of the previous
-    level.
+    is extended by every ascent s of w, and ws is kept only when no
+    generator below s is a descent of ws.  So no set of seen elements is
+    needed.  Order within a level: by that lowest descent s, then in the
+    order of the previous level.
 
-    Right multiplication by a generator is the column update of ``mul_gen``
-    and at most triples the largest entry.  The ball starts in int16 and
-    each level is built in ``exact_dtype(3 * max|entry|)`` of the level
-    before, moving up a rung (int32, int64, then exact object arrays) and
-    never down.  In rank 8 the ball stays int16 through radius 8, at 128
-    bytes per element.  The result is always exact; no float dtype is used.
+    Descents are read from root heights h(w) = 1^T w, the column sums: a
+    column is a root, so s is a descent of w exactly when h(w)_s < 0, and
+    h(ws) is the column update of ``mul_gen`` applied to the vector h(w).
+    By Deodhar's lemma a representative x leaves the set under an ascent s
+    exactly when x sends alpha_s to a simple root alpha_t with t in J: the
+    column has height 1 and its 1 sits in a row of J.  So every candidate
+    is decided on its height vector, and a level is allocated once, at its
+    final size, before any matrix of it is formed.  The cap counts the
+    elements generated and is checked per generator, before that.
+
+    Right multiplication by a generator at most triples the largest entry.
+    The ball starts in int16 and each level is built in
+    ``exact_dtype(3 * max|entry|)`` of the level before, moving up a rung
+    (int32, int64, then exact object arrays) and never down; the heights
+    climb the same rungs on n times that bound.  In rank 8 the ball stays
+    int16 through radius 8, at 128 bytes per element.  The result is
+    always exact; no float dtype is used.
     """
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     n = C.n
+    J = sorted(reps_of)
+    for t in J:
+        if not (0 <= t < n):
+            raise PreconditionError(f"generator index {t} out of range")
     cur = np.eye(n, dtype=np.int16)[None, :, :]
     levels = [cur]
     if radius == 0 or n == 0:
         return levels
+    heights = np.ones((1, n), dtype=np.int16)
     total = 1
     for _ in range(radius):
         if cur.dtype != object:
-            dtype = np.result_type(cur.dtype,
-                                   exact_dtype(3 * int(np.abs(cur).max())))
+            bound = 3 * max_abs(cur)
+            dtype = np.result_type(cur.dtype, exact_dtype(bound))
+            hdtype = np.result_type(heights.dtype, exact_dtype(n * bound))
             if dtype != cur.dtype:
                 cur = cur.astype(dtype)
+            if hdtype != heights.dtype:
+                heights = heights.astype(hdtype)
+        # which (w, s) survive, decided on heights alone
         parts = []
         for s in range(n):
-            w = cur[(cur[:, :, s] >= 0).all(axis=1)]
-            col = w[:, :, s].copy()
-            w[:, :, s] = -col
-            for j, c in C._gen_coeffs[s]:
-                w[:, :, j] += c * col
+            h = heights[:, s]
+            keep = h > 0
+            if J:
+                simple = np.flatnonzero(keep & (h == 1))
+                keep[simple[cur[simple, :, s][:, J].sum(axis=1) == 1]] = False
+            idx = np.flatnonzero(keep)
             if s:
-                w = w[~(w[:, :, :s] <= 0).all(axis=1).any(axis=1)]
-            parts.append(w)
-            # checked per part, so an over-cap level is never concatenated
-            total += w.shape[0]
+                idx = idx[(_times_gen(C, heights[idx], s)[:, :s] > 0)
+                          .all(axis=1)]
+            parts.append(idx)
+            total += len(idx)
             if cap is not None and total > cap:
                 raise EnumerationCapExceeded(
                     f"ball enumeration to radius {radius} exceeded cap {cap}")
-        cur = np.concatenate(parts, axis=0)
-        if not cur.shape[0]:
+        size = sum(map(len, parts))
+        if not size:
             break
+        nxt = np.empty((size, n, n), dtype=cur.dtype)
+        nheights = np.empty((size, n), dtype=heights.dtype)
+        start = 0
+        for s, idx in enumerate(parts):
+            stop = start + len(idx)
+            w = nxt[start:stop]
+            # 'clip' writes straight into the slice; 'raise' would buffer
+            np.take(cur, idx, axis=0, out=w, mode="clip")
+            _times_gen(C, w, s)
+            nheights[start:stop] = _times_gen(C, heights[idx], s)
+            start = stop
+        cur, heights = nxt, nheights
         levels.append(cur)
     return levels
+
+
+def _times_gen(C: CoxeterMatrix, w: np.ndarray, s: int) -> np.ndarray:
+    """Right multiplication by sigma_s in place, on the last axis of a
+    stack of matrices or of row vectors: the column update of
+    ``mul_gen``.  Returns w."""
+    col = w[..., s].copy()
+    w[..., s] = -col
+    for j, c in C._gen_coeffs[s]:
+        w[..., j] += c * col
+    return w
 
 
 # --- serialization --------------------------------------------------------

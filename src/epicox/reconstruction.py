@@ -8,14 +8,25 @@ witness, a bounded sweep corroborates the expected picture: inside the
 subsystem on the two blocks, nothing of small length outside the first
 block's subgroup commutes with any of its even involutions.
 
-The sweep tests commutation first, a chunk of a ball level against all the
-involutions at once: a scalar probe u^T X a v == u^T a X v with fixed
-vectors u, v, then the full Xa == aX on the pairs that pass it.  Only those
-full hits (44 elements in the radius-6 ball of a non-adjacent pair) are
-looked up in the block's subgroup.  The ball and the probe each run in the
-narrowest integer dtype that a proven bound allows (``coxeter.exact_dtype``):
-at radius 6 the ball is int16 and the probe int32, and past the int64 guard
-both fall back to exact object arrays.
+The sweep rests on the parabolic factorisation W = W_J . JW, J the first
+block (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every X is
+u x with u in W_J, x a minimal coset representative (no left descent in J)
+and l(X) = l(u) + l(x).  X lies outside W_J exactly when x != 1, and X
+commutes with an even involution a exactly when x a == b x for
+b = u^-1 a u, again an even involution of the block.  So a violation
+within radius r is an x with 1 <= l(x) <= r and a pair (a, b) with
+x a == b x and D[a, b] <= r - l(x), where D[a, b] is the length of a
+shortest u in W_J with a u == u b; on the top level only b == a remains.
+The sweep walks only the representatives (33,970 of the 69,420 elements
+of the radius-6 ball) and looks nothing up in the block's subgroup.
+
+Each chunk of a level is tested against its pairs at once: first a scalar
+probe 1^T x a v == 1^T b x v, from the heights 1^T x and from x v for a
+fixed vector v, then the full x a == b x on the triples that pass it.  The
+ball and the probe each run in the narrowest integer dtype that a proven
+bound allows (``coxeter.exact_dtype``): at radius 6 the ball is int16 and
+the probe int32, and past the int64 guard both fall back to exact object
+arrays.
 """
 
 from __future__ import annotations
@@ -27,8 +38,8 @@ import numpy as np
 
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
                            build_C)
-from .coxeter import (CoxeterMatrix, Word, ball_levels, enumerate_parabolic,
-                      evaluate, exact_dtype, length)
+from .coxeter import (CoxeterMatrix, Word, ball_levels, evaluate, exact_dtype,
+                      max_abs, parabolic_levels, simple_reflection)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
                      make_pointed)
@@ -36,15 +47,16 @@ from .parabolics import ConjugacyClass, classify_s5_classes
 
 DEFAULT_RADIUS = 6
 
-# Elements the sweep's ball may hold.  In a two-block subsystem (rank 8) the
-# ball grows about 5.9x per radius: 69,420 elements at radius 6, 405,826 at
-# 7 and 2,372,410 at 8.  Its largest entry is 269 at radius 6 and 1,913 at
-# 8, so the whole ball stays int16 there: 128 bytes per element (an int64
-# matrix would take 512), about 0.3 GB at radius 8 and 0.6 GB peak while the
-# last level is concatenated.  Radius 9 would be about 14 M elements, some
-# 1.8 GB.  This cap lets radius 8 through; ball_levels checks it after each
-# per-generator part of a level, so radius 9 is refused after at most one
-# part past the cap.
+# Representatives the sweep's ball may hold.  In a two-block subsystem
+# (rank 8) the whole ball has 69,420 elements at radius 6, 405,826 at 7 and
+# 2,372,410 at 8; the first block's minimal coset representatives, which
+# the sweep walks, number 33,970, 198,584 and 1,160,895, growing about
+# 5.8x per radius.  Their largest entry is 269 at radius 6 and 1,913 at 8,
+# so they stay int16: 128 bytes each, about 150 MB at radius 8, where a
+# cold sweep peaks near 220 MB RSS.  Radius 9 would be about 6.8 M
+# representatives.  This cap lets radius 8 through and refuses radius 9;
+# ball_levels counts each per-generator part of a level on heights alone,
+# so the over-cap level is never allocated.
 SWEEP_BALL_CAP = 4_000_000
 
 
@@ -100,31 +112,67 @@ def commuting_witness(system: LabeledCoxeterSystem, s: int,
     return None
 
 
-# fixed probe vectors for the first commute test; any vectors give the same
-# answer, and ones with unpatterned entries rarely make u^T (Xa - aX) v
+# fixed probe vector for the first commute test; any vector gives the same
+# answer, and one with unpatterned entries rarely makes 1^T (xa - bx) v
 # vanish by chance, so few pairs reach the full comparison
-_PROBES = ((2, 7, 1, 8, 3, 1, 4, 6), (3, 1, 4, 1, 5, 9, 2, 6))
+_PROBE = (3, 1, 4, 1, 5, 9, 2, 6)
 # elements probed at once; bounds the probe's temporaries (its cast copy of
-# the chunk and the chunk-by-involution tables) apart from the ball's size
+# the chunk and the chunk-by-pair tables) apart from the ball's size
 _PROBE_CHUNK = 8192
 
 
-def _commuting(X: np.ndarray, A: np.ndarray, u: np.ndarray,
-               v: np.ndarray) -> np.ndarray:
-    """Sorted indices i such that X[i] commutes with some A[k].
+def _commuting(X: np.ndarray, A: np.ndarray, v: np.ndarray, ka: np.ndarray,
+               kb: np.ndarray) -> bool:
+    """Whether X[i] A[ka[p]] == A[kb[p]] X[i] for some i and some p.
 
-    First the probe u^T X a v == u^T a X v, for every X and every a at once,
-    from X^T u and X v; it is necessary for Xa == aX, and only the pairs
-    passing it get the full matrix comparison.
+    First the probe 1^T x a v == 1^T b x v, for every x and every pair
+    (a, b) at once, from the heights 1^T x and from x v; it is necessary
+    for xa == bx, and only the triples passing it get the full matrix
+    comparison.  The probe runs in einsum, whose integer loops are
+    several times faster than matmul's on these small shapes.
     """
-    lhs = np.matmul(np.matmul(u, X), np.matmul(A, v).T)
-    rhs = np.matmul(np.matmul(X, v), np.matmul(u, A).T)
-    i, k = np.nonzero(lhs == rhs)
-    Y, B = X[i], A[k]
-    # a mask rather than np.unique, whose first call imports numpy.ma
-    hit = np.zeros(len(X), dtype=bool)
-    hit[i[(np.matmul(Y, B) == np.matmul(B, Y)).all(axis=(1, 2))]] = True
-    return np.flatnonzero(hit)
+    av = np.matmul(A[ka], v).T.copy()
+    hb = A[kb].sum(axis=1, dtype=A.dtype).T.copy()
+    lhs = np.einsum("nj,jp->np", np.einsum("nij->nj", X), av)
+    rhs = np.einsum("ni,ip->np", np.einsum("nij,j->ni", X, v), hb)
+    i, p = np.nonzero(lhs == rhs)
+    Y, a, b = X[i], A[ka[p]], A[kb[p]]
+    return bool((np.matmul(Y, a) == np.matmul(b, Y)).all(axis=(1, 2)).any())
+
+
+def _even_involutions(sub: CoxeterMatrix, block) -> np.ndarray:
+    """The nonidentity involutions of even length in the standard subgroup
+    on the block, found by S @ S == I over the whole subgroup at once."""
+    by_length = parabolic_levels(sub, block)
+    S = np.array([w.mat for level in by_length for w in level],
+                 dtype=np.int64)
+    lengths = np.repeat(np.arange(len(by_length)),
+                        [len(level) for level in by_length])
+    eye = np.eye(sub.n, dtype=np.int64)
+    inv = (np.matmul(S, S) == eye).all(axis=(1, 2)) & \
+        (S != eye).any(axis=(1, 2))
+    return S[inv & (lengths % 2 == 0)]
+
+
+def _conjugation_distances(sub: CoxeterMatrix, block, A: np.ndarray,
+                           far: int) -> np.ndarray:
+    """D[a, b]: the length of a shortest u in the standard subgroup on the
+    block with A[a] u == u A[b], or at least ``far`` when that length is
+    ``far`` or more or there is no such u.
+
+    It is the distance from a to b when each a is joined to s a s for every
+    generator s of the block (a reduced word of u walks from a to b, and a
+    walk spells such a u), found by Floyd-Warshall.
+    """
+    G = np.array([simple_reflection(sub, t).mat for t in sorted(block)],
+                 dtype=np.int64)
+    sas = np.matmul(np.matmul(G[:, None], A), G[:, None])
+    near = (sas[:, :, None] == A).all(axis=(3, 4)).any(axis=0)
+    D = np.where(near, 1, far)
+    np.fill_diagonal(D, 0)
+    for k in range(len(A)):
+        D = np.minimum(D, D[:, k, None] + D[k])
+    return D
 
 
 # Keyed, like _shape_commutes, by the pair's rank-8 label block read from the
@@ -134,36 +182,31 @@ def _commuting(X: np.ndarray, A: np.ndarray, u: np.ndarray,
 @lru_cache(maxsize=16)
 def _centralizer_core(labels: tuple[tuple[int, ...], ...], radius: int) -> bool:
     sub = _named(labels)
-    s5 = enumerate_parabolic(sub, frozenset(range(BLOCK_SIZE)))
-    S = np.array([w.mat for w in s5], dtype=np.int64)
-    eye = np.eye(sub.n, dtype=np.int64)
-    # the nonidentity involutions of the block subgroup, by S @ S == I over
-    # the whole subgroup at once; the parity test then runs on those alone
-    inv = (np.matmul(S, S) == eye).all(axis=(1, 2)) & \
-        (S != eye).any(axis=(1, 2))
-    even = [k for k in np.flatnonzero(inv) if length(sub, s5[k]) % 2 == 0]
-    if radius == 0 or not even:
+    block = frozenset(range(BLOCK_SIZE))
+    A = _even_involutions(sub, block)
+    if radius == 0 or not len(A):
         return True
-    A = S[even]
-    s5_mats = {w.mat for w in s5}
-    u, v = (np.array([p[i % len(p)] for i in range(sub.n)], dtype=np.int64)
-            for p in _PROBES)
-    # every entry and partial sum _commuting forms is at most max|X| times
-    # this: (X^T u).(a v) and (X v).(a^T u) by the 1-norms of u and a v, and
-    # of v and a^T u; X a and a X by the column and row sums of |a|
+    D = _conjugation_distances(sub, block, A, radius + 1)
+    v = np.array([_PROBE[i % len(_PROBE)] for i in range(sub.n)],
+                 dtype=np.int64)
+    # every entry and partial sum _commuting forms is at most max|x| times
+    # this: (1^T x).(a v) and (x v).(1^T b) by n times the 1-norm of a v,
+    # and by the 1-norms of v and 1^T b; x a and b x by the column and row
+    # sums of |a| and |b|
     absA = np.abs(A)
-    growth = max(int(np.abs(u).sum() * np.abs(np.matmul(A, v)).sum(1).max()),
-                 int(np.abs(v).sum() * np.abs(np.matmul(u, A)).sum(1).max()),
+    growth = max(int(sub.n * np.abs(np.matmul(A, v)).sum(1).max()),
+                 int(np.abs(v).sum() * np.abs(A.sum(axis=1)).sum(1).max()),
                  int(absA.sum(1).max()), int(absA.sum(2).max()))
-    for X in ball_levels(sub, radius, SWEEP_BALL_CAP)[1:]:
-        dtype = exact_dtype(int(np.abs(X).max()) * growth)
-        args = [a.astype(dtype) for a in (A, u, v)]
+    for k, X in enumerate(
+            ball_levels(sub, radius, SWEEP_BALL_CAP, reps_of=block)[1:], 1):
+        # x a == b x counts when some u with a u == u b fits in radius - k
+        ka, kb = np.nonzero(D <= radius - k)
+        dtype = exact_dtype(max_abs(X) * growth)
+        args = [a.astype(dtype) for a in (A, v)]
         for start in range(0, len(X), _PROBE_CHUNK):
             Y = X[start:start + _PROBE_CHUNK].astype(dtype, copy=False)
-            for i in _commuting(Y, *args):
-                if tuple(tuple(int(x) for x in row) for row in Y[i]) \
-                        not in s5_mats:
-                    return False
+            if _commuting(Y, *args, ka, kb):
+                return False
     return True
 
 

@@ -291,6 +291,28 @@ def test_acceptance_exit_code_follows_exception(monkeypatch, capsys,
         capsys.readouterr().out
 
 
+def test_acceptance_options_do_not_carry_over(monkeypatch, capsys):
+    """main reuses one parser, so a --criterion given to one call must not
+    reach the next."""
+    ran = []
+
+    def stub(number):
+        def criterion(config):
+            ran.append(number)
+            return True, "stub"
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (number, name, stub(number))
+        for number, name, _ in acceptance.CRITERIA])
+    assert main(["acceptance", "--criterion", "1"]) == 0
+    assert ran == [1]
+    assert main(["acceptance"]) == 0
+    assert ran == [1] + [number for number, _, _ in acceptance.CRITERIA]
+    assert len(ran) == 10
+    capsys.readouterr()
+
+
 def test_acceptance_unknown_criterion(capsys):
     assert main(["acceptance", "--criterion", "12"]) == 2
 

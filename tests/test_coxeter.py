@@ -19,10 +19,10 @@ from epicox.coxeter import (INFINITE, CoxeterMatrix, GroupElement,
                             enumerate_parabolic, evaluate, exact_dtype,
                             identity, invert,
                             is_descent, is_spherical, leading_minors, length,
-                            longest_element, mul, mul_gen, preserves_form,
-                            reduced_word, simple_reflection, validate_element)
+                            longest_element, mul, mul_gen, parabolic_levels,
+                            preserves_form, reduced_word, simple_reflection, validate_element)
 from epicox.errors import EnumerationCapExceeded, PreconditionError
-from epicox.graphs import FiniteGraph
+from epicox.graphs import FiniteGraph, all_labeled_graphs
 from epicox.oracles import bfs_lengths
 
 from oracles import (assert_same_levels, ball_levels_by_set,
@@ -174,6 +174,9 @@ def test_l4_minors():
     (DIHEDRAL_INF, (0, 1), False),
     (DIHEDRAL_INF, (0,), True),
     (L4, (), True),
+    # the affine triangle: no infinite label, a zero minor
+    (CoxeterMatrix.from_labels(3, [(0, 1, 3), (1, 2, 3), (0, 2, 3)]),
+     (0, 1, 2), False),
 ])
 def test_sphericity(C, subset, expected):
     assert is_spherical(C, subset) is expected
@@ -199,6 +202,25 @@ def test_restricted_minors_match_full_pairing_on_block_system():
         for subset in itertools.combinations(range(C.n), k):
             got = leading_minors(C, subset)
             assert got == fraction_minors(C, subset)[:len(got)]
+
+
+def test_sphericity_matches_minors_on_small_block_systems():
+    """The infinite-label shortcut against the minors: positive leading
+    minors, by elimination and by the Fraction oracle, on every subset of
+    at most four generators of every block system over <= 3 vertices."""
+    by_labels = {}
+    for g in all_labeled_graphs(3):
+        C = build_C(g).matrix
+        for k in range(5):
+            for subset in itertools.combinations(range(C.n), k):
+                minors = leading_minors(C, subset)
+                positive = len(minors) == k and all(d > 0 for d in minors)
+                labels = tuple(C.m[i][j] for i in subset for j in subset)
+                if labels not in by_labels:
+                    by_labels[labels] = all(
+                        d > 0 for d in fraction_minors(C, subset))
+                assert is_spherical(C, subset) is positive is by_labels[labels]
+    assert len(by_labels) > 10
 
 
 def test_infinite_dihedral_minors():
@@ -272,19 +294,58 @@ def test_ball_cap_fires():
 
 
 @pytest.mark.parametrize("k", [0, 1, 4])
-def test_ball_cap_refuses_a_level_before_concatenating_it(monkeypatch, k):
+def test_ball_cap_refuses_a_level_before_allocating_it(monkeypatch, k):
     cap = sum(len(level) for level in ball_levels(DIHEDRAL_INF, k))
-    concatenate, calls = np.concatenate, []
+    empty, levels = np.empty, []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return concatenate(*args, **kwargs)
+    def counting(shape, *args, **kwargs):
+        if len(shape) == 3:
+            levels.append(shape)
+        return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "concatenate", counting)
+    monkeypatch.setattr(np, "empty", counting)
     with pytest.raises(EnumerationCapExceeded,
                        match=f"radius {k + 3} exceeded cap {cap}"):
         ball_levels(DIHEDRAL_INF, k + 3, cap)
-    assert len(calls) == k
+    assert levels == [(2, 2, 2)] * k
+
+
+def test_ball_allocates_each_level_once(monkeypatch):
+    empty, levels = np.empty, []
+
+    def counting(shape, *args, **kwargs):
+        if len(shape) == 3:
+            levels.append(shape[0])
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counting)
+    sizes = [len(level) for level in ball_levels(L4, 3)]
+    assert levels == sizes[1:] == [4, 9, 15]
+
+
+@pytest.mark.parametrize("C,J,radius,sizes", [
+    (L4, (0, 1, 2, 3), 10, [1]),
+    (L4, (0, 1, 2), 10, [1, 1, 1, 1, 1]),
+    (L4, (), 10, [1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1]),
+    (DIHEDRAL_INF, (0,), 6, [1, 1, 1, 1, 1, 1, 1]),
+])
+def test_representatives_level_sizes(C, J, radius, sizes):
+    """Minimal coset representatives of W_J, one per coset: the 4-chain
+    has 120 / |W_J| of them (the empty J gives the whole group)."""
+    assert [len(lv) for lv in ball_levels(C, radius, reps_of=J)] == sizes
+
+
+def test_representatives_reject_bad_index():
+    with pytest.raises(PreconditionError):
+        ball_levels(L4, 2, reps_of=(4,))
+
+
+def test_parabolic_levels_group_by_length():
+    levels = parabolic_levels(L4, range(4))
+    assert [len(lv) for lv in levels] == [1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1]
+    assert all(length(L4, w) == k for k, lv in enumerate(levels) for w in lv)
+    assert enumerate_parabolic(L4, range(4)) == tuple(
+        w for lv in levels for w in lv)
 
 
 @pytest.mark.parametrize("C", [L4, DIHEDRAL_INF], ids=["L4", "dihedral_inf"])

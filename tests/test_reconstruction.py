@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from epicox import coxeter, reconstruction
-from epicox.construction import (LabeledCoxeterSystem, alt_involution,
-                                 build_C)
-from epicox.coxeter import ball_levels, evaluate, mul
+from epicox.construction import (BLOCK_SIZE, LabeledCoxeterSystem,
+                                 alt_involution, build_C)
+from epicox.coxeter import (INFINITE, ball_levels, evaluate, mul,
+                            parabolic_levels, simple_reflection)
 from epicox.errors import PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
 from epicox.oracles import words_commute_by_matrices
-from epicox.reconstruction import (_centralizer_core, _named, _two_block_labels,
+from epicox.reconstruction import (_centralizer_core, _conjugation_distances,
+                                   _even_involutions, _named, _two_block_labels,
                                    bounded_centralizer_check,
                                    commuting_witness, k_graph, k_pointed,
                                    verify_reconstruction)
@@ -170,6 +172,8 @@ def _two_block_subsystems():
 
 SUBSYSTEMS = _two_block_subsystems()
 NON_ADJACENT = _named(_two_block_labels(build_C(TWO_POINTS), 0, 1))
+ADJACENT = _named(_two_block_labels(build_C(EDGE), 0, 1))
+FIRST_BLOCK = frozenset(range(BLOCK_SIZE))
 
 
 def test_subsystems_cover_both_kinds_of_pair():
@@ -178,7 +182,7 @@ def test_subsystems_cover_both_kinds_of_pair():
 
 @pytest.mark.parametrize("sub", [sub for sub, _ in SUBSYSTEMS],
                          ids=["non_adjacent", "adjacent"])
-@pytest.mark.parametrize("radius", range(5))
+@pytest.mark.parametrize("radius", range(6))
 def test_ball_and_sweep_match_oracles(sub, radius):
     assert_same_levels(ball_levels(sub, radius),
                        ball_levels_by_set(sub, radius))
@@ -193,16 +197,133 @@ def test_radius_six_matches_oracles_on_non_adjacent_pair():
     assert centralizer_sweep_by_membership(NON_ADJACENT, 6) is True
 
 
+def test_radius_six_matches_oracles_on_adjacent_pair():
+    assert _centralizer_core(ADJACENT.m, 6) is False
+    assert centralizer_sweep_by_membership(ADJACENT, 6) is False
+
+
+def _random_label_block(rng):
+    """A rank-8 label block whose first four generators are the 4-chain,
+    every other label drawn from {2, 3, oo}."""
+    m = [[1] * 8 for _ in range(8)]
+    for i, j in itertools.combinations(range(8), 2):
+        if j < BLOCK_SIZE:
+            lab = 3 if j == i + 1 else 2
+        else:
+            lab = rng.choice((2, 3, INFINITE))
+        m[i][j] = m[j][i] = lab
+    return tuple(map(tuple, m))
+
+
+RANDOM_BLOCKS = [_random_label_block(random.Random(seed)) for seed in range(32)]
+
+
+def test_sweep_matches_oracle_on_random_label_blocks(fresh_sweep_cache):
+    verdicts = []
+    for labels in RANDOM_BLOCKS:
+        sub = _named(labels)
+        radius = 1 + len(verdicts) % 3
+        verdict = _centralizer_core(labels, radius)
+        assert verdict == centralizer_sweep_by_membership(sub, radius)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+def test_conjugation_distances_are_shortest_conjugators():
+    """D[a, b] against its definition: the length of a shortest u in the
+    block subgroup with a u == u b, over all 120 elements by length."""
+    A = _even_involutions(NON_ADJACENT, FIRST_BLOCK)
+    assert len(A) == 15
+    want = np.full((15, 15), -1)
+    for k, level in enumerate(parabolic_levels(NON_ADJACENT, FIRST_BLOCK)):
+        for w in level:
+            u = np.array(w.mat, dtype=np.int64)
+            hit = (np.matmul(A, u)[:, None] == np.matmul(u, A)).all(
+                axis=(2, 3)) & (want < 0)
+            want[hit] = k
+    assert (want >= 0).all() and want.max() == 6
+    assert (_conjugation_distances(NON_ADJACENT, FIRST_BLOCK, A, 20)
+            == want).all()
+    near = _conjugation_distances(NON_ADJACENT, FIRST_BLOCK, A, 3)
+    assert (np.minimum(near, 3) == np.minimum(want, 3)).all()
+
+
+def test_commuting_reads_each_pair_in_order():
+    """The pair (a, b) asks for x a == b x.  With x = s0 s1, of order 3,
+    x a x^-1 and x^-1 a x differ for some even involution a, so only one
+    order of the pair matches."""
+    A = _even_involutions(NON_ADJACENT, FIRST_BLOCK)
+    x = np.array(evaluate(NON_ADJACENT, (0, 1)).mat, dtype=np.int64)
+    xi = np.array(evaluate(NON_ADJACENT, (1, 0)).mat, dtype=np.int64)
+    v = np.array(reconstruction._PROBE, dtype=np.int64)
+
+    def index(m):
+        return int(np.flatnonzero((A == m).all(axis=(1, 2)))[0])
+
+    orders = 0
+    for a in range(len(A)):
+        b = index(np.matmul(np.matmul(x, A[a]), xi))
+        if b == index(np.matmul(np.matmul(xi, A[a]), x)):
+            continue
+        orders += 1
+        pair = np.array([a]), np.array([b])
+        assert reconstruction._commuting(x[None], A, v, *pair)
+        assert not reconstruction._commuting(x[None], A, v, *pair[::-1])
+    assert orders
+
+
+# --- minimal coset representatives of the first block ------------------------
+
+
+def _without_left_descent(sub, J, levels):
+    """Each level's elements x with no left descent in J, read off the
+    level below: t is a left descent of x exactly when sigma_t x is there."""
+    gens = [np.array(simple_reflection(sub, t).mat, dtype=np.int64)
+            for t in sorted(J)]
+    out = [levels[0]]
+    for below, level in zip(levels, levels[1:]):
+        shorter = {w.tobytes() for w in below.astype(np.int64)}
+        keep = [i for i, x in enumerate(level.astype(np.int64))
+                if all(np.matmul(g, x).tobytes() not in shorter for g in gens)]
+        out.append(level[keep])
+    return [lv for lv in out if len(lv)]
+
+
+def _check_representatives(sub, radius):
+    full = ball_levels(sub, radius)
+    reps = ball_levels(sub, radius, reps_of=FIRST_BLOCK)
+    assert_same_levels(reps, _without_left_descent(sub, FIRST_BLOCK, full))
+    # W = W_J . JW with lengths adding: the ball's level sizes are the
+    # convolution of the block subgroup's with the representatives'
+    block = [len(lv) for lv in parabolic_levels(sub, FIRST_BLOCK)]
+    sizes = [len(lv) for lv in reps] + [0] * (radius + 1 - len(reps))
+    assert [len(lv) for lv in full] == [
+        sum(block[j] * sizes[k - j] for j in range(min(k, len(block) - 1) + 1))
+        for k in range(len(full))]
+
+
+@pytest.mark.parametrize("sub", [sub for sub, _ in SUBSYSTEMS],
+                         ids=["non_adjacent", "adjacent"])
+def test_representatives_are_the_ball_without_left_descents(sub):
+    _check_representatives(sub, 5)
+
+
+def test_representatives_on_random_label_blocks():
+    for labels in RANDOM_BLOCKS:
+        _check_representatives(_named(labels), 3)
+
+
 def _recording_commuting(monkeypatch):
-    """Patch the sweep's probe to record the dtype of each level it gets,
-    after checking that all four arguments share it."""
+    """Patch the sweep's probe to record the dtype of each chunk it gets,
+    after checking that the chunk, the involutions and the probe vector
+    share it."""
     seen = []
     commuting = reconstruction._commuting
 
-    def recording(X, A, u, v):
-        assert X.dtype == A.dtype == u.dtype == v.dtype
+    def recording(X, A, v, ka, kb):
+        assert X.dtype == A.dtype == v.dtype
         seen.append(X.dtype)
-        return commuting(X, A, u, v)
+        return commuting(X, A, v, ka, kb)
 
     monkeypatch.setattr(reconstruction, "_commuting", recording)
     return seen
@@ -222,6 +343,8 @@ def test_sweep_dtypes_at_radius_six(monkeypatch, fresh_sweep_cache):
     """Unpatched: the radius-6 ball stays int16 and the probe runs int32."""
     seen = _recording_commuting(monkeypatch)
     assert {lv.dtype for lv in ball_levels(NON_ADJACENT, 6)} == {INT16}
+    assert {lv.dtype for lv in ball_levels(NON_ADJACENT, 6,
+                                           reps_of=FIRST_BLOCK)} == {INT16}
     assert _centralizer_core(NON_ADJACENT.m, 6) is True
     assert set(seen) == {INT32}
 
@@ -246,14 +369,17 @@ def test_exact_object_path_agrees_with_oracle(monkeypatch, fresh_sweep_cache,
 def test_ball_climbs_every_rung_and_agrees_with_oracle(monkeypatch,
                                                        fresh_sweep_cache):
     """Guards 3, 6 and 15 against level maxima 1, 2, 5 and 14 (12 on the
-    adjacent shape): each level of the radius-4 ball needs the next rung,
-    and every probe bound is past the int64 guard."""
+    adjacent shape): each level of the radius-4 ball, and of its first
+    block's representatives, needs the next rung, and every probe bound is
+    past the int64 guard."""
     seen = _recording_commuting(monkeypatch)
     _patch_guards(monkeypatch, 3, 6, 15)
     for sub, _ in SUBSYSTEMS:
         levels = ball_levels(sub, 4)
-        assert [lv.dtype for lv in levels] == [INT16, INT16, INT32, INT64,
-                                               OBJECT]
+        rungs = [INT16, INT16, INT32, INT64, OBJECT]
+        assert [lv.dtype for lv in levels] == rungs
+        assert [lv.dtype for lv in ball_levels(
+            sub, 4, reps_of=FIRST_BLOCK)] == rungs
         assert_same_levels(levels, ball_levels_by_set(sub, 4))
         assert _centralizer_core(sub.m, 4) == \
             centralizer_sweep_by_membership(sub, 4)
@@ -264,12 +390,12 @@ def test_ball_climbs_every_rung_and_agrees_with_oracle(monkeypatch,
 def test_probe_climbs_every_rung_and_agrees_with_oracle(monkeypatch,
                                                         fresh_sweep_cache):
     """The probe bound of a level is its largest entry times the sweep's
-    growth factor: 27,040 on the non-adjacent shape and 22,560 on the
-    adjacent one, against level maxima 2, 5 and 14 (12).  With these
-    guards levels 1, 2 and 3 take int32, int64 and object, while the whole
-    ball is int32."""
+    growth factor: 6,760 on the non-adjacent shape and 5,640 on the
+    adjacent one, against level maxima 2, 5 and 14 (12) of the
+    representatives.  With these guards levels 1, 2 and 3 take int32,
+    int64 and object, while the whole ball is int32."""
     seen = _recording_commuting(monkeypatch)
-    _patch_guards(monkeypatch, 0, 2 * 27_040, 5 * 27_040)
+    _patch_guards(monkeypatch, 0, 2 * 6_760, 5 * 6_760)
     for sub, _ in SUBSYSTEMS:
         levels = ball_levels(sub, 3)
         assert {lv.dtype for lv in levels[1:]} == {INT32}
