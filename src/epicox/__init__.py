@@ -8,7 +8,7 @@ graph epimorphisms to group homomorphisms that induce the original map.
 """
 
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, build_C,
-                           build_L4, op_graph, verify_L4_is_S5)
+                           build_L4, verify_L4_is_S5)
 from .coxeter import (INFINITE, CoxeterMatrix, GroupElement,
                       enumerate_parabolic, evaluate, identity, invert,
                       is_descent, is_spherical, leading_minors, length,
@@ -20,13 +20,11 @@ from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
                      all_labeled_graphs, are_isomorphic, f_reduce,
                      find_epimorphism, find_injective_hom, make_pointed)
 from .homomorphisms import (GeneratorMap, Presentation, induced_k_map,
-                            lift_graph_epi, presentation_of, retraction_rho,
-                            verify_relators)
-from .parabolics import (ConjugacyClass, are_special_conjugate,
-                         classify_s5_classes, conjugacy_component, ks_step)
+                            lift_graph_epi, presentation_of, verify_relators)
+from .parabolics import (ConjugacyClass, classify_s5_classes,
+                         conjugacy_component, ks_step)
 from .reconstruction import (KGraph, bounded_centralizer_check,
-                             commuting_witness, k_graph, k_pointed,
-                             verify_reconstruction)
+                             commuting_witness, k_graph, verify_reconstruction)
 
 __version__ = "0.1.0"
 
@@ -36,14 +34,13 @@ __all__ = [
     "GeneratorMap", "GroupElement", "InternalInconsistencyError", "KGraph",
     "LabeledCoxeterSystem", "PointedReflexiveGraph", "PreconditionError",
     "Presentation", "VertexMap", "all_labeled_graphs", "are_isomorphic",
-    "are_special_conjugate", "bounded_centralizer_check", "build_C",
-    "build_L4", "classify_s5_classes", "commuting_witness",
-    "conjugacy_component", "enumerate_parabolic", "evaluate", "f_reduce",
-    "find_epimorphism", "find_injective_hom", "identity", "induced_k_map",
-    "invert", "is_descent", "is_spherical", "k_graph", "k_pointed",
-    "ks_step", "leading_minors", "length", "lift_graph_epi",
-    "longest_element", "make_pointed", "mul", "mul_gen", "op_graph",
-    "preserves_form", "presentation_of", "reduced_word", "retraction_rho",
+    "bounded_centralizer_check", "build_C", "build_L4",
+    "classify_s5_classes", "commuting_witness", "conjugacy_component",
+    "enumerate_parabolic", "evaluate", "f_reduce", "find_epimorphism",
+    "find_injective_hom", "identity", "induced_k_map", "invert",
+    "is_descent", "is_spherical", "k_graph", "ks_step", "leading_minors",
+    "length", "lift_graph_epi", "longest_element", "make_pointed", "mul",
+    "mul_gen", "preserves_form", "presentation_of", "reduced_word",
     "simple_reflection", "verify_L4_is_S5", "verify_reconstruction",
     "verify_relators",
 ]

@@ -1,10 +1,10 @@
 """The nine acceptance criteria, runnable as a library.
 
-Each criterion is a function returning (passed, detail).  Where a criterion
-checks a derived quantity, the check runs against an independent brute-force
-oracle from ``oracles`` (plain breadth-first distances, naive enumeration of
-all vertex maps, relators evaluated as matrices) rather than against the
-code path under test.
+Each criterion is a function of the centralizer sweep radius returning
+(passed, detail).  Where a criterion checks a derived quantity, the check
+runs against an independent brute-force oracle from ``oracles`` (plain
+breadth-first distances, naive enumeration of all vertex maps, relators
+evaluated as matrices) rather than against the code path under test.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ class CriterionResult:
                 f"({self.seconds:.2f}s) {self.detail}")
 
 
-@dataclass(frozen=True)
-class AcceptanceConfig:
-    radius: int = 6
-
-
 # --- instances -------------------------------------------------------------
 
 
@@ -63,7 +58,7 @@ def _reduction_instances():
 # --- criteria --------------------------------------------------------------
 
 
-def criterion_1(config: AcceptanceConfig):
+def criterion_1(radius: int):
     report = verify_L4_is_S5()
     ok = (report.order == 120 and report.nonabelian
           and report.even_order == 60 and report.even_is_subgroup
@@ -72,7 +67,7 @@ def criterion_1(config: AcceptanceConfig):
                 f"even order={report.even_order} simple={report.even_is_simple}")
 
 
-def criterion_2(config: AcceptanceConfig):
+def criterion_2(radius: int):
     C = build_L4()
     dist = bfs_lengths(C, range(4))
     w0 = longest_element(C, range(4))
@@ -87,7 +82,7 @@ def criterion_2(config: AcceptanceConfig):
                 f"unique top={len(top) == 1} square=identity: {square_ok}")
 
 
-def criterion_3(config: AcceptanceConfig):
+def criterion_3(radius: int):
     graphs = _reduction_instances()
     pairs = 0
     for g in graphs:
@@ -109,7 +104,7 @@ def criterion_3(config: AcceptanceConfig):
     return True, f"{len(graphs)} graphs, {pairs} ordered pairs agree"
 
 
-def criterion_4(config: AcceptanceConfig):
+def criterion_4(radius: int):
     shapes = {"edge": FiniteGraph.from_edges(2, [(0, 1)]),
               "two points": FiniteGraph.from_edges(2, [])}
     checked = 0
@@ -134,7 +129,7 @@ def criterion_4(config: AcceptanceConfig):
     return True, f"{checked} outgoing candidates all non-spherical"
 
 
-def criterion_5(config: AcceptanceConfig):
+def criterion_5(radius: int):
     pairs = 0
     for g in all_labeled_graphs(4):
         system = build_C(g)
@@ -155,7 +150,7 @@ def criterion_5(config: AcceptanceConfig):
     return True, f"{pairs} ordered pairs across all graphs on <= 4 vertices"
 
 
-def criterion_6(config: AcceptanceConfig):
+def criterion_6(radius: int):
     g = FiniteGraph.from_edges(2, [])
     system = build_C(g)
     sub = system.matrix.submatrix(sorted(system.block(0)) + sorted(system.block(1)))
@@ -165,17 +160,17 @@ def criterion_6(config: AcceptanceConfig):
             if w != idn and mul(w, w) == idn and length(sub, w) % 2 == 0]
     if len(invs) != 15:
         return False, f"expected 15 even involutions, found {len(invs)}"
-    ok = bounded_centralizer_check(system, 0, 1, config.radius)
+    ok = bounded_centralizer_check(system, 0, 1, radius)
     note = ""
-    if config.radius == 0:
+    if radius == 0:
         note = " (warning: radius 0, check is vacuous)"
-    return ok, f"radius {config.radius}, 15 even involutions, no violation{note}"
+    return ok, f"radius {radius}, 15 even involutions, no violation{note}"
 
 
-def criterion_7(config: AcceptanceConfig):
+def criterion_7(radius: int):
     count = 0
     for g in all_labeled_graphs(3):
-        iso = verify_reconstruction(g, config.radius)
+        iso = verify_reconstruction(g, radius)
         if tuple(iso.image) != tuple(range(g.n)):
             return False, f"unexpected class order for graph {g.edges()}"
         count += 1
@@ -306,8 +301,8 @@ def _corrupt(phi, sys1, sys2, f):
     return None
 
 
-def criterion_8(config: AcceptanceConfig):
-    report = theorem_report(3, config.radius)
+def criterion_8(radius: int):
+    report = theorem_report(3, radius)
     bad = [p for p in report.pair_outcomes if not p.ok]
     if bad:
         p = bad[0]
@@ -317,7 +312,7 @@ def criterion_8(config: AcceptanceConfig):
                   f"{report.total_epis} epimorphisms all verified")
 
 
-def criterion_9(config: AcceptanceConfig):
+def criterion_9(radius: int):
     """Form preservation and reduced-word roundtrip for every element of
     every finite standard subgroup the other criteria touch: the 4-chain,
     and every spherical subset of size <= 4 in every block system on at
@@ -356,12 +351,12 @@ CRITERIA = [
 ]
 
 
-def run_criterion(number: int, config: AcceptanceConfig) -> CriterionResult:
+def run_criterion(number: int, radius: int) -> CriterionResult:
     entry = next(e for e in CRITERIA if e[0] == number)
     start = time.monotonic()
     falsified = False
     try:
-        passed, detail = entry[2](config)
+        passed, detail = entry[2](radius)
     except FalsificationError as exc:
         passed, detail, falsified = False, f"falsification: {exc}", True
     elapsed = time.monotonic() - start

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from . import coxeter
-from .acceptance import AcceptanceConfig, CRITERIA, run_criterion, theorem_report
+from .acceptance import CRITERIA, run_criterion, theorem_report
 from .construction import build_C, verify_L4_is_S5
 from .coxeter import coxeter_to_json_dict
 from .errors import (EnumerationCapExceeded, FalsificationError,
@@ -206,13 +206,12 @@ def _cmd_check_theorem(args) -> int:
 
 def _cmd_acceptance(args) -> int:
     config = _config_from_args(args)
-    acc = AcceptanceConfig(radius=config.radius)
     known = [num for num, _, _ in CRITERIA]
     numbers = args.criterion or known
     for num in numbers:
         if num not in known:
             raise PreconditionError(f"no criterion {num}; have {known}")
-    results = [run_criterion(num, acc) for num in numbers]
+    results = [run_criterion(num, config.radius) for num in numbers]
     for res in results:
         print(res.line())
     if all(res.passed for res in results):

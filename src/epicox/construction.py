@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coxeter import (INFINITE, CoxeterMatrix, GroupElement, Word,
+from .coxeter import (CoxeterMatrix, GroupElement, Word,
                       close_under_multiplication, enumerate_parabolic,
                       identity, invert, length, mul, simple_reflection)
 from .errors import FalsificationError, PreconditionError
@@ -96,18 +96,6 @@ def build_C(graph: FiniteGraph) -> LabeledCoxeterSystem:
     names = tuple(f"v{v}_{i}" for v in range(n) for i in range(1, 5))
     return LabeledCoxeterSystem(
         CoxeterMatrix.from_labels(BLOCK_SIZE * n, labels, names), core)
-
-
-def op_graph(C: CoxeterMatrix) -> FiniteGraph:
-    """Opposed diagram on the generators: an edge wherever the label is 3 or
-    infinite, a non-edge wherever it is 2."""
-    edges = [(i, j) for i in range(C.n) for j in range(i + 1, C.n)
-             if C.m[i][j] in (3, INFINITE)]
-    return FiniteGraph.from_edges(C.n, edges)
-
-
-def s5_generators(system: LabeledCoxeterSystem, v: int) -> frozenset[int]:
-    return system.block(v)
 
 
 def alt_involution(system: LabeledCoxeterSystem, v: int) -> Word:

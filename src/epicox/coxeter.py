@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (EnumerationCapExceeded, InternalInconsistencyError,
-                     PreconditionError, as_int)
+                     PreconditionError)
 
 INFINITE = 0  # label marker for an unbounded product order
 # element budget of the enumerations that can meet an infinite set
@@ -232,16 +232,6 @@ def preserves_form(C: CoxeterMatrix, w: GroupElement) -> bool:
     return _matmul(_matmul(wt, B), w.mat) == B
 
 
-def validate_element(C: CoxeterMatrix, w: GroupElement) -> None:
-    """Raise unless w preserves the pairing and has sign-coherent columns."""
-    if len(w.mat) != C.n or any(len(r) != C.n for r in w.mat):
-        raise PreconditionError("matrix shape does not match the system")
-    if not preserves_form(C, w):
-        raise PreconditionError("matrix does not preserve the pairing")
-    for i in range(C.n):
-        is_descent(C, w, i)
-
-
 def leading_minors(C: CoxeterMatrix, subset) -> tuple[int, ...]:
     """Leading principal minors of the pairing restricted to the subset
     (sorted order), by fraction-free elimination.  Stops early at a zero
@@ -404,8 +394,9 @@ def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None,
     exactly when x sends alpha_s to a simple root alpha_t with t in J: the
     column has height 1 and its 1 sits in a row of J.  So every candidate
     is decided on its height vector, and a level is allocated once, at its
-    final size, before any matrix of it is formed.  The cap counts the
-    elements generated and is checked per generator, before that.
+    final size, before any matrix of it is formed.  Heights are formed for
+    every level but the last, which no later level reads.  The cap counts
+    the elements generated and is checked per generator, before that.
 
     Right multiplication by a generator at most triples the largest entry.
     The ball starts in int16 and each level is built in
@@ -428,7 +419,7 @@ def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None,
         return levels
     heights = np.ones((1, n), dtype=np.int16)
     total = 1
-    for _ in range(radius):
+    for k in range(1, radius + 1):
         if cur.dtype != object:
             bound = 3 * max_abs(cur)
             dtype = np.result_type(cur.dtype, exact_dtype(bound))
@@ -458,7 +449,9 @@ def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None,
         if not size:
             break
         nxt = np.empty((size, n, n), dtype=cur.dtype)
-        nheights = np.empty((size, n), dtype=heights.dtype)
+        # no level follows the last, so nothing would read its heights
+        nheights = (np.empty((size, n), dtype=heights.dtype)
+                    if k < radius else None)
         start = 0
         for s, idx in enumerate(parts):
             stop = start + len(idx)
@@ -466,7 +459,8 @@ def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None,
             # 'clip' writes straight into the slice; 'raise' would buffer
             np.take(cur, idx, axis=0, out=w, mode="clip")
             _times_gen(C, w, s)
-            nheights[start:stop] = _times_gen(C, heights[idx], s)
+            if nheights is not None:
+                nheights[start:stop] = _times_gen(C, heights[idx], s)
             start = stop
         cur, heights = nxt, nheights
         levels.append(cur)
@@ -494,20 +488,3 @@ def coxeter_to_json_dict(C: CoxeterMatrix) -> dict:
     labels = [[i, j, C.m[i][j]] for i in range(C.n)
               for j in range(i + 1, C.n) if C.m[i][j] != INFINITE]
     return {"n": C.n, "labels": labels, "names": list(C.names)}
-
-
-def coxeter_from_json_dict(d: dict) -> CoxeterMatrix:
-    try:
-        n = as_int(d["n"], "rank")
-        labels = [(as_int(i, "label index"), as_int(j, "label index"),
-                   as_int(m, "label")) for i, j, m in d.get("labels", [])]
-        names = d.get("names")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed Coxeter JSON: {exc}") from exc
-    for i, j, m in labels:
-        if m not in (2, 3):
-            raise PreconditionError(f"finite label {m} must be 2 or 3")
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise PreconditionError(f"label pair ({i},{j}) out of range")
-    return CoxeterMatrix.from_labels(n, labels,
-                                     tuple(names) if names else None)

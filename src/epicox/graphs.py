@@ -125,9 +125,6 @@ class VertexMap:
             if not (0 <= x < self.target_size):
                 raise PreconditionError(f"image value {x} out of range")
 
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
 
 def make_pointed(g: FiniteGraph) -> PointedReflexiveGraph:
     """Adjoin a fresh base vertex (index n) adjacent to everything."""

@@ -56,17 +56,6 @@ def presentation_to_json_dict(p: Presentation) -> dict:
             "relators": [[p.names[i] for i in rel] for rel in p.relators]}
 
 
-def presentation_from_json_dict(d: dict) -> Presentation:
-    try:
-        names = tuple(str(x) for x in d["generators"])
-        index = {name: i for i, name in enumerate(names)}
-        relators = tuple(tuple(index[str(x)] for x in rel)
-                         for rel in d["relators"])
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"malformed presentation JSON: {exc}") from exc
-    return Presentation(names, relators)
-
-
 @dataclass(frozen=True)
 class GeneratorMap:
     """Per-generator assignment; None sends a generator to the identity.
@@ -153,20 +142,6 @@ def lift_graph_epi(f: VertexMap, source_system: LabeledCoxeterSystem,
     return phi
 
 
-def retraction_rho(system: LabeledCoxeterSystem, s: int,
-                   t: int) -> GeneratorMap:
-    """Endomorphism keeping the blocks of s and t and killing the rest."""
-    if s == t:
-        raise PreconditionError("retraction needs two distinct vertices")
-    keep = system.block(s) | system.block(t)
-    images = tuple(g if g in keep else None
-                   for g in range(system.matrix.n))
-    phi = GeneratorMap(system.matrix, system.matrix, images)
-    if not phi.relators_hold:
-        raise InternalInconsistencyError("retraction failed relator check")
-    return phi
-
-
 @dataclass(frozen=True)
 class ClassImage:
     source_vertex: int
@@ -213,34 +188,3 @@ def induced_k_map(source_system: LabeledCoxeterSystem, target: KGraph,
         kind, u = _classify_block_image(target, gen_images)
         out.append(ClassImage(v, kind, u))
     return tuple(out)
-
-
-# --- serialization --------------------------------------------------------
-#
-# JSON: {"images": [<target generator name> or "e", ...]} in source
-# generator order.
-
-IDENTITY_MARK = "e"
-
-
-def gen_map_to_json_dict(phi: GeneratorMap) -> dict:
-    return {"images": [IDENTITY_MARK if x is None else phi.target.names[x]
-                       for x in phi.images]}
-
-
-def gen_map_from_json_dict(d: dict, source: CoxeterMatrix,
-                           target: CoxeterMatrix) -> GeneratorMap:
-    try:
-        raw = list(d["images"])
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"malformed map JSON: {exc}") from exc
-    index = {name: i for i, name in enumerate(target.names)}
-    images: list[int | None] = []
-    for x in raw:
-        if x == IDENTITY_MARK:
-            images.append(None)
-        elif x in index:
-            images.append(index[x])
-        else:
-            raise PreconditionError(f"unknown target generator {x!r}")
-    return GeneratorMap(source, target, tuple(images))

@@ -15,18 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construction import LabeledCoxeterSystem
-from .coxeter import (ELEMENT_CAP, CoxeterMatrix, GroupElement, invert,
-                      is_spherical, longest_element, mul, simple_reflection)
+from .coxeter import (ELEMENT_CAP, CoxeterMatrix, invert, is_spherical,
+                      longest_element, mul, simple_reflection)
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      InternalInconsistencyError, PreconditionError)
-
-
-@dataclass(frozen=True)
-class KSEdge:
-    source: frozenset[int]
-    label: int
-    conjugator: GroupElement
-    target: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -44,9 +36,9 @@ class ConjugacyClass:
 
 
 def ks_component_candidate(C: CoxeterMatrix, subset, s: int) -> frozenset[int]:
-    """Component of s in the opposed diagram induced on subset + s: the
-    diagram of ``op_graph``, read straight off the labels (an edge wherever
-    the label is not 2)."""
+    """Component of s in the opposed diagram induced on subset + s, read
+    straight off the labels: an edge wherever the label is 3 or infinite,
+    none where it is 2."""
     nodes = frozenset(subset) | {s}
     comp = {s}
     frontier = [s]
@@ -59,9 +51,9 @@ def ks_component_candidate(C: CoxeterMatrix, subset, s: int) -> frozenset[int]:
     return frozenset(comp)
 
 
-def ks_step(C: CoxeterMatrix, subset, s: int) -> KSEdge | None:
-    """One conjugation step out of the subset along s, or None when the
-    relevant component is not spherical.
+def ks_step(C: CoxeterMatrix, subset, s: int) -> frozenset[int] | None:
+    """The subset reached by one conjugation step out of the subset along
+    s, or None when the relevant component is not spherical.
 
     The conjugator is checked generator by generator: it must fix every
     generator outside the component and send each one inside to some simple
@@ -96,7 +88,7 @@ def ks_step(C: CoxeterMatrix, subset, s: int) -> KSEdge | None:
     if len(J) != len(I):
         raise InternalInconsistencyError(
             f"step changed subset size: {sorted(I)} -> {sorted(J)}")
-    return KSEdge(I, s, nu, J)
+    return J
 
 
 def conjugacy_component(C: CoxeterMatrix, subset,
@@ -113,26 +105,14 @@ def conjugacy_component(C: CoxeterMatrix, subset,
         for s in range(C.n):
             if s in X:
                 continue
-            edge = ks_step(C, X, s)
-            if edge is not None and edge.target not in members:
+            Y = ks_step(C, X, s)
+            if Y is not None and Y not in members:
                 if len(members) + 1 > cap:
                     raise EnumerationCapExceeded(
                         f"conjugacy component exceeded cap {cap}")
-                members.add(edge.target)
-                queue.append(edge.target)
+                members.add(Y)
+                queue.append(Y)
     return ConjugacyClass.from_members(members)
-
-
-def are_special_conjugate(C: CoxeterMatrix, left, right,
-                          cap: int = ELEMENT_CAP) -> bool:
-    """Whether two spherical subsets carry conjugate standard subgroups."""
-    L, R = frozenset(left), frozenset(right)
-    for sub in (L, R):
-        if not is_spherical(C, sub):
-            raise PreconditionError("conjugacy test needs spherical subsets")
-    if len(L) != len(R):
-        return False
-    return R in conjugacy_component(C, L, cap).members
 
 
 def a4_chains(C: CoxeterMatrix) -> set[frozenset[int]]:

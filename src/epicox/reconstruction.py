@@ -41,8 +41,7 @@ from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
 from .coxeter import (CoxeterMatrix, Word, ball_levels, evaluate, exact_dtype,
                       max_abs, parabolic_levels, simple_reflection)
 from .errors import FalsificationError, PreconditionError
-from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
-                     make_pointed)
+from .graphs import FiniteGraph, VertexMap
 from .parabolics import ConjugacyClass, classify_s5_classes
 
 DEFAULT_RADIUS = 6
@@ -53,7 +52,7 @@ DEFAULT_RADIUS = 6
 # the sweep walks, number 33,970, 198,584 and 1,160,895, growing about
 # 5.8x per radius.  Their largest entry is 269 at radius 6 and 1,913 at 8,
 # so they stay int16: 128 bytes each, about 150 MB at radius 8, where a
-# cold sweep peaks near 220 MB RSS.  Radius 9 would be about 6.8 M
+# cold sweep peaks near 190 MB RSS.  Radius 9 would be about 6.8 M
 # representatives.  This cap lets radius 8 through and refuses radius 9;
 # ball_levels counts each per-generator part of a level on heights alone,
 # so the over-cap level is never allocated.
@@ -255,12 +254,6 @@ def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS) -> KGraph:
                         "involution from outside its block subgroup")
     g = FiniteGraph(n, tuple(tuple(row) for row in adj), reflexive=True)
     return KGraph(g, classes, witnesses, system)
-
-
-def k_pointed(graph: FiniteGraph,
-              radius: int = DEFAULT_RADIUS) -> PointedReflexiveGraph:
-    """Class graph with a fresh dominating base adjoined."""
-    return make_pointed(k_graph(graph, radius).graph)
 
 
 def verify_reconstruction(graph: FiniteGraph, radius: int = DEFAULT_RADIUS,

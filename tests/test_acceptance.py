@@ -5,9 +5,9 @@ sweeps), so this module keeps them in numeric order; criterion 6 warms the
 sweep that 7 and 8 reuse.  Run with -s to watch the lines appear.
 """
 
-from epicox.acceptance import AcceptanceConfig, run_criterion
+from epicox.acceptance import run_criterion
 
-CONFIG = AcceptanceConfig(radius=6)
+RADIUS = 6
 
 BUDGET_SECONDS = {
     1: 5, 2: 5, 3: 30, 4: 10, 5: 30, 6: 120, 7: 60, 8: 120, 9: 60,
@@ -15,7 +15,7 @@ BUDGET_SECONDS = {
 
 
 def _run(number):
-    res = run_criterion(number, CONFIG)
+    res = run_criterion(number, RADIUS)
     print(res.line())
     assert res.passed, res.detail
     assert res.seconds < BUDGET_SECONDS[number], (

@@ -273,14 +273,14 @@ def test_acceptance_single_criterion(capsys):
     assert "criterion 1" in out and "PASS" in out
 
 
-def _falsified(config):
+def _falsified(radius):
     raise FalsificationError("planted counterexample")
 
 
 @pytest.mark.parametrize("criterion,code", [
     (_falsified, 3),
     # a plain failure exits 1 even when its detail mentions falsification
-    (lambda config: (False, "no falsification here"), 1)])
+    (lambda radius: (False, "no falsification here"), 1)])
 def test_acceptance_exit_code_follows_exception(monkeypatch, capsys,
                                                 criterion, code):
     (number, name, _), *rest = acceptance.CRITERIA
@@ -297,7 +297,7 @@ def test_acceptance_options_do_not_carry_over(monkeypatch, capsys):
     ran = []
 
     def stub(number):
-        def criterion(config):
+        def criterion(radius):
             ran.append(number)
             return True, "stub"
         return criterion

@@ -3,8 +3,7 @@ import itertools
 import pytest
 
 from epicox.construction import (LabeledCoxeterSystem, alt_involution,
-                                 build_C, build_L4, op_graph, s5_generators,
-                                 verify_L4_is_S5)
+                                 build_C, build_L4, verify_L4_is_S5)
 from epicox.coxeter import (INFINITE, enumerate_parabolic, evaluate, identity,
                             length, mul)
 from epicox.errors import PreconditionError
@@ -95,25 +94,6 @@ def test_rank_mismatch_rejected():
     C = build_L4()
     with pytest.raises(PreconditionError):
         LabeledCoxeterSystem(C, EDGE)
-
-
-def test_op_graph_of_l4_is_a_path():
-    g = op_graph(build_L4())
-    assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_op_graph_crosses_blocks_on_infinite_labels():
-    sys_ = build_C(TWO_POINTS)
-    g = op_graph(sys_.matrix)
-    # tail pair has label 2, so it is the only missing cross edge
-    assert not g.adjacent(3, 7)
-    assert g.adjacent(0, 4)
-    assert g.adjacent(3, 6)
-
-
-def test_s5_generators_matches_block():
-    sys_ = build_C(EDGE)
-    assert s5_generators(sys_, 1) == sys_.block(1)
 
 
 def test_alt_involution_is_an_even_involution():

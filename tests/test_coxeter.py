@@ -20,7 +20,7 @@ from epicox.coxeter import (INFINITE, CoxeterMatrix, GroupElement,
                             identity, invert,
                             is_descent, is_spherical, leading_minors, length,
                             longest_element, mul, mul_gen, parabolic_levels,
-                            preserves_form, reduced_word, simple_reflection, validate_element)
+                            preserves_form, reduced_word, simple_reflection)
 from epicox.errors import EnumerationCapExceeded, PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
 from epicox.oracles import bfs_lengths
@@ -142,15 +142,6 @@ def test_descent_means_shorter():
         for i in range(4):
             shorter = dist[mul_gen(L4, w, i).mat] < d
             assert is_descent(L4, w, i) == shorter
-
-
-def test_validate_element_catches_garbage():
-    w = evaluate(L4, (0, 1))
-    rows = [list(r) for r in w.mat]
-    rows[0][0] += 1
-    from epicox.coxeter import GroupElement
-    with pytest.raises(PreconditionError):
-        validate_element(L4, GroupElement(tuple(tuple(r) for r in rows)))
 
 
 def test_invert_roundtrip():
@@ -311,16 +302,21 @@ def test_ball_cap_refuses_a_level_before_allocating_it(monkeypatch, k):
 
 
 def test_ball_allocates_each_level_once(monkeypatch):
-    empty, levels = np.empty, []
+    """Each level's matrices are allocated once, and so are the root
+    heights of every level but the last, which nothing reads."""
+    empty, levels, heights = np.empty, [], []
 
     def counting(shape, *args, **kwargs):
         if len(shape) == 3:
             levels.append(shape[0])
+        elif len(shape) == 2:
+            heights.append(shape[0])
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", counting)
     sizes = [len(level) for level in ball_levels(L4, 3)]
     assert levels == sizes[1:] == [4, 9, 15]
+    assert heights == sizes[1:-1] == [4, 9]
 
 
 @pytest.mark.parametrize("C,J,radius,sizes", [

@@ -99,11 +99,6 @@ class TestFReduce:
             f_reduce(PATH3.reflexive_closure())
 
 
-def test_vertex_map_call():
-    f = VertexMap(2, 3, (2, 0))
-    assert f(0) == 2 and f(1) == 0
-
-
 def test_is_homomorphism_respects_edges():
     f = VertexMap(2, 3, (0, 1))
     assert is_homomorphism(f, EDGE, TRIANGLE)

@@ -14,7 +14,7 @@ from epicox.graphs import (FiniteGraph, VertexMap, all_labeled_graphs,
 from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   induced_k_map, is_onto_generators,
                                   lift_graph_epi, map_word, presentation_of,
-                                  retraction_rho, verify_relators)
+                                  verify_relators)
 from epicox import acceptance, homomorphisms, oracles
 from epicox.oracles import RelatorMemo, relators_hold_by_matrices
 from epicox.reconstruction import k_graph
@@ -130,23 +130,6 @@ def test_lift_demands_graph_homomorphism():
     g = VertexMap(3, 3, (0, 1, 2))
     with pytest.raises(PreconditionError):
         lift_graph_epi(g, build_C(EDGE), build_C(TWO_POINTS))
-
-
-def test_retraction_keeps_two_blocks():
-    sys_ = build_C(PATH3)
-    rho = retraction_rho(sys_, 0, 2)
-    assert verify_relators(rho)
-    kept = set(sys_.block(0)) | set(sys_.block(2))
-    for g in range(12):
-        if g in kept:
-            assert rho.images[g] == g
-        else:
-            assert rho.images[g] is None
-
-
-def test_retraction_needs_distinct_vertices():
-    with pytest.raises(PreconditionError):
-        retraction_rho(build_C(PATH3), 1, 1)
 
 
 # --- induced class maps ------------------------------------------------------

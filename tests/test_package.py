@@ -1,0 +1,39 @@
+"""The package surface: what ``epicox`` exports, and the functions the
+benchmark's layer tracer (``perfbench/layertrace.py``) wraps."""
+
+import importlib.util
+import pathlib
+import sys
+
+import epicox
+import epicox.cli  # noqa: F401  the tracer also wraps cli and acceptance
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_every_exported_name_resolves():
+    missing = object()
+    stale = [name for name in epicox.__all__
+             if getattr(epicox, name, missing) is missing]
+    assert stale == []
+
+
+def _layertrace(monkeypatch):
+    path = ROOT / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is built
+    monkeypatch.setitem(sys.modules, "layertrace", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists(monkeypatch):
+    """A traced name that epicox no longer defines is reported by the
+    benchmark as ``trace.absent``; deleting library code must not make one."""
+    tracer = _layertrace(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

@@ -21,7 +21,7 @@ from epicox.oracles import words_commute_by_matrices
 from epicox.reconstruction import (_centralizer_core, _conjugation_distances,
                                    _even_involutions, _named, _two_block_labels,
                                    bounded_centralizer_check,
-                                   commuting_witness, k_graph, k_pointed,
+                                   commuting_witness, k_graph,
                                    verify_reconstruction)
 
 from oracles import (assert_same_levels, ball_levels_by_set,
@@ -135,12 +135,6 @@ def test_k_graph_is_reflexive_closure(graph):
 def test_k_graph_witness_support():
     kg = k_graph(PATH3, RADIUS)
     assert set(kg.witnesses) == {(0, 1), (1, 2)}
-
-
-def test_k_pointed_appends_base():
-    p = k_pointed(EDGE, RADIUS)
-    assert p.base == 2
-    assert p.graph.n == 3
 
 
 def test_verify_reconstruction_identity():
