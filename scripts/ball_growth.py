@@ -22,7 +22,8 @@ import time
 from epicox.construction import build_C
 from epicox.coxeter import ball_levels
 from epicox.graphs import FiniteGraph
-from epicox.reconstruction import bounded_centralizer_check
+from epicox.errors import EnumerationCapExceeded
+from epicox.reconstruction import SWEEP_BALL_CAP, bounded_centralizer_check
 
 
 def parse_edges(text: str):
@@ -40,8 +41,9 @@ def main() -> int:
     ap.add_argument("--vertices", type=int, default=2)
     ap.add_argument("--edges", default="", help='e.g. "0-1,1-2"')
     ap.add_argument("--radius", type=int, default=6)
-    ap.add_argument("--cap", type=int, default=None,
-                    help="abort past this many elements")
+    ap.add_argument("--cap", type=int, default=SWEEP_BALL_CAP,
+                    help="abort past this many elements (default %(default)s, "
+                         "the centralizer sweep's ball cap)")
     ap.add_argument("--sweep", action="store_true",
                     help="also time bounded_centralizer_check(system, 0, 1, "
                          "radius)")
@@ -51,8 +53,12 @@ def main() -> int:
     system = build_C(g)
     print(f"system rank {system.matrix.n} over {args.vertices} vertices")
     start = time.monotonic()
-    sizes = [len(level) for level in
-             ball_levels(system.matrix, args.radius, cap=args.cap)]
+    try:
+        sizes = [len(level) for level in
+                 ball_levels(system.matrix, args.radius, cap=args.cap)]
+    except EnumerationCapExceeded as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 2
     total = 0
     for r, size in enumerate(sizes):
         total += size

@@ -9,11 +9,10 @@ graph epimorphisms to group homomorphisms that induce the original map.
 
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, build_C,
                            build_L4, verify_L4_is_S5)
-from .coxeter import (INFINITE, CoxeterMatrix, GroupElement,
-                      enumerate_parabolic, evaluate, identity, invert,
-                      is_descent, is_spherical, leading_minors, length,
-                      longest_element, mul, mul_gen, preserves_form,
-                      reduced_word, simple_reflection)
+from .coxeter import (INFINITE, CoxeterMatrix, enumerate_parabolic,
+                      evaluate, identity, invert, is_descent, is_spherical,
+                      leading_minors, length, longest_element, mul, mul_gen,
+                      preserves_form, reduced_word, simple_reflection)
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      InternalInconsistencyError, PreconditionError)
 from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BLOCK_SIZE", "INFINITE", "ConjugacyClass", "CoxeterMatrix",
     "EnumerationCapExceeded", "FalsificationError", "FiniteGraph",
-    "GeneratorMap", "GroupElement", "InternalInconsistencyError", "KGraph",
+    "GeneratorMap", "InternalInconsistencyError", "KGraph",
     "LabeledCoxeterSystem", "PointedReflexiveGraph", "PreconditionError",
     "Presentation", "VertexMap", "all_labeled_graphs", "are_isomorphic",
     "bounded_centralizer_check", "build_C", "build_L4",

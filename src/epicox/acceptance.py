@@ -71,13 +71,13 @@ def criterion_2(radius: int):
     C = build_L4()
     dist = bfs_lengths(C, range(4))
     w0 = longest_element(C, range(4))
-    bfs_len = dist[w0.mat]
+    bfs_len = dist[w0]
     max_len = max(dist.values())
     top = [m for m, d in dist.items() if d == max_len]
     square_ok = mul(w0, w0) == identity(C)
     engine_len = length(C, w0)
     ok = (bfs_len == 10 and max_len == 10 and len(top) == 1
-          and top[0] == w0.mat and square_ok and engine_len == 10)
+          and top[0] == w0 and square_ok and engine_len == 10)
     return ok, (f"BFS length={bfs_len} engine length={engine_len} "
                 f"unique top={len(top) == 1} square=identity: {square_ok}")
 
@@ -321,15 +321,14 @@ def criterion_9(radius: int):
     systems += [build_C(g).matrix for g in all_labeled_graphs(3)]
     elements = 0
     for C in systems:
-        union = {}
+        union = set()
         top = min(C.n, 4)
         for size in range(1, top + 1):
             for T in itertools.combinations(range(C.n), size):
                 if not is_spherical(C, T):
                     continue
-                for w in enumerate_parabolic(C, T):
-                    union[w.mat] = w
-        for w in union.values():
+                union.update(enumerate_parabolic(C, T))
+        for w in union:
             if not preserves_form(C, w):
                 return False, f"form violation in rank {C.n} system"
             if evaluate(C, reduced_word(C, w)) != w:

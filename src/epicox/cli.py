@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from . import coxeter
 from .acceptance import CRITERIA, run_criterion, theorem_report
@@ -26,29 +25,11 @@ from .parabolics import classify_s5_classes
 from .reconstruction import DEFAULT_RADIUS, k_graph
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    max_vertices: int = 2
-    radius: int = DEFAULT_RADIUS
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.max_vertices < 0:
-            raise PreconditionError("max_vertices must be nonnegative")
-        if self.radius < 0:
-            raise PreconditionError("radius must be nonnegative")
-        if self.fmt not in ("text", "json"):
-            raise PreconditionError(f"unknown format {self.fmt!r}")
-
-
-def _config_from_args(args) -> RunConfig:
-    radius = getattr(args, "radius", None)
-    max_vertices = getattr(args, "max_vertices", None)
-    return RunConfig(
-        max_vertices=2 if max_vertices is None else max_vertices,
-        radius=DEFAULT_RADIUS if radius is None else radius,
-        fmt="json" if getattr(args, "json", False) else "text",
-    )
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _read_source(path: str) -> str:
@@ -92,10 +73,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_reduce_f(args) -> int:
-    config = _config_from_args(args)
     g = _load_irreflexive_graph(args.graph)
     pointed = f_reduce(g)
-    if config.fmt == "json":
+    if args.json:
         _emit(json.dumps(graph_to_json_dict(pointed), indent=2), args.output)
     else:
         _emit(graph_to_text(pointed), args.output)
@@ -103,10 +83,9 @@ def _cmd_reduce_f(args) -> int:
 
 
 def _cmd_emit_presentation(args) -> int:
-    config = _config_from_args(args)
     g = _load_irreflexive_graph(args.graph)
     pres = presentation_of(build_C(g).matrix)
-    if config.fmt == "json":
+    if args.json:
         _emit(json.dumps(presentation_to_json_dict(pres), indent=2),
               args.output)
     else:
@@ -115,10 +94,9 @@ def _cmd_emit_presentation(args) -> int:
 
 
 def _cmd_build_coxeter(args) -> int:
-    config = _config_from_args(args)
     g = _load_irreflexive_graph(args.graph)
     C = build_C(g).matrix
-    if config.fmt == "json":
+    if args.json:
         _emit(json.dumps(coxeter_to_json_dict(C), indent=2), args.output)
         return 0
     lines = [f"rank {C.n}", "generators: " + " ".join(C.names),
@@ -133,12 +111,11 @@ def _cmd_build_coxeter(args) -> int:
 
 
 def _cmd_ks_classes(args) -> int:
-    config = _config_from_args(args)
     g = _load_irreflexive_graph(args.graph)
     system = build_C(g)
     classes = classify_s5_classes(system)
     names = system.matrix.names
-    if config.fmt == "json":
+    if args.json:
         payload = {"classes": [
             sorted(sorted(names[i] for i in member) for member in cls.members)
             for cls in classes]}
@@ -154,15 +131,14 @@ def _cmd_ks_classes(args) -> int:
 
 
 def _cmd_k_graph(args) -> int:
-    config = _config_from_args(args)
     g = _load_irreflexive_graph(args.graph)
-    kg = k_graph(g, config.radius)
+    kg = k_graph(g, args.radius)
     names = kg.system.matrix.names
 
     def word_names(word):
         return [names[i] for i in word]
 
-    if config.fmt == "json":
+    if args.json:
         payload = graph_to_json_dict(kg.graph)
         payload["witnesses"] = {
             f"{u}-{v}": [word_names(wa), word_names(wb)]
@@ -188,8 +164,7 @@ def _cmd_verify_l4(args) -> int:
 
 
 def _cmd_check_theorem(args) -> int:
-    config = _config_from_args(args)
-    report = theorem_report(config.max_vertices, config.radius,
+    report = theorem_report(args.max_vertices, args.radius,
                             inject_fault=args.inject_fault)
     print(f"graphs: {report.graph_count}")
     print(f"ordered pairs: {len(report.pair_outcomes)}")
@@ -205,13 +180,12 @@ def _cmd_check_theorem(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
-    config = _config_from_args(args)
     known = [num for num, _, _ in CRITERIA]
     numbers = args.criterion or known
     for num in numbers:
         if num not in known:
             raise PreconditionError(f"no criterion {num}; have {known}")
-    results = [run_criterion(num, config.radius) for num in numbers]
+    results = [run_criterion(num, args.radius) for num in numbers]
     for res in results:
         print(res.line())
     if all(res.passed for res in results):
@@ -262,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("k-graph",
                        help="reconstruct the graph from the block system")
     add_io(p)
-    p.add_argument("--radius", type=int, default=None,
-                   help="centralizer sweep radius (default 6)")
+    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
+                   help="centralizer sweep radius (default %(default)s)")
     p.set_defaults(func=_cmd_k_graph)
 
     p = sub.add_parser("verify-l4",
@@ -274,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-theorem",
                        help="lift every onto map between small graphs and "
                             "check the round trip")
-    p.add_argument("--max-vertices", type=int, default=2)
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--max-vertices", type=_nonnegative_int, default=2)
+    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one lifted map to confirm the relator "
                             "check can fail")
@@ -284,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acceptance", help="run the acceptance criteria")
     p.add_argument("--criterion", type=int, action="append", default=None,
                    help="run only this criterion (repeatable)")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS)
     p.set_defaults(func=_cmd_acceptance)
 
     return parser

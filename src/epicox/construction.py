@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coxeter import (CoxeterMatrix, GroupElement, Word,
-                      close_under_multiplication, enumerate_parabolic,
-                      identity, invert, length, mul, simple_reflection)
+from .coxeter import (CoxeterMatrix, Word, close_under_multiplication,
+                      enumerate_parabolic, identity, invert, length, mul,
+                      simple_reflection)
 from .errors import FalsificationError, PreconditionError
 from .graphs import FiniteGraph, PointedReflexiveGraph, make_pointed
 
@@ -124,21 +124,20 @@ def verify_L4_is_S5() -> L4Report:
     gens = [simple_reflection(C, i) for i in range(4)]
     nonabelian = any(mul(a, b) != mul(b, a) for a in gens for b in gens)
     evens = [w for w in elements if length(C, w) % 2 == 0]
-    even_set = {w.mat for w in evens}
-    closed = all(mul(a, b).mat in even_set for a in evens for b in evens)
-    inverses = {w.mat: invert(C, w) for w in evens}
+    even_set = set(evens)
+    closed = all(mul(a, b) in even_set for a in evens for b in evens)
+    inverses = {w: invert(C, w) for w in evens}
     idn = identity(C)
     classes = set()
     for a in evens:
         if a == idn:
             continue
-        classes.add(frozenset(mul(mul(g, a), inverses[g.mat]).mat for g in evens))
+        classes.add(frozenset(mul(mul(g, a), inverses[g]) for g in evens))
     # normal closure of each nontrivial conjugacy class must exhaust the
     # even part, otherwise it generates a proper normal subgroup
     simple = True
     for cls in classes:
-        seeds = [GroupElement(mat) for mat in cls]
-        closure = close_under_multiplication(seeds, C.n)
+        closure = close_under_multiplication(cls, C.n)
         if len(closure) != len(evens):
             simple = False
             break

@@ -17,6 +17,7 @@ not represent a group element at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -40,6 +41,8 @@ _INT32_SAFE = 2**29
 _INT64_SAFE = 2**61
 
 Word = tuple[int, ...]
+# A group element is its matrix: a tuple of row tuples, hashable, and equal
+# to another exactly when the two elements are equal.
 Matrix = tuple[tuple[int, ...], ...]
 
 # off-diagonal label -> root coefficient in sigma_i(alpha_j) = alpha_j + c*alpha_i
@@ -106,36 +109,20 @@ class CoxeterMatrix:
         return CoxeterMatrix(len(order), m, tuple(self.names[i] for i in order))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    mat: Matrix
-
-    @property
-    def rank(self) -> int:
-        return len(self.mat)
+def _identity(rank: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
 
-def identity(C: CoxeterMatrix) -> GroupElement:
-    return GroupElement(tuple(tuple(int(i == j) for j in range(C.n))
-                              for i in range(C.n)))
+def identity(C: CoxeterMatrix) -> Matrix:
+    return _identity(C.n)
 
 
-def simple_reflection(C: CoxeterMatrix, i: int) -> GroupElement:
+def simple_reflection(C: CoxeterMatrix, i: int) -> Matrix:
     """The identity matrix with row i replaced: -1 on the diagonal and the
     root coefficient of each neighbour elsewhere."""
     if not (0 <= i < C.n):
         raise PreconditionError(f"generator index {i} out of range")
-    rows = []
-    for r in range(C.n):
-        if r != i:
-            rows.append(tuple(int(r == j) for j in range(C.n)))
-        else:
-            row = [0] * C.n
-            row[i] = -1
-            for j, c in C._gen_coeffs[i]:
-                row[j] = c
-            rows.append(tuple(row))
-    return GroupElement(tuple(rows))
+    return mul_gen(C, identity(C), i)
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -144,18 +131,18 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.rank != b.rank:
+def mul(a: Matrix, b: Matrix) -> Matrix:
+    if len(a) != len(b):
         raise PreconditionError("rank mismatch in multiplication")
-    return GroupElement(_matmul(a.mat, b.mat))
+    return _matmul(a, b)
 
 
-def mul_gen(C: CoxeterMatrix, w: GroupElement, i: int) -> GroupElement:
+def mul_gen(C: CoxeterMatrix, w: Matrix, i: int) -> Matrix:
     """Right multiplication by sigma_i as column operations: column i flips
     sign and feeds into its neighbours.  Much cheaper than a full product."""
     coeffs = C._gen_coeffs[i]
     rows = []
-    for row in w.mat:
+    for row in w:
         v = row[i]
         new = list(row)
         new[i] = -v
@@ -163,10 +150,10 @@ def mul_gen(C: CoxeterMatrix, w: GroupElement, i: int) -> GroupElement:
             for j, c in coeffs:
                 new[j] += c * v
         rows.append(tuple(new))
-    return GroupElement(tuple(rows))
+    return tuple(rows)
 
 
-def evaluate(C: CoxeterMatrix, word) -> GroupElement:
+def evaluate(C: CoxeterMatrix, word) -> Matrix:
     w = identity(C)
     for i in word:
         if not (0 <= i < C.n):
@@ -175,9 +162,9 @@ def evaluate(C: CoxeterMatrix, word) -> GroupElement:
     return w
 
 
-def is_descent(C: CoxeterMatrix, w: GroupElement, i: int) -> bool:
+def is_descent(C: CoxeterMatrix, w: Matrix, i: int) -> bool:
     """True when w sends the i-th simple root to a negative root."""
-    col = [row[i] for row in w.mat]
+    col = [row[i] for row in w]
     if all(x <= 0 for x in col) and any(x < 0 for x in col):
         return True
     if all(x >= 0 for x in col) and any(x > 0 for x in col):
@@ -187,7 +174,7 @@ def is_descent(C: CoxeterMatrix, w: GroupElement, i: int) -> bool:
         "the matrix does not represent a group element")
 
 
-def reduced_word(C: CoxeterMatrix, w: GroupElement) -> Word:
+def reduced_word(C: CoxeterMatrix, w: Matrix) -> Word:
     """Greedy descent stripping, lowest index first.  The result is a
     minimal-length word evaluating back to w."""
     letters = []
@@ -210,11 +197,11 @@ def reduced_word(C: CoxeterMatrix, w: GroupElement) -> Word:
     return tuple(letters)
 
 
-def length(C: CoxeterMatrix, w: GroupElement) -> int:
+def length(C: CoxeterMatrix, w: Matrix) -> int:
     return len(reduced_word(C, w))
 
 
-def invert(C: CoxeterMatrix, w: GroupElement) -> GroupElement:
+def invert(C: CoxeterMatrix, w: Matrix) -> Matrix:
     return evaluate(C, tuple(reversed(reduced_word(C, w))))
 
 
@@ -226,10 +213,10 @@ def gram_matrix(C: CoxeterMatrix) -> Matrix:
         for i in range(C.n))
 
 
-def preserves_form(C: CoxeterMatrix, w: GroupElement) -> bool:
+def preserves_form(C: CoxeterMatrix, w: Matrix) -> bool:
     B = gram_matrix(C)
-    wt = tuple(zip(*w.mat))
-    return _matmul(_matmul(wt, B), w.mat) == B
+    wt = tuple(zip(*w))
+    return _matmul(_matmul(wt, B), w) == B
 
 
 def leading_minors(C: CoxeterMatrix, subset) -> tuple[int, ...]:
@@ -268,7 +255,7 @@ def is_spherical(C: CoxeterMatrix, subset) -> bool:
     return len(minors) == len(subset) and all(d > 0 for d in minors)
 
 
-def longest_element(C: CoxeterMatrix, subset) -> GroupElement:
+def longest_element(C: CoxeterMatrix, subset) -> Matrix:
     """Greedy ascent inside a spherical subset: keep multiplying by the
     lowest non-descent until every generator of the subset is a descent."""
     subset = sorted(frozenset(subset))
@@ -288,8 +275,30 @@ def longest_element(C: CoxeterMatrix, subset) -> GroupElement:
             raise InternalInconsistencyError("ascent failed to terminate")
 
 
+def _capped_levels(start: Matrix, step, gens, cap: int,
+                   overflow: str) -> list[tuple[Matrix, ...]]:
+    """Breadth-first frontiers from start under w -> step(w, g) for each g
+    in gens, each in order of discovery.  Raises EnumerationCapExceeded with
+    the given message once more than cap elements are seen."""
+    seen = {start}
+    levels = [(start,)]
+    while True:
+        nxt = []
+        for w in levels[-1]:
+            for g in gens:
+                cand = step(w, g)
+                if cand not in seen:
+                    if len(seen) + 1 > cap:
+                        raise EnumerationCapExceeded(overflow)
+                    seen.add(cand)
+                    nxt.append(cand)
+        if not nxt:
+            return levels
+        levels.append(tuple(nxt))
+
+
 def parabolic_levels(C: CoxeterMatrix, subset, cap: int = ELEMENT_CAP
-                     ) -> tuple[tuple[GroupElement, ...], ...]:
+                     ) -> tuple[tuple[Matrix, ...], ...]:
     """All elements of the standard subgroup on the subset, grouped by
     length: the frontiers of a breadth-first search from the identity.
     Raises EnumerationCapExceeded past the cap."""
@@ -297,28 +306,14 @@ def parabolic_levels(C: CoxeterMatrix, subset, cap: int = ELEMENT_CAP
     for i in gens:
         if not (0 <= i < C.n):
             raise PreconditionError(f"generator index {i} out of range")
-    idn = identity(C)
-    seen = {idn.mat}
-    levels = [(idn,)]
-    while True:
-        nxt = []
-        for w in levels[-1]:
-            for i in gens:
-                cand = mul_gen(C, w, i)
-                if cand.mat not in seen:
-                    if len(seen) + 1 > cap:
-                        raise EnumerationCapExceeded(
-                            f"parabolic enumeration exceeded cap {cap}; "
-                            "nonspherical subset or budget too small")
-                    seen.add(cand.mat)
-                    nxt.append(cand)
-        if not nxt:
-            return tuple(levels)
-        levels.append(tuple(nxt))
+    return tuple(_capped_levels(
+        identity(C), partial(mul_gen, C), gens, cap,
+        f"parabolic enumeration exceeded cap {cap}; "
+        "nonspherical subset or budget too small"))
 
 
 def enumerate_parabolic(C: CoxeterMatrix, subset,
-                        cap: int = ELEMENT_CAP) -> tuple[GroupElement, ...]:
+                        cap: int = ELEMENT_CAP) -> tuple[Matrix, ...]:
     """All elements of the standard subgroup on the subset, in breadth-first
     order from the identity.  Raises EnumerationCapExceeded past the cap."""
     return tuple(w for level in parabolic_levels(C, subset, cap)
@@ -326,33 +321,16 @@ def enumerate_parabolic(C: CoxeterMatrix, subset,
 
 
 def close_under_multiplication(elements, rank: int,
-                               cap: int = ELEMENT_CAP) -> tuple[GroupElement, ...]:
+                               cap: int = ELEMENT_CAP) -> tuple[Matrix, ...]:
     """Subgroup generated by the given elements (finite expected).  In a
     finite group the multiplicative closure of any set containing it is
     already a subgroup, so no inverses are needed."""
-    idn = GroupElement(tuple(tuple(int(i == j) for j in range(rank))
-                             for i in range(rank)))
-    gens = [g for g in elements]
-    for g in gens:
-        if g.rank != rank:
-            raise PreconditionError("rank mismatch in closure")
-    seen = {idn.mat}
-    out = [idn]
-    frontier = [idn]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                cand = mul(w, g)
-                if cand.mat not in seen:
-                    if len(seen) + 1 > cap:
-                        raise EnumerationCapExceeded(
+    gens = list(elements)
+    if any(len(g) != rank for g in gens):
+        raise PreconditionError("rank mismatch in closure")
+    levels = _capped_levels(_identity(rank), mul, gens, cap,
                             f"closure exceeded cap {cap}")
-                    seen.add(cand.mat)
-                    out.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(out)
+    return tuple(w for level in levels for w in level)
 
 
 def exact_dtype(bound: int) -> np.dtype:

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, as_int
 
-# the parsers refuse more vertices before allocating the n-by-n adjacency;
-# the block system over 2048 vertices already has rank 8192, far past what
-# the census and the centralizer sweep can finish
-MAX_VERTICES = 2048
+# The parsers refuse more vertices before allocating the n-by-n adjacency.
+# The block system's labels are a 4n-by-4n tuple of tuples, so memory grows
+# about as n^2: on G(512, 1/2) build-coxeter, emit-presentation, ks-classes
+# and k-graph each peak near 470 MB RSS, and 1024 vertices would need about
+# 1.9 GB (not measured).
+MAX_VERTICES = 512
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,9 @@ def f_reduce(g: FiniteGraph) -> PointedReflexiveGraph:
         if g.is_isolated(v):
             raise PreconditionError(f"vertex {v} is isolated")
     n = g.n
-    adj = [[u == v or not g.adj[u][v] for v in range(n)] + [True]
-           for u in range(n)]
-    adj.append([True] * (n + 1))
-    return PointedReflexiveGraph(
-        FiniteGraph(n + 1, tuple(tuple(r) for r in adj), reflexive=True), n)
+    complement = tuple(tuple(u == v or not g.adj[u][v] for v in range(n))
+                       for u in range(n))
+    return make_pointed(FiniteGraph(n, complement, reflexive=True))
 
 
 def is_homomorphism(f: VertexMap, source: FiniteGraph, target: FiniteGraph) -> bool:

@@ -32,7 +32,7 @@ def bfs_lengths(C, subset):
     """Word length of every element of the standard subgroup on subset,
     keyed by matrix.  Terminates only for a finite subgroup."""
     idn = identity(C)
-    dist = {idn.mat: 0}
+    dist = {idn: 0}
     frontier = [idn]
     d = 0
     while frontier:
@@ -41,8 +41,8 @@ def bfs_lengths(C, subset):
         for w in frontier:
             for i in sorted(subset):
                 cand = mul_gen(C, w, i)
-                if cand.mat not in dist:
-                    dist[cand.mat] = d
+                if cand not in dist:
+                    dist[cand] = d
                     nxt.append(cand)
         frontier = nxt
     return dist

@@ -40,7 +40,8 @@ from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
                            build_C)
 from .coxeter import (CoxeterMatrix, Word, ball_levels, evaluate, exact_dtype,
                       max_abs, parabolic_levels, simple_reflection)
-from .errors import FalsificationError, PreconditionError
+from .errors import (EnumerationCapExceeded, FalsificationError,
+                     PreconditionError)
 from .graphs import FiniteGraph, VertexMap
 from .parabolics import ConjugacyClass, classify_s5_classes
 
@@ -53,10 +54,14 @@ DEFAULT_RADIUS = 6
 # 5.8x per radius.  Their largest entry is 269 at radius 6 and 1,913 at 8,
 # so they stay int16: 128 bytes each, about 150 MB at radius 8, where a
 # cold sweep peaks near 190 MB RSS.  Radius 9 would be about 6.8 M
-# representatives.  This cap lets radius 8 through and refuses radius 9;
-# ball_levels counts each per-generator part of a level on heights alone,
-# so the over-cap level is never allocated.
+# representatives.  This cap lets radius 8 through; ball_levels counts each
+# per-generator part of a level on heights alone, so the over-cap level is
+# never allocated.  It is the memory guard for label blocks whose ball grows
+# faster than build_C's.
 SWEEP_BALL_CAP = 4_000_000
+# The cap would stop radius 9 only after building every representative of
+# radius 8 (2.2 s, 259 MB), so larger radii are refused before the sweep.
+SWEEP_MAX_RADIUS = 8
 
 
 @dataclass
@@ -143,7 +148,7 @@ def _even_involutions(sub: CoxeterMatrix, block) -> np.ndarray:
     """The nonidentity involutions of even length in the standard subgroup
     on the block, found by S @ S == I over the whole subgroup at once."""
     by_length = parabolic_levels(sub, block)
-    S = np.array([w.mat for level in by_length for w in level],
+    S = np.array([w for level in by_length for w in level],
                  dtype=np.int64)
     lengths = np.repeat(np.arange(len(by_length)),
                         [len(level) for level in by_length])
@@ -163,7 +168,7 @@ def _conjugation_distances(sub: CoxeterMatrix, block, A: np.ndarray,
     generator s of the block (a reduced word of u walks from a to b, and a
     walk spells such a u), found by Floyd-Warshall.
     """
-    G = np.array([simple_reflection(sub, t).mat for t in sorted(block)],
+    G = np.array([simple_reflection(sub, t) for t in sorted(block)],
                  dtype=np.int64)
     sas = np.matmul(np.matmul(G[:, None], A), G[:, None])
     near = (sas[:, :, None] == A).all(axis=(3, 4)).any(axis=0)
@@ -224,6 +229,10 @@ def bounded_centralizer_check(system: LabeledCoxeterSystem, s: int, t: int,
         raise PreconditionError("centralizer check needs two distinct vertices")
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
+    if radius > SWEEP_MAX_RADIUS:
+        raise EnumerationCapExceeded(
+            f"sweep radius {radius} is above the ceiling of "
+            f"{SWEEP_MAX_RADIUS}")
     return _centralizer_core(_two_block_labels(system, s, t), radius)
 
 

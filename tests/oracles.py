@@ -120,7 +120,7 @@ def ball_levels_by_set(C, radius, cap=None):
     levels = [idn]
     if radius == 0 or n == 0:
         return levels
-    gens = [np.array(simple_reflection(C, i).mat, dtype=np.int64)
+    gens = [np.array(simple_reflection(C, i), dtype=np.int64)
             for i in range(n)]
     seen = {_flat_key(idn[0])}
     total = 1
@@ -163,13 +163,13 @@ def centralizer_sweep_by_membership(sub, radius) -> bool:
     first block commutes with an even involution of that subgroup."""
     first_block = frozenset(range(BLOCK_SIZE))
     s5 = enumerate_parabolic(sub, first_block)
-    s5_mats = {w.mat for w in s5}
+    s5_mats = set(s5)
     idn = identity(sub)
     invs = [w for w in s5
             if w != idn and mul(w, w) == idn and length(sub, w) % 2 == 0]
     if radius == 0 or not invs:
         return True
-    inv_np = [np.array(w.mat, dtype=np.int64) for w in invs]
+    inv_np = [np.array(w, dtype=np.int64) for w in invs]
     for level in ball_levels_by_set(sub, radius)[1:]:
         outside = []
         for a in level:

@@ -1,8 +1,13 @@
-"""End-to-end command line checks, run in process through main()."""
+"""End-to-end command line checks, run in process through main(), except
+where argument parsing itself must refuse, which runs a subprocess."""
 
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from epicox.errors import FalsificationError
 PATH3_TEXT = "n 3 irreflexive\ne 0 1\ne 1 2\n"
 EDGE_TEXT = "n 2 irreflexive\ne 0 1\n"
 TWO_POINTS_TEXT = "n 2 irreflexive\n"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -221,6 +227,36 @@ def test_sweep_ball_cap_exits_2(monkeypatch, tmp_path, capsys):
     reconstruction._centralizer_core.cache_clear()
     assert main(["k-graph", str(f)]) == 2
     assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_sweep_radius_ceiling_refused_before_the_ball(monkeypatch, tmp_path,
+                                                      capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ball built above the radius ceiling")
+
+    f = tmp_path / "two.txt"
+    f.write_text(TWO_POINTS_TEXT)
+    monkeypatch.setattr(reconstruction, "ball_levels", unreachable)
+    assert reconstruction.SWEEP_MAX_RADIUS == 8
+    assert main(["k-graph", str(f), "--radius", "9"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # complete graph: no pair needs the sweep, so nothing but argument
+    # checking can refuse the radius
+    ["k-graph", "GRAPH", "--radius", "-1"],
+    ["check-theorem", "--max-vertices", "-1"]])
+def test_negative_arguments_exit_2(tmp_path, argv):
+    f = tmp_path / "edge.txt"
+    f.write_text(EDGE_TEXT)
+    argv = [str(f) if a == "GRAPH" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "epicox.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_check_theorem_tiny(capsys):

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicox.construction import build_C, build_L4
-from epicox.coxeter import (INFINITE, CoxeterMatrix, GroupElement,
-                            ball_levels, close_under_multiplication,
-                            enumerate_parabolic, evaluate, exact_dtype,
-                            identity, invert,
+from epicox.coxeter import (INFINITE, CoxeterMatrix, ball_levels,
+                            close_under_multiplication, enumerate_parabolic,
+                            evaluate, exact_dtype, identity, invert,
                             is_descent, is_spherical, leading_minors, length,
                             longest_element, mul, mul_gen, parabolic_levels,
                             preserves_form, reduced_word, simple_reflection)
@@ -97,8 +96,8 @@ def test_infinite_pair_never_closes():
     w = identity(DIHEDRAL_INF)
     for _ in range(10):
         w = mul(w, mul(a, b))
-        assert w.mat not in seen
-        seen.add(w.mat)
+        assert w not in seen
+        seen.add(w)
 
 
 # --- descents, reduced words, length ----------------------------------------
@@ -117,17 +116,14 @@ def test_generator_is_its_own_descent():
 def test_length_against_bfs_everywhere():
     dist = bfs_lengths(L4, range(4))
     assert len(dist) == 120
-    for mat, d in dist.items():
-        from epicox.coxeter import GroupElement
-        assert length(L4, GroupElement(mat)) == d
+    for w, d in dist.items():
+        assert length(L4, w) == d
 
 
 def test_length_equals_inversion_count():
     dist = bfs_lengths(L4, range(4))
-    from epicox.coxeter import GroupElement
     perms = set()
-    for mat in dist:
-        w = GroupElement(mat)
+    for w in dist:
         perm = perm_of_word(reduced_word(L4, w))
         perms.add(perm)
         assert inversions(perm) == length(L4, w)
@@ -136,11 +132,9 @@ def test_length_equals_inversion_count():
 
 def test_descent_means_shorter():
     dist = bfs_lengths(L4, range(4))
-    from epicox.coxeter import GroupElement
-    for mat, d in dist.items():
-        w = GroupElement(mat)
+    for w, d in dist.items():
         for i in range(4):
-            shorter = dist[mul_gen(L4, w, i).mat] < d
+            shorter = dist[mul_gen(L4, w, i)] < d
             assert is_descent(L4, w, i) == shorter
 
 
@@ -374,10 +368,10 @@ def test_ball_levels_order_is_lowest_descent_first():
     # level 1 lists the generators in index order; in level 2 every element
     # ws generated from s comes before those generated from a higher s
     levels = ball_levels(L4, 2)
-    assert [reduced_word(L4, GroupElement(tuple(map(tuple, w.tolist()))))
+    assert [reduced_word(L4, tuple(map(tuple, w.tolist())))
             for w in levels[1]] == [(0,), (1,), (2,), (3,)]
     lowest = [min(i for i in range(4) if is_descent(
-        L4, GroupElement(tuple(map(tuple, w.tolist()))), i))
+        L4, tuple(map(tuple, w.tolist())), i))
         for w in levels[2]]
     assert lowest == sorted(lowest)
 

@@ -247,7 +247,7 @@ def test_block_image_classification_matches_enumeration(system):
     target = k_graph(system.graph, RADIUS)
 
     def subgroup(T):
-        return frozenset(w.mat for w in enumerate_parabolic(C, T, 10000))
+        return frozenset(enumerate_parabolic(C, T, 10000))
 
     blocks = [subgroup(system.block(u)) for u in range(system.vertex_count)]
     for size in range(BLOCK_SIZE + 1):

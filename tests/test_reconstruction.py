@@ -231,7 +231,7 @@ def test_conjugation_distances_are_shortest_conjugators():
     want = np.full((15, 15), -1)
     for k, level in enumerate(parabolic_levels(NON_ADJACENT, FIRST_BLOCK)):
         for w in level:
-            u = np.array(w.mat, dtype=np.int64)
+            u = np.array(w, dtype=np.int64)
             hit = (np.matmul(A, u)[:, None] == np.matmul(u, A)).all(
                 axis=(2, 3)) & (want < 0)
             want[hit] = k
@@ -247,8 +247,8 @@ def test_commuting_reads_each_pair_in_order():
     x a x^-1 and x^-1 a x differ for some even involution a, so only one
     order of the pair matches."""
     A = _even_involutions(NON_ADJACENT, FIRST_BLOCK)
-    x = np.array(evaluate(NON_ADJACENT, (0, 1)).mat, dtype=np.int64)
-    xi = np.array(evaluate(NON_ADJACENT, (1, 0)).mat, dtype=np.int64)
+    x = np.array(evaluate(NON_ADJACENT, (0, 1)), dtype=np.int64)
+    xi = np.array(evaluate(NON_ADJACENT, (1, 0)), dtype=np.int64)
     v = np.array(reconstruction._PROBE, dtype=np.int64)
 
     def index(m):
@@ -272,7 +272,7 @@ def test_commuting_reads_each_pair_in_order():
 def _without_left_descent(sub, J, levels):
     """Each level's elements x with no left descent in J, read off the
     level below: t is a left descent of x exactly when sigma_t x is there."""
-    gens = [np.array(simple_reflection(sub, t).mat, dtype=np.int64)
+    gens = [np.array(simple_reflection(sub, t), dtype=np.int64)
             for t in sorted(J)]
     out = [levels[0]]
     for below, level in zip(levels, levels[1:]):
