@@ -23,7 +23,8 @@ from epicox.construction import build_C
 from epicox.coxeter import ball_levels
 from epicox.graphs import FiniteGraph
 from epicox.errors import EnumerationCapExceeded
-from epicox.reconstruction import SWEEP_BALL_CAP, bounded_centralizer_check
+from epicox.reconstruction import (SWEEP_BALL_CAP, SWEEP_MAX_RADIUS,
+                                   bounded_centralizer_check)
 
 
 def parse_edges(text: str):
@@ -48,6 +49,13 @@ def main() -> int:
                     help="also time bounded_centralizer_check(system, 0, 1, "
                          "radius)")
     args = ap.parse_args()
+    # radius 9 already holds millions of elements; refuse it before the
+    # levels below it are built, as the sweep does
+    if args.radius > SWEEP_MAX_RADIUS:
+        print(f"radius {args.radius} is above the ceiling of "
+              f"{SWEEP_MAX_RADIUS} (reconstruction.SWEEP_MAX_RADIUS)",
+              file=sys.stderr)
+        return 2
 
     g = FiniteGraph.from_edges(args.vertices, parse_edges(args.edges))
     system = build_C(g)

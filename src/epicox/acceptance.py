@@ -153,7 +153,8 @@ def criterion_5(radius: int):
 def criterion_6(radius: int):
     g = FiniteGraph.from_edges(2, [])
     system = build_C(g)
-    sub = system.matrix.submatrix(sorted(system.block(0)) + sorted(system.block(1)))
+    sub = system.matrix.submatrix(system.block_generators[0]
+                                  + system.block_generators[1])
     s5 = enumerate_parabolic(sub, range(4))
     idn = identity(sub)
     invs = [w for w in s5

@@ -60,6 +60,20 @@ class LabeledCoxeterSystem:
         per system."""
         return make_pointed(self.graph.reflexive_closure())
 
+    @cached_property
+    def block_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's block in position order, which is sorted order."""
+        return tuple(tuple(self.generator(v, pos)
+                           for pos in range(1, BLOCK_SIZE + 1))
+                     for v in range(self.graph.n))
+
+    @cached_property
+    def pointed_blocks(self) -> tuple[tuple[int | None, ...], ...]:
+        """Where a lift into this system sends the positions of a block,
+        per vertex of the pointed graph: the vertex's block in position
+        order, and the identity four times for the base, appended last."""
+        return self.block_generators + ((None,) * BLOCK_SIZE,)
+
     def generator(self, v: int, pos: int) -> int:
         if not (0 <= v < self.graph.n and 1 <= pos <= BLOCK_SIZE):
             raise PreconditionError(f"no generator at vertex {v} position {pos}")

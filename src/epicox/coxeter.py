@@ -17,7 +17,7 @@ not represent a group element at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -109,6 +109,9 @@ class CoxeterMatrix:
         return CoxeterMatrix(len(order), m, tuple(self.names[i] for i in order))
 
 
+# A Matrix is an immutable tuple, so one identity per rank is shared by
+# every caller; the bound keeps a run over many ranks from holding them all.
+@lru_cache(maxsize=16)
 def _identity(rank: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
@@ -154,6 +157,9 @@ def mul_gen(C: CoxeterMatrix, w: Matrix, i: int) -> Matrix:
 
 
 def evaluate(C: CoxeterMatrix, word) -> Matrix:
+    """The matrix of a word, multiplied left to right onto the identity of
+    C's rank.  That identity is built once per rank and shared, which is
+    safe because a Matrix is an immutable tuple."""
     w = identity(C)
     for i in word:
         if not (0 <= i < C.n):

@@ -126,16 +126,12 @@ def lift_graph_epi(f: VertexMap, source_system: LabeledCoxeterSystem,
         raise PreconditionError("map does not preserve the base vertex")
     if not is_homomorphism(f, src_p.graph, tgt_p.graph):
         raise PreconditionError("map is not a homomorphism of pointed graphs")
-    images: list[int | None] = []
-    for g in range(source_system.matrix.n):
-        v, pos = source_system.block_of(g)
-        fv = f.image[v]
-        if fv == tgt_p.base:
-            images.append(None)
-        else:
-            images.append(target_system.generator(fv, pos))
-    phi = GeneratorMap(source_system.matrix, target_system.matrix,
-                       tuple(images))
+    # generators are numbered block by block in position order, so the
+    # images in generator order are the image blocks in vertex order
+    to = target_system.pointed_blocks
+    images = tuple(h for v in range(source_system.vertex_count)
+                   for h in to[f.image[v]])
+    phi = GeneratorMap(source_system.matrix, target_system.matrix, images)
     if not phi.relators_hold:
         raise InternalInconsistencyError(
             "lift of a graph homomorphism failed relator verification")
@@ -157,9 +153,9 @@ def _classify_block_image(target: KGraph,
     J = frozenset(j for j in gen_images if j is not None)
     if len(J) <= 1:
         return "base", None
-    for u, cls in enumerate(target.classes):
-        if J in cls.members:
-            return "class", u
+    u = target.class_of_member.get(J)
+    if u is not None:
+        return "class", u
     names = [target.system.matrix.names[j] for j in sorted(J)]
     raise FalsificationError(
         f"a block image generates the standard subgroup on {names}, which "
@@ -181,10 +177,9 @@ def induced_k_map(source_system: LabeledCoxeterSystem, target: KGraph,
         raise PreconditionError("map endpoints do not match the systems")
     if not phi.relators_hold:
         raise PreconditionError("map does not respect the source relators")
+    img = phi.images
     out = []
-    for v in range(source_system.vertex_count):
-        gen_images = tuple(phi.images[g]
-                           for g in sorted(source_system.block(v)))
-        kind, u = _classify_block_image(target, gen_images)
+    for v, gens in enumerate(source_system.block_generators):
+        kind, u = _classify_block_image(target, tuple(img[g] for g in gens))
         out.append(ClassImage(v, kind, u))
     return tuple(out)

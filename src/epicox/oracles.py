@@ -50,19 +50,37 @@ def bfs_lengths(C, subset):
 
 class RelatorMemo:
     """The matrix relator oracle for maps into one target system, memoised
-    per mapped word.
+    per pair of generator images.
 
-    Each distinct mapped word is evaluated once as integer matrices, from
-    the target's identity, which is built once; a later map that pushes
-    some relator to the same word reuses that answer.  ``answers`` holds
-    one entry per distinct word, so a memo lives only as long as the run
-    that fills it.
+    A relator of ``presentation_of``'s shape alternates two generators:
+    (s_i s_j)^m, or s_i^2 with i = j.  Its mapped word is therefore fixed
+    by (phi(s_i), phi(s_j), length), where an image may be the identity,
+    and ``pairs`` holds one answer per such key.  Only on a key miss is the
+    relator mapped to its word; ``answers`` holds one entry per distinct
+    word, each evaluated once as integer matrices from the target's
+    identity, so no answer comes from the label rule.  A relator of any
+    other shape is refused, checked once per relator tuple.  A memo lives
+    only as long as the run that fills it.
     """
 
     def __init__(self, target: CoxeterMatrix):
         self.target = target
         self.identity = identity(target)
         self.answers: dict[Word, bool] = {}
+        self.pairs: dict[tuple[int | None, int | None, int], bool] = {}
+        # relator tuples already checked for shape, by id
+        self._checked: dict[int, tuple[Word, ...]] = {}
+
+    def _check_shapes(self, relators) -> None:
+        if self._checked.get(id(relators)) is relators:
+            return
+        for rel in relators:
+            if not rel or tuple(rel) != tuple(rel[:2]) * (len(rel) // 2):
+                raise PreconditionError(
+                    f"relator {rel} is not (s_i s_j)^m or s_i^2")
+        # only a tuple cannot change under its id between calls
+        if isinstance(relators, tuple):
+            self._checked[id(relators)] = relators
 
     def relators_hold(self, phi: GeneratorMap, relators) -> bool:
         """Does every relator, pushed through the map, evaluate to the
@@ -70,12 +88,18 @@ class RelatorMemo:
         gives them."""
         if phi.target != self.target:
             raise PreconditionError("map into a different target system")
+        self._check_shapes(relators)
+        img, pairs = phi.images, self.pairs
         for rel in relators:
-            word = map_word(phi, rel)
-            hit = self.answers.get(word)
+            key = (img[rel[0]], img[rel[1]], len(rel))
+            hit = pairs.get(key)
             if hit is None:
-                hit = self.answers[word] = (evaluate(self.target, word)
-                                            == self.identity)
+                word = map_word(phi, rel)
+                hit = self.answers.get(word)
+                if hit is None:
+                    hit = self.answers[word] = (evaluate(self.target, word)
+                                                == self.identity)
+                pairs[key] = hit
             if not hit:
                 return False
         return True

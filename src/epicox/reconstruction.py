@@ -32,7 +32,7 @@ arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,12 +76,22 @@ class KGraph:
     witnesses: dict[tuple[int, int], tuple[Word, Word]]
     system: LabeledCoxeterSystem
 
+    @cached_property
+    def class_of_member(self) -> dict[frozenset[int], int]:
+        """The class vertex of every member of every class, the first class
+        holding a member winning."""
+        out: dict[frozenset[int], int] = {}
+        for u, cls in enumerate(self.classes):
+            for member in cls.members:
+                out.setdefault(member, u)
+        return out
+
 
 def _two_block_labels(system: LabeledCoxeterSystem, s: int,
                       t: int) -> tuple[tuple[int, ...], ...]:
     """The labels among the generators of the blocks of s and t, the block
     of s first, each block in position order."""
-    order = sorted(system.block(s)) + sorted(system.block(t))
+    order = system.block_generators[s] + system.block_generators[t]
     m = system.matrix.m
     return tuple(tuple(m[i][j] for j in order) for i in order)
 

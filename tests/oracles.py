@@ -2,9 +2,10 @@
 permutation model of the 4-chain, the subset scan that the labelled 4-chain
 census replaced, the set-deduplicating ball and membership-first
 centralizer sweep that the descent-keyed ball and the probe-first sweep
-replaced, and the product over all vertex maps that the backtracking
-epimorphism enumeration replaced.  The oracles shared with the acceptance criteria live in
-``epicox.oracles``.
+replaced, the product over all vertex maps that the backtracking
+epimorphism enumeration replaced, and the per-call lift and induced class
+map that the per-system lift tables replaced.  The oracles shared with the
+acceptance criteria live in ``epicox.oracles``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import numpy as np
 from epicox.construction import BLOCK_SIZE
 from epicox.coxeter import (enumerate_parabolic, gram_matrix, identity,
                             is_spherical, length, mul, simple_reflection)
-from epicox.errors import EnumerationCapExceeded, PreconditionError
+from epicox.errors import (EnumerationCapExceeded, FalsificationError,
+                           PreconditionError)
 from epicox.graphs import VertexMap
+from epicox.homomorphisms import ClassImage, GeneratorMap
 
 
 def fraction_minors(C, subset):
@@ -209,3 +212,43 @@ def base_preserving_epis_by_product(src_p, tgt_p) -> list[VertexMap]:
                 for u in range(sg.n) for v in range(u, sg.n)):
             out.append(VertexMap(sg.n, tg.n, image))
     return out
+
+
+# --- lifts and induced class maps, per call ------------------------------------
+#
+# Every generator's (vertex, position) is read through block_of, every image
+# through generator, every block through sorted(block(v)), and every image
+# set J is looked up by scanning the target's classes in order.
+
+
+def lift_images_per_call(f, source_system, target_system) -> GeneratorMap:
+    """The lift of a base-preserving epimorphism f: position i of the
+    block of v goes to position i of the block of f(v), or to the identity
+    when f(v) is the base.  f is taken as valid, not checked."""
+    base = target_system.pointed.base
+    images = []
+    for g in range(source_system.matrix.n):
+        v, pos = source_system.block_of(g)
+        fv = f.image[v]
+        images.append(None if fv == base
+                      else target_system.generator(fv, pos))
+    return GeneratorMap(source_system.matrix, target_system.matrix,
+                        tuple(images))
+
+
+def induced_classes_per_call(source_system, target,
+                             phi) -> tuple[ClassImage, ...]:
+    """Where each source block goes: the base for at most one image
+    generator, else the first target class holding the image set."""
+    out = []
+    for v in range(source_system.vertex_count):
+        J = frozenset(phi.images[g] for g in sorted(source_system.block(v))
+                      if phi.images[g] is not None)
+        if len(J) <= 1:
+            out.append(ClassImage(v, "base", None))
+            continue
+        hits = [u for u, cls in enumerate(target.classes) if J in cls.members]
+        if not hits:
+            raise FalsificationError(f"image set {sorted(J)} is in no class")
+        out.append(ClassImage(v, "class", hits[0]))
+    return tuple(out)

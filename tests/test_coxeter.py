@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epicox import coxeter
 from epicox.construction import build_C, build_L4
 from epicox.coxeter import (INFINITE, CoxeterMatrix, ball_levels,
                             close_under_multiplication, enumerate_parabolic,
@@ -408,3 +409,26 @@ def test_word_times_reverse_cancels(word):
 @settings(max_examples=60, deadline=None)
 def test_evaluate_is_multiplicative(u, v):
     assert evaluate(L4, u + v) == mul(evaluate(L4, u), evaluate(L4, v))
+
+
+def test_identity_is_shared_per_rank_and_cache_bounded():
+    """evaluate starts from one identity per rank; the cache holding them
+    is bounded, and no reader changes the shared matrix, which is built of
+    tuples only."""
+    maxsize = coxeter._identity.cache_info().maxsize
+    assert maxsize is not None
+    for rank in range(maxsize + 4):
+        coxeter._identity(rank)
+    assert coxeter._identity.cache_info().currsize <= maxsize
+    C = build_L4()
+    idn = identity(C)
+    assert evaluate(C, ()) is idn and coxeter._identity(C.n) is idn
+    # every engine reader that starts from the identity
+    w0 = longest_element(C, range(4))
+    assert evaluate(C, reduced_word(C, w0)) == w0
+    assert len(enumerate_parabolic(C, range(4))) == 120
+    assert mul(idn, simple_reflection(C, 0)) == simple_reflection(C, 0)
+    assert identity(C) is idn
+    assert type(idn) is tuple and all(type(row) is tuple for row in idn)
+    assert idn == tuple(tuple(int(i == j) for j in range(4))
+                        for i in range(4))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -18,6 +19,7 @@ from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
 from epicox import acceptance, homomorphisms, oracles
 from epicox.oracles import RelatorMemo, relators_hold_by_matrices
 from epicox.reconstruction import k_graph
+from oracles import induced_classes_per_call, lift_images_per_call
 
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
@@ -320,11 +322,94 @@ def test_relator_memo_catches_corruption_after_sibling():
     assert corrupted_maps == 375 - 12
 
 
+def test_relator_memo_pair_entries_match_fresh_evaluation():
+    """The pair-keyed fast path: over every lift between graphs with <= 3
+    vertices and its corrupted sibling, the memo's entry for each relator's
+    (image, image, length) key equals a fresh matrix evaluation of that
+    relator's mapped word, and every entry is reached that way."""
+    systems = [build_C(g) for g in all_labeled_graphs(3)]
+    relators = [presentation_of(sys_.matrix).relators for sys_ in systems]
+    entries, failing = 0, 0
+    for src, rels in zip(systems, relators):
+        for tgt in systems:
+            memo = RelatorMemo(tgt.matrix)
+            idn = identity(tgt.matrix)
+            reached = set()
+            for f in epimorphisms(src.pointed, tgt.pointed):
+                phi = lift_graph_epi(f, src, tgt)
+                for m in (phi, acceptance._corrupt(phi, src, tgt, f)):
+                    if m is None:
+                        continue
+                    memo.relators_hold(m, rels)
+                    for rel in rels:
+                        key = (m.images[rel[0]], m.images[rel[1]], len(rel))
+                        if key not in memo.pairs:
+                            continue
+                        reached.add(key)
+                        fresh = evaluate(tgt.matrix, map_word(m, rel)) == idn
+                        assert memo.pairs[key] == fresh, (key, rel)
+            assert reached == set(memo.pairs)
+            entries += len(memo.pairs)
+            failing += sum(not hit for hit in memo.pairs.values())
+    assert entries > 0 and failing > 0
+
+
+@pytest.mark.parametrize("bad", [(), (0,), (0, 1, 0), (0, 1, 2, 1),
+                                 (0, 1, 1, 0), [0, 2, 1, 3]])
+def test_relator_memo_refuses_non_alternating_relator(bad):
+    """The pair key is sound only for (s_i s_j)^m and s_i^2; any other
+    relator is refused before a single answer is read."""
+    C = build_C(EDGE).matrix
+    memo = RelatorMemo(C)
+    with pytest.raises(PreconditionError, match="relator"):
+        memo.relators_hold(identity_map(C),
+                           (bad,) + presentation_of(C).relators)
+    assert memo.pairs == {} and memo.answers == {}
+
+
 def test_relator_memo_refuses_other_target():
     memo = RelatorMemo(build_C(EDGE).matrix)
     C = build_C(TWO_POINTS).matrix
     with pytest.raises(PreconditionError):
         memo.relators_hold(identity_map(C), presentation_of(C).relators)
+
+
+# --- the lift tables against the per-call path -------------------------------
+
+
+def _tables_match_per_call(src, tgt):
+    """Every epimorphism of the pair: the tabled lift and induced map equal
+    the per-call ones.  Returns the number of epimorphisms."""
+    count = 0
+    for f in epimorphisms(src.system.pointed, tgt.system.pointed):
+        phi = lift_graph_epi(f, src.system, tgt.system)
+        want = lift_images_per_call(f, src.system, tgt.system)
+        assert phi == want, f.image
+        assert (induced_k_map(src.system, tgt, phi)
+                == induced_classes_per_call(src.system, tgt, want)), f.image
+        count += 1
+    return count
+
+
+def test_lift_tables_match_per_call_path():
+    kgs = [k_graph(g, RADIUS) for g in all_labeled_graphs(3)]
+    assert sum(_tables_match_per_call(src, tgt)
+               for src in kgs for tgt in kgs) == 375
+
+
+GRAPHS4 = all_labeled_graphs(4)
+
+
+@functools.cache
+def _kgraph4(index):
+    return k_graph(GRAPHS4[index], RADIUS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(source=st.sampled_from([i for i, g in enumerate(GRAPHS4) if g.n == 4]),
+       target=st.integers(0, len(GRAPHS4) - 1))
+def test_lift_tables_match_per_call_path_at_four_vertices(source, target):
+    _tables_match_per_call(_kgraph4(source), _kgraph4(target))
 
 
 # --- end to end --------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
+import importlib
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,14 +37,39 @@ def test_script_runs(script, args):
             proc.stdout
 
 
+def _script_module(name):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.pop(0)
+
+
+def test_ball_growth_refuses_radius_above_ceiling(monkeypatch, capsys):
+    """A radius past the sweep's ceiling exits 2 before the system or any
+    level is built: radius 9 would first build the 2.4 M elements through
+    radius 8."""
+    ball_growth = _script_module("ball_growth")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the radius was checked")
+
+    monkeypatch.setattr(ball_growth, "build_C", unreachable)
+    monkeypatch.setattr(ball_growth, "ball_levels", unreachable)
+    monkeypatch.setattr(sys, "argv", ["ball_growth.py", "--vertices", "2",
+                                      "--edges", "", "--radius", "9"])
+    start = time.monotonic()
+    assert ball_growth.main() == 2
+    assert time.monotonic() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search("cap|ceiling", err), err
+
+
 def test_bench_pairs_verdict():
     """The pair summary: ties count for neither side, and the gap is set
     against the parent's interquartile range."""
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import bench_pairs
-    finally:
-        sys.path.pop(0)
+    bench_pairs = _script_module("bench_pairs")
     parent = [1.0, 1.1, 0.9, 1.0, 1.2]
     change = [0.4, 1.1, 0.5, 0.4, 0.3]
     got = bench_pairs.compare(parent, change, "lower")
