@@ -25,8 +25,9 @@ from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
 from .oracles import (RelatorMemo, bfs_lengths, naive_hom_exists,
                       words_commute_by_matrices)
 from .parabolics import (conjugacy_component, ks_component_candidate, ks_step)
-from .reconstruction import (KGraph, bounded_centralizer_check,
-                             commuting_witness, k_graph,
+from .reconstruction import (KGraph, _centralizer_certificate,
+                             _centralizer_core, _check_radius,
+                             _two_block_labels, commuting_witness, k_graph,
                              verify_reconstruction)
 
 
@@ -161,11 +162,19 @@ def criterion_6(radius: int):
             if w != idn and mul(w, w) == idn and length(sub, w) % 2 == 0]
     if len(invs) != 15:
         return False, f"expected 15 even involutions, found {len(invs)}"
-    ok = bounded_centralizer_check(system, 0, 1, radius)
+    # the certificate that answers k_graph's check, against the sweep, with
+    # bounded_centralizer_check's refusals of the radius
+    _check_radius(radius)
+    labels = _two_block_labels(system, 0, 1)
+    certified = _centralizer_certificate(labels)
+    swept = _centralizer_core(labels, radius)
     note = ""
     if radius == 0:
         note = " (warning: radius 0, check is vacuous)"
-    return ok, f"radius {radius}, 15 even involutions, no violation{note}"
+    return certified and swept, (
+        f"radius {radius}, 15 even involutions, certificate "
+        f"{'holds' if certified else 'inconclusive'}, sweep "
+        f"{'no violation' if swept else 'violation'}{note}")
 
 
 def criterion_7(radius: int):

@@ -3,10 +3,27 @@
 Vertices of the rebuilt graph are the conjugacy classes of order-120
 nonabelian standard subgroups (one per block).  Two classes get an edge when
 the designated even involutions of the two blocks commute, which happens
-exactly for adjacent source vertices.  For pairs without a commuting
-witness, a bounded sweep corroborates the expected picture: inside the
-subsystem on the two blocks, nothing of small length outside the first
-block's subgroup commutes with any of its even involutions.
+exactly for adjacent source vertices.  For a pair without a commuting
+witness, the expected picture is that inside the subsystem W on the two
+blocks nothing outside the first block's subgroup W_J commutes with any of
+its even involutions.  A normaliser certificate proves this at every length
+when it holds; a bounded sweep checks it up to a radius wherever the
+certificate is inconclusive, and serves as the certificate's oracle.
+
+The certificate looks at a = s1 s3 (alt_involution's positions 1 and 3,
+which commute) and I = {s1, s3}.  An intersection of parabolic subgroups is
+parabolic, so a has a parabolic closure (Krammer, The conjugacy problem for
+Coxeter groups, Groups Geom. Dyn. 3, 2009; Qi, Expo. Math. 25, 2007), and
+here it is W_I.  Whatever commutes with a normalises its closure, and
+N_W(W_I) is W_I times the elements w with w I w^-1 == I, each a product of
+the steps w_{K-s} w_K along a path in the groupoid of subsets conjugate to
+I (Deodhar, Comm. Algebra 10, 1982; Brink-Howlett, Invent. Math. 136,
+1999): exactly the conjugators ``parabolics.ks_step`` forms.  So when no
+member of I's conjugacy component has a step along a generator outside J,
+C_W(a) lies in W_J.  When the even involutions also form one class under
+W_J, each is u a u^-1 for some u in W_J, and its centraliser lies in W_J
+too.  A failed certificate is inconclusive, not a violation: a step
+normalises W_I but need not centralise a.
 
 The sweep rests on the parabolic factorisation W = W_J . JW, J the first
 block (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4): every X is
@@ -43,7 +60,8 @@ from .coxeter import (CoxeterMatrix, Word, ball_levels, evaluate, exact_dtype,
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      PreconditionError)
 from .graphs import FiniteGraph, VertexMap
-from .parabolics import ConjugacyClass, classify_s5_classes
+from .parabolics import (ConjugacyClass, classify_s5_classes,
+                         conjugacy_component, ks_step)
 
 DEFAULT_RADIUS = 6
 
@@ -224,6 +242,40 @@ def _centralizer_core(labels: tuple[tuple[int, ...], ...], radius: int) -> bool:
     return True
 
 
+# Keyed and bounded like _shape_commutes: a build_C system has two label
+# blocks, and only the non-adjacent one ever reaches the certificate.
+@lru_cache(maxsize=64)
+def _centralizer_certificate(labels: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether, in the subsystem on the pair's two blocks, the centraliser
+    of every even involution of the first block J lies in W_J, at every
+    length.  False means the certificate cannot tell (module docstring)."""
+    sub = _named(labels)
+    block = frozenset(range(BLOCK_SIZE))
+    I = (0, 2)  # alt_involution's positions 1 and 3
+    A = _even_involutions(sub, block)
+    hit = np.flatnonzero(
+        (A == np.array(evaluate(sub, I), dtype=np.int64)).all(axis=(1, 2)))
+    # a path between involutions is shorter than their count
+    if not len(hit) or \
+            (_conjugation_distances(sub, block, A, len(A))[hit[0]]
+             >= len(A)).any():
+        return False
+    members = conjugacy_component(sub, I).members
+    return all(X <= block for X in members) and \
+        all(ks_step(sub, X, s) is None
+            for X in members for s in range(BLOCK_SIZE, sub.n))
+
+
+def _check_radius(radius: int) -> None:
+    """The sweep's refusals of a radius, before anything is built."""
+    if radius < 0:
+        raise PreconditionError("radius must be nonnegative")
+    if radius > SWEEP_MAX_RADIUS:
+        raise EnumerationCapExceeded(
+            f"sweep radius {radius} is above the ceiling of "
+            f"{SWEEP_MAX_RADIUS}")
+
+
 def bounded_centralizer_check(system: LabeledCoxeterSystem, s: int, t: int,
                               radius: int = DEFAULT_RADIUS) -> bool:
     """In the subsystem on the blocks of s and t: does every element of
@@ -231,19 +283,19 @@ def bounded_centralizer_check(system: LabeledCoxeterSystem, s: int, t: int,
     block already lie in that block's subgroup?
 
     True means no violation up to the radius (vacuously so at radius 0).
-    Intended for non-adjacent s, t; calling it on an adjacent pair is allowed
-    and demonstrates a violation, since the other block's involution commutes
-    while lying outside.
+    The normaliser certificate answers True for every radius when it holds;
+    otherwise the sweep decides.  Intended for non-adjacent s, t; calling it
+    on an adjacent pair is allowed and demonstrates a violation, since the
+    other block's involution commutes while lying outside.
     """
     if s == t:
         raise PreconditionError("centralizer check needs two distinct vertices")
-    if radius < 0:
-        raise PreconditionError("radius must be nonnegative")
-    if radius > SWEEP_MAX_RADIUS:
-        raise EnumerationCapExceeded(
-            f"sweep radius {radius} is above the ceiling of "
-            f"{SWEEP_MAX_RADIUS}")
-    return _centralizer_core(_two_block_labels(system, s, t), radius)
+    _check_radius(radius)
+    if radius == 0:
+        return True
+    labels = _two_block_labels(system, s, t)
+    return _centralizer_certificate(labels) or \
+        _centralizer_core(labels, radius)
 
 
 def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS) -> KGraph:
@@ -251,8 +303,8 @@ def k_graph(graph: FiniteGraph, radius: int = DEFAULT_RADIUS) -> KGraph:
 
     Reflexive by construction; an off-diagonal edge is present exactly when
     a commuting witness exists.  Every witnessless pair must additionally
-    pass the bounded centralizer sweep, otherwise the construction itself is
-    in doubt and we abort loudly.
+    pass the centralizer check (the certificate, else the bounded sweep),
+    otherwise the construction itself is in doubt and we abort loudly.
     """
     system = build_C(graph)
     classes = tuple(classify_s5_classes(system))

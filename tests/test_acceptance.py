@@ -1,8 +1,8 @@
 """The acceptance gate: one test and one printed verdict line per criterion.
 
 Criteria share an in-process cache (parabolic enumerations, centralizer
-sweeps), so this module keeps them in numeric order; criterion 6 warms the
-sweep that 7 and 8 reuse.  Run with -s to watch the lines appear.
+certificates), so this module keeps them in numeric order; criterion 6 warms
+the certificate that 7 and 8 reuse.  Run with -s to watch the lines appear.
 """
 
 from epicox.acceptance import run_criterion

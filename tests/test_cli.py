@@ -224,6 +224,10 @@ def test_sweep_ball_cap_exits_2(monkeypatch, tmp_path, capsys):
     f = tmp_path / "two.txt"
     f.write_text(TWO_POINTS_TEXT)
     monkeypatch.setattr(reconstruction, "SWEEP_BALL_CAP", 1000)
+    # the certificate would answer this pair; make it inconclusive so that
+    # the capped sweep runs
+    monkeypatch.setattr(reconstruction, "_centralizer_certificate",
+                        lambda labels: False)
     reconstruction._centralizer_core.cache_clear()
     assert main(["k-graph", str(f)]) == 2
     assert "cap exceeded" in capsys.readouterr().err

@@ -18,7 +18,8 @@ from epicox.coxeter import (INFINITE, ball_levels, evaluate, mul,
 from epicox.errors import PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
 from epicox.oracles import words_commute_by_matrices
-from epicox.reconstruction import (_centralizer_core, _conjugation_distances,
+from epicox.reconstruction import (DEFAULT_RADIUS, _centralizer_certificate,
+                                   _centralizer_core, _conjugation_distances,
                                    _even_involutions, _named, _two_block_labels,
                                    bounded_centralizer_check,
                                    commuting_witness, k_graph,
@@ -40,8 +41,10 @@ RADIUS = 3  # plenty for unit-scale systems
 
 @pytest.fixture
 def fresh_sweep_cache():
+    _centralizer_certificate.cache_clear()
     _centralizer_core.cache_clear()
     yield
+    _centralizer_certificate.cache_clear()
     _centralizer_core.cache_clear()
 
 
@@ -111,7 +114,8 @@ def test_bounded_check_shares_one_entry_per_shape(fresh_sweep_cache):
     # every pair of PATH3's ends and of TWO_POINTS is the same shape
     assert bounded_centralizer_check(build_C(PATH3), 0, 2, RADIUS)
     assert bounded_centralizer_check(build_C(TWO_POINTS), 0, 1, RADIUS)
-    info = _centralizer_core.cache_info()
+    # the certificate answers both, so its cache is the one shared
+    info = _centralizer_certificate.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -221,6 +225,80 @@ def test_sweep_matches_oracle_on_random_label_blocks(fresh_sweep_cache):
         assert verdict == centralizer_sweep_by_membership(sub, radius)
         verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+# --- the normaliser certificate against the sweep ----------------------------
+
+
+def test_certificate_holds_on_non_adjacent_shape():
+    assert _centralizer_certificate(NON_ADJACENT.m) is True
+
+
+def test_certificate_fails_on_adjacent_shape():
+    # negative control: {s1, s3} steps out of the first block along the
+    # second block's positions 1 and 3, the witness generators
+    assert _centralizer_certificate(ADJACENT.m) is False
+
+
+def _recording_core(monkeypatch):
+    """Replace the sweep core with a wrapper that records its arguments."""
+    calls = []
+
+    def core(labels, radius):
+        calls.append(radius)
+        return _centralizer_core(labels, radius)
+
+    monkeypatch.setattr(reconstruction, "_centralizer_core", core)
+    return calls
+
+
+def test_cold_k_graph_on_isolated_pair_skips_the_sweep(monkeypatch,
+                                                       fresh_sweep_cache):
+    calls = _recording_core(monkeypatch)
+    kg = k_graph(TWO_POINTS, DEFAULT_RADIUS)
+    assert kg.graph == TWO_POINTS.reflexive_closure()
+    assert calls == []
+    assert _centralizer_certificate.cache_info().misses == 1
+
+
+def test_adjacent_shape_falls_through_to_the_sweep(monkeypatch,
+                                                   fresh_sweep_cache):
+    calls = _recording_core(monkeypatch)
+    system = LabeledCoxeterSystem(build_C(EDGE).matrix, TWO_POINTS)
+    assert not bounded_centralizer_check(system, 0, 1, RADIUS)
+    assert calls == [RADIUS]
+
+
+def _inf_biased_label_block(rng):
+    """Like _random_label_block, but each label between the two blocks is
+    oo with probability 0.8, which often leaves {s1, s3} no step out of the
+    first block."""
+    m = [[1] * 8 for _ in range(8)]
+    for i, j in itertools.combinations(range(8), 2):
+        if j < BLOCK_SIZE:
+            lab = 3 if j == i + 1 else 2
+        elif i < BLOCK_SIZE and rng.random() < 0.8:
+            lab = INFINITE
+        else:
+            lab = rng.choice((2, 3, INFINITE))
+        m[i][j] = m[j][i] = lab
+    return tuple(map(tuple, m))
+
+
+def test_certificate_never_contradicts_the_sweep(fresh_sweep_cache):
+    """Wherever the certificate holds, the sweep and the membership oracle
+    are clean (the oracle at one radius per block, cycling 1 to 4)."""
+    held = 0
+    for seed in range(64):
+        labels = _inf_biased_label_block(random.Random(seed))
+        if not _centralizer_certificate(labels):
+            continue
+        assert all(_centralizer_core(labels, r) for r in range(1, 5)), seed
+        assert centralizer_sweep_by_membership(_named(labels),
+                                               1 + held % 4), seed
+        held += 1
+    # neither vacuous nor trivial
+    assert 0 < held < 64
 
 
 def test_conjugation_distances_are_shortest_conjugators():
