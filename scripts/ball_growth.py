@@ -20,11 +20,10 @@ import sys
 import time
 
 from epicox.construction import build_C
-from epicox.coxeter import ball_levels
+from epicox.errors import EnumerationCapExceeded, PreconditionError
 from epicox.graphs import FiniteGraph
-from epicox.errors import EnumerationCapExceeded
-from epicox.reconstruction import (SWEEP_BALL_CAP, SWEEP_MAX_RADIUS,
-                                   _centralizer_core, _two_block_labels)
+from epicox.oracles import (SWEEP_BALL_CAP, ball_levels,
+                            bounded_centralizer_check, check_radius)
 
 
 def parse_edges(text: str):
@@ -49,21 +48,18 @@ def main() -> int:
                     help="also time the centralizer sweep on vertices 0 "
                          "and 1 at the radius")
     args = ap.parse_args()
-    # radius 9 already holds millions of elements; refuse it before the
-    # levels below it are built, as the sweep does
-    if args.radius > SWEEP_MAX_RADIUS:
-        print(f"radius {args.radius} is above the ceiling of "
-              f"{SWEEP_MAX_RADIUS} (reconstruction.SWEEP_MAX_RADIUS)",
-              file=sys.stderr)
-        return 2
-
-    g = FiniteGraph.from_edges(args.vertices, parse_edges(args.edges))
-    system = build_C(g)
-    print(f"system rank {system.matrix.n} over {args.vertices} vertices")
-    start = time.monotonic()
     try:
+        # the sweep's refusals, before any level is built (radius 9 is huge)
+        check_radius(args.radius)
+        g = FiniteGraph.from_edges(args.vertices, parse_edges(args.edges))
+        system = build_C(g)
+        print(f"system rank {system.matrix.n} over {args.vertices} vertices")
+        start = time.monotonic()
         sizes = [len(level) for level in
                  ball_levels(system.matrix, args.radius, cap=args.cap)]
+    except PreconditionError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except EnumerationCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
@@ -74,9 +70,8 @@ def main() -> int:
     print(f"{time.monotonic() - start:.2f}s")
     if args.sweep:
         start = time.monotonic()
-        # the sweep itself: bounded_centralizer_check would answer from
-        # the normaliser certificate wherever it holds
-        ok = _centralizer_core(_two_block_labels(system, 0, 1), args.radius)
+        # the sweep itself, not the certificate that k-graph would use
+        ok = bounded_centralizer_check(system, 0, 1, args.radius)
         elapsed = time.monotonic() - start
         # ru_maxrss is in kilobytes on Linux
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -18,7 +18,6 @@ from epicox.reconstruction import verify_reconstruction
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-vertices", type=int, default=3)
-    ap.add_argument("--radius", type=int, default=6)
     args = ap.parse_args()
 
     graphs = all_labeled_graphs(args.max_vertices)
@@ -26,7 +25,7 @@ def main() -> int:
 
     start = time.monotonic()
     for idx, g in enumerate(graphs):
-        iso = verify_reconstruction(g, args.radius)
+        iso = verify_reconstruction(g)
         print(f"graph {idx:3d}: n={g.n} edges={g.edges()} "
               f"reconstructed -> {iso.image}")
     print(f"reconstruction sweep: {time.monotonic() - start:.2f}s")

@@ -20,9 +20,10 @@ from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
                      find_epimorphism, find_injective_hom, make_pointed)
 from .homomorphisms import (GeneratorMap, Presentation, induced_k_map,
                             lift_graph_epi, presentation_of, verify_relators)
+from .oracles import bounded_centralizer_check
 from .parabolics import (ConjugacyClass, classify_s5_classes,
                          conjugacy_component, ks_step)
-from .reconstruction import (KGraph, bounded_centralizer_check,
+from .reconstruction import (KGraph, centralizer_certificate,
                              commuting_witness, k_graph, verify_reconstruction)
 
 __version__ = "0.1.0"
@@ -34,12 +35,12 @@ __all__ = [
     "LabeledCoxeterSystem", "PointedReflexiveGraph", "PreconditionError",
     "Presentation", "VertexMap", "all_labeled_graphs", "are_isomorphic",
     "bounded_centralizer_check", "build_C", "build_L4",
-    "classify_s5_classes", "commuting_witness", "conjugacy_component",
-    "enumerate_parabolic", "evaluate", "f_reduce", "find_epimorphism",
-    "find_injective_hom", "identity", "induced_k_map", "invert",
-    "is_descent", "is_spherical", "k_graph", "ks_step", "leading_minors",
-    "length", "lift_graph_epi", "longest_element", "make_pointed", "mul",
-    "mul_gen", "preserves_form", "presentation_of", "reduced_word",
-    "simple_reflection", "verify_L4_is_S5", "verify_reconstruction",
-    "verify_relators",
+    "centralizer_certificate", "classify_s5_classes", "commuting_witness",
+    "conjugacy_component", "enumerate_parabolic", "evaluate", "f_reduce",
+    "find_epimorphism", "find_injective_hom", "identity", "induced_k_map",
+    "invert", "is_descent", "is_spherical", "k_graph", "ks_step",
+    "leading_minors", "length", "lift_graph_epi", "longest_element",
+    "make_pointed", "mul", "mul_gen", "preserves_form", "presentation_of",
+    "reduced_word", "simple_reflection", "verify_L4_is_S5",
+    "verify_reconstruction", "verify_relators",
 ]

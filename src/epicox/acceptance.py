@@ -1,10 +1,11 @@
 """The nine acceptance criteria, runnable as a library.
 
-Each criterion is a function of the centralizer sweep radius returning
-(passed, detail).  Where a criterion checks a derived quantity, the check
-runs against an independent brute-force oracle from ``oracles`` (plain
-breadth-first distances, naive enumeration of all vertex maps, relators
-evaluated as matrices) rather than against the code path under test.
+Each criterion is called with the centralizer sweep radius and returns
+(passed, detail); only criterion 6, which runs the sweep, reads it.
+Where a criterion checks a derived quantity, the check runs against an
+independent brute-force oracle from ``oracles`` (plain breadth-first
+distances, naive enumeration of all vertex maps, relators evaluated as
+matrices, the sweep) rather than against the code path under test.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from .graphs import (FiniteGraph, all_labeled_graphs, epimorphisms, f_reduce,
                      find_epimorphism, find_injective_hom)
 from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
                             lift_graph_epi, presentation_of)
-from .oracles import (RelatorMemo, bfs_lengths, naive_hom_exists,
-                      words_commute_by_matrices)
+from .oracles import (RelatorMemo, bfs_lengths, bounded_centralizer_check,
+                      naive_hom_exists, words_commute_by_matrices)
 from .parabolics import (conjugacy_component, ks_component_candidate, ks_step)
-from .reconstruction import (KGraph, _centralizer_certificate,
-                             _centralizer_core, _check_radius,
-                             _two_block_labels, commuting_witness, k_graph,
-                             verify_reconstruction)
+from .reconstruction import (KGraph, centralizer_certificate,
+                             commuting_witness, k_graph, verify_reconstruction)
 
 
 @dataclass
@@ -162,15 +161,10 @@ def criterion_6(radius: int):
             if w != idn and mul(w, w) == idn and length(sub, w) % 2 == 0]
     if len(invs) != 15:
         return False, f"expected 15 even involutions, found {len(invs)}"
-    # the certificate that answers k_graph's check, against the sweep, with
-    # bounded_centralizer_check's refusals of the radius
-    _check_radius(radius)
-    labels = _two_block_labels(system, 0, 1)
-    certified = _centralizer_certificate(labels)
-    swept = _centralizer_core(labels, radius)
-    note = ""
-    if radius == 0:
-        note = " (warning: radius 0, check is vacuous)"
+    # k_graph's certificate beside the sweep oracle, which checks the radius
+    swept = bounded_centralizer_check(system, 0, 1, radius)
+    certified = centralizer_certificate(system, 0, 1)
+    note = " (warning: radius 0, check is vacuous)" if radius == 0 else ""
     return certified and swept, (
         f"radius {radius}, 15 even involutions, certificate "
         f"{'holds' if certified else 'inconclusive'}, sweep "
@@ -180,7 +174,7 @@ def criterion_6(radius: int):
 def criterion_7(radius: int):
     count = 0
     for g in all_labeled_graphs(3):
-        iso = verify_reconstruction(g, radius)
+        iso = verify_reconstruction(g)
         if tuple(iso.image) != tuple(range(g.n)):
             return False, f"unexpected class order for graph {g.edges()}"
         count += 1
@@ -226,7 +220,7 @@ class _TheoremGraph:
     memo: RelatorMemo
 
 
-def theorem_report(max_vertices: int, radius: int,
+def theorem_report(max_vertices: int,
                    inject_fault: bool = False) -> TheoremReport:
     """For every ordered pair of reflexive graphs with at most max_vertices
     vertices and every base-preserving epimorphism f between their pointed
@@ -246,8 +240,8 @@ def theorem_report(max_vertices: int, radius: int,
     graphs = all_labeled_graphs(max_vertices)
     entries = []
     for g in graphs:
-        kg = k_graph(g, radius)
-        verify_reconstruction(g, radius, kg=kg)
+        kg = k_graph(g)
+        verify_reconstruction(g, kg=kg)
         entries.append(_TheoremGraph(
             kg, presentation_of(kg.system.matrix).relators,
             RelatorMemo(kg.system.matrix)))
@@ -312,7 +306,7 @@ def _corrupt(phi, sys1, sys2, f):
 
 
 def criterion_8(radius: int):
-    report = theorem_report(3, radius)
+    report = theorem_report(3)
     bad = [p for p in report.pair_outcomes if not p.ok]
     if bad:
         p = bad[0]

@@ -21,8 +21,9 @@ from .graphs import (FiniteGraph, f_reduce, graph_from_json_dict,
                      graph_from_text, graph_to_json_dict, graph_to_text)
 from .homomorphisms import (presentation_of, presentation_to_json_dict,
                             presentation_to_text)
+from .oracles import DEFAULT_RADIUS, SWEEP_MAX_RADIUS, check_radius
 from .parabolics import classify_s5_classes
-from .reconstruction import DEFAULT_RADIUS, k_graph
+from .reconstruction import k_graph
 
 
 def _nonnegative_int(text: str) -> int:
@@ -132,7 +133,7 @@ def _cmd_ks_classes(args) -> int:
 
 def _cmd_k_graph(args) -> int:
     g = _load_irreflexive_graph(args.graph)
-    kg = k_graph(g, args.radius)
+    kg = k_graph(g)
     names = kg.system.matrix.names
 
     def word_names(word):
@@ -164,7 +165,7 @@ def _cmd_verify_l4(args) -> int:
 
 
 def _cmd_check_theorem(args) -> int:
-    report = theorem_report(args.max_vertices, args.radius,
+    report = theorem_report(args.max_vertices,
                             inject_fault=args.inject_fault)
     print(f"graphs: {report.graph_count}")
     print(f"ordered pairs: {len(report.pair_outcomes)}")
@@ -201,6 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-graph reduction through right-angled-ish "
                     "reflection groups, with verification tooling")
     sub = parser.add_subparsers(dest="command", required=True)
+    unused = (f"checked to lie in 0..{SWEEP_MAX_RADIUS}, otherwise unused: "
+              "the normaliser certificate needs no radius")
 
     def add_io(p, needs_graph=True):
         if needs_graph:
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconstruct the graph from the block system")
     add_io(p)
     p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
-                   help="centralizer sweep radius (default %(default)s)")
+                   help=unused)
     p.set_defaults(func=_cmd_k_graph)
 
     p = sub.add_parser("verify-l4",
@@ -249,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lift every onto map between small graphs and "
                             "check the round trip")
     p.add_argument("--max-vertices", type=_nonnegative_int, default=2)
-    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS)
+    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
+                   help=unused)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one lifted map to confirm the relator "
                             "check can fail")
@@ -271,6 +275,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # one refusal of the radius, before any command reads its input
+        check_radius(getattr(args, "radius", 0))
         return args.func(args)
     except PreconditionError as exc:
         print(f"input error: {exc}", file=sys.stderr)

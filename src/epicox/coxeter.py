@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
 
-import numpy as np
-
 from .errors import (EnumerationCapExceeded, InternalInconsistencyError,
                      PreconditionError)
 
@@ -32,13 +30,6 @@ ELEMENT_CAP = 10000
 # reduced-word extraction strictly shortens a valid element each step, so
 # only a corrupt matrix can loop; this bound is how we notice
 _WORD_GUARD = 1_000_000
-
-# Guards of the exact integer dtypes, each a quarter of its type's range:
-# a bound at or below a guard is safe to form in that type.  _INT64_SAFE is
-# the top rung; past it exact_dtype falls back to object arrays.
-_INT16_SAFE = 2**13
-_INT32_SAFE = 2**29
-_INT64_SAFE = 2**61
 
 Word = tuple[int, ...]
 # A group element is its matrix: a tuple of row tuples, hashable, and equal
@@ -337,129 +328,6 @@ def close_under_multiplication(elements, rank: int,
     levels = _capped_levels(_identity(rank), mul, gens, cap,
                             f"closure exceeded cap {cap}")
     return tuple(w for level in levels for w in level)
-
-
-def exact_dtype(bound: int) -> np.dtype:
-    """The narrowest of int16, int32 and int64 whose guard covers integers
-    of magnitude up to ``bound``, or object past ``_INT64_SAFE``.  Callers
-    pass a proven bound on every entry and partial sum they are about to
-    form."""
-    if bound > _INT64_SAFE:
-        return np.dtype(object)
-    for dtype, safe in ((np.int16, _INT16_SAFE), (np.int32, _INT32_SAFE)):
-        if bound <= safe:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
-
-
-def max_abs(a: np.ndarray) -> int:
-    """The largest magnitude of an entry, without an |a| temporary."""
-    return max(int(a.max()), -int(a.min()))
-
-
-def ball_levels(C: CoxeterMatrix, radius: int, cap: int | None = None,
-                reps_of=frozenset()) -> list[np.ndarray]:
-    """Matrices of the elements of length <= radius that have no left
-    descent in ``reps_of``, grouped by length.  With the default empty set
-    that is the whole ball; with a set J it is the ball's part of the
-    minimal coset representatives of W_J, which meet each coset W_J X once.
-
-    Level k is an array of shape (N_k, n, n).  Each element is generated
-    exactly once, from its lowest right descent s: an element w of level k
-    is extended by every ascent s of w, and ws is kept only when no
-    generator below s is a descent of ws.  So no set of seen elements is
-    needed.  Order within a level: by that lowest descent s, then in the
-    order of the previous level.
-
-    Descents are read from root heights h(w) = 1^T w, the column sums: a
-    column is a root, so s is a descent of w exactly when h(w)_s < 0, and
-    h(ws) is the column update of ``mul_gen`` applied to the vector h(w).
-    By Deodhar's lemma a representative x leaves the set under an ascent s
-    exactly when x sends alpha_s to a simple root alpha_t with t in J: the
-    column has height 1 and its 1 sits in a row of J.  So every candidate
-    is decided on its height vector, and a level is allocated once, at its
-    final size, before any matrix of it is formed.  Heights are formed for
-    every level but the last, which no later level reads.  The cap counts
-    the elements generated and is checked per generator, before that.
-
-    Right multiplication by a generator at most triples the largest entry.
-    The ball starts in int16 and each level is built in
-    ``exact_dtype(3 * max|entry|)`` of the level before, moving up a rung
-    (int32, int64, then exact object arrays) and never down; the heights
-    climb the same rungs on n times that bound.  In rank 8 the ball stays
-    int16 through radius 8, at 128 bytes per element.  The result is
-    always exact; no float dtype is used.
-    """
-    if radius < 0:
-        raise PreconditionError("radius must be nonnegative")
-    n = C.n
-    J = sorted(reps_of)
-    for t in J:
-        if not (0 <= t < n):
-            raise PreconditionError(f"generator index {t} out of range")
-    cur = np.eye(n, dtype=np.int16)[None, :, :]
-    levels = [cur]
-    if radius == 0 or n == 0:
-        return levels
-    heights = np.ones((1, n), dtype=np.int16)
-    total = 1
-    for k in range(1, radius + 1):
-        if cur.dtype != object:
-            bound = 3 * max_abs(cur)
-            dtype = np.result_type(cur.dtype, exact_dtype(bound))
-            hdtype = np.result_type(heights.dtype, exact_dtype(n * bound))
-            if dtype != cur.dtype:
-                cur = cur.astype(dtype)
-            if hdtype != heights.dtype:
-                heights = heights.astype(hdtype)
-        # which (w, s) survive, decided on heights alone
-        parts = []
-        for s in range(n):
-            h = heights[:, s]
-            keep = h > 0
-            if J:
-                simple = np.flatnonzero(keep & (h == 1))
-                keep[simple[cur[simple, :, s][:, J].sum(axis=1) == 1]] = False
-            idx = np.flatnonzero(keep)
-            if s:
-                idx = idx[(_times_gen(C, heights[idx], s)[:, :s] > 0)
-                          .all(axis=1)]
-            parts.append(idx)
-            total += len(idx)
-            if cap is not None and total > cap:
-                raise EnumerationCapExceeded(
-                    f"ball enumeration to radius {radius} exceeded cap {cap}")
-        size = sum(map(len, parts))
-        if not size:
-            break
-        nxt = np.empty((size, n, n), dtype=cur.dtype)
-        # no level follows the last, so nothing would read its heights
-        nheights = (np.empty((size, n), dtype=heights.dtype)
-                    if k < radius else None)
-        start = 0
-        for s, idx in enumerate(parts):
-            stop = start + len(idx)
-            w = nxt[start:stop]
-            # 'clip' writes straight into the slice; 'raise' would buffer
-            np.take(cur, idx, axis=0, out=w, mode="clip")
-            _times_gen(C, w, s)
-            if nheights is not None:
-                nheights[start:stop] = _times_gen(C, heights[idx], s)
-            start = stop
-        cur, heights = nxt, nheights
-        levels.append(cur)
-    return levels
-
-
-def _times_gen(C: CoxeterMatrix, w: np.ndarray, s: int) -> np.ndarray:
-    """Right multiplication by sigma_s in place, on the last axis of a
-    stack of matrices or of row vectors: the column update of
-    ``mul_gen``.  Returns w."""
-    col = w[..., s].copy()
-    w[..., s] = -col
-    for j, c in C._gen_coeffs[s]:
-        w[..., j] += c * col
-    return w
 
 
 # --- serialization --------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicox import acceptance, reconstruction
+from epicox import acceptance, cli, oracles
 from epicox.cli import main
 from epicox.errors import FalsificationError
 
@@ -220,16 +220,11 @@ def test_verify_l4(capsys):
     assert "simple True" in out
 
 
-def test_sweep_ball_cap_exits_2(monkeypatch, tmp_path, capsys):
-    f = tmp_path / "two.txt"
-    f.write_text(TWO_POINTS_TEXT)
-    monkeypatch.setattr(reconstruction, "SWEEP_BALL_CAP", 1000)
-    # the certificate would answer this pair; make it inconclusive so that
-    # the capped sweep runs
-    monkeypatch.setattr(reconstruction, "_centralizer_certificate",
-                        lambda labels: False)
-    reconstruction._centralizer_core.cache_clear()
-    assert main(["k-graph", str(f)]) == 2
+def test_sweep_ball_cap_exits_2(monkeypatch, capsys):
+    # criterion 6 runs the sweep; k-graph answers from the certificate
+    monkeypatch.setattr(oracles, "SWEEP_BALL_CAP", 1000)
+    oracles._centralizer_core.cache_clear()
+    assert main(["acceptance", "--criterion", "6"]) == 2
     assert "cap exceeded" in capsys.readouterr().err
 
 
@@ -240,10 +235,34 @@ def test_sweep_radius_ceiling_refused_before_the_ball(monkeypatch, tmp_path,
 
     f = tmp_path / "two.txt"
     f.write_text(TWO_POINTS_TEXT)
-    monkeypatch.setattr(reconstruction, "ball_levels", unreachable)
-    assert reconstruction.SWEEP_MAX_RADIUS == 8
+    monkeypatch.setattr(oracles, "ball_levels", unreachable)
+    assert oracles.SWEEP_MAX_RADIUS == 8
     assert main(["k-graph", str(f), "--radius", "9"]) == 2
     assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["k-graph", "n 1\n", "--radius", "9"],
+    ["k-graph", "n 2\ne 0 1\n", "--radius", "9"],
+    ["check-theorem", "--max-vertices", "1", "--radius", "9"]],
+    ids=["one vertex", "edge", "check-theorem"])
+def test_radius_ceiling_refused_for_any_input(monkeypatch, tmp_path, capsys,
+                                              argv):
+    """The radius is refused before any input is read, whatever the input;
+    none of these has a non-adjacent pair, so no other check could refuse
+    it."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("input read before the radius was checked")
+
+    if argv[0] == "k-graph":
+        f = tmp_path / "graph.txt"
+        f.write_text(argv[1])
+        argv = [argv[0], str(f), *argv[2:]]
+    monkeypatch.setattr(cli, "_read_source", unreachable)
+    monkeypatch.setattr(acceptance, "all_labeled_graphs", unreachable)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "cap exceeded: sweep radius 9 is above the ceiling of 8\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,7 +323,7 @@ def test_check_theorem_vertex_ceiling_refused_before_enumeration(
     assert "input error" in err and "ceiling of 5" in err
     # the ceiling itself is admitted
     with pytest.raises(AssertionError, match="enumerated"):
-        acceptance.theorem_report(5, 2)
+        acceptance.theorem_report(5)
 
 
 def test_acceptance_single_criterion(capsys):

@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 
 from epicox import coxeter
 from epicox.construction import build_C, build_L4
-from epicox.coxeter import (INFINITE, CoxeterMatrix, ball_levels,
+from epicox.coxeter import (INFINITE, CoxeterMatrix,
                             close_under_multiplication, enumerate_parabolic,
-                            evaluate, exact_dtype, identity, invert,
-                            is_descent, is_spherical, leading_minors, length,
+                            evaluate, identity, invert, is_descent,
+                            is_spherical, leading_minors, length,
                             longest_element, mul, mul_gen, parabolic_levels,
                             preserves_form, reduced_word, simple_reflection)
 from epicox.errors import EnumerationCapExceeded, PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
-from epicox.oracles import bfs_lengths
+from epicox.oracles import ball_levels, bfs_lengths, exact_dtype
 
 from oracles import (assert_same_levels, ball_levels_by_set,
                      fraction_minors, inversions, perm_of_word)

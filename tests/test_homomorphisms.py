@@ -25,7 +25,6 @@ L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
 PATH3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
-RADIUS = 2  # the class census, not the sweep, is what these tests read
 # block systems over every graph on one or two vertices
 SMALL_SYSTEMS = dict(zip(["point", "two points", "edge"],
                          map(build_C, all_labeled_graphs(2, min_n=1))))
@@ -138,7 +137,7 @@ def test_lift_demands_graph_homomorphism():
 
 
 def test_induced_map_identity():
-    kg = k_graph(EDGE, RADIUS)
+    kg = k_graph(EDGE)
     phi = identity_map(kg.system.matrix)
     images = induced_k_map(kg.system, kg, phi)
     assert [(im.kind, im.target_vertex) for im in images] == \
@@ -146,7 +145,7 @@ def test_induced_map_identity():
 
 
 def test_induced_map_collapse():
-    src, tgt = build_C(TWO_POINTS), k_graph(EDGE, RADIUS)
+    src, tgt = build_C(TWO_POINTS), k_graph(EDGE)
     f = VertexMap(3, 3, (0, 2, 2))
     phi = lift_graph_epi(f, src, tgt.system)
     images = induced_k_map(src, tgt, phi)
@@ -157,12 +156,12 @@ def test_induced_map_collapse():
 def test_induced_map_needs_matching_endpoints():
     sys_ = build_C(EDGE)
     with pytest.raises(PreconditionError):
-        induced_k_map(sys_, k_graph(TWO_POINTS, RADIUS),
+        induced_k_map(sys_, k_graph(TWO_POINTS),
                       identity_map(sys_.matrix))
 
 
 def test_induced_map_rejects_relator_violation():
-    kg = k_graph(EDGE, RADIUS)
+    kg = k_graph(EDGE)
     C = kg.system.matrix
     images = list(range(8))
     images[1] = 0
@@ -172,7 +171,7 @@ def test_induced_map_rejects_relator_violation():
 
 def test_induced_map_rejects_altered_lift():
     """A map rebuilt from a checked lift carries no check of its own."""
-    src, tgt = build_C(TWO_POINTS), k_graph(EDGE, RADIUS)
+    src, tgt = build_C(TWO_POINTS), k_graph(EDGE)
     phi = lift_graph_epi(VertexMap(3, 3, (0, 2, 2)), src, tgt.system)
     images = list(phi.images)
     images[1] = images[0]  # (s1 s2)^3 now maps to a commuting pair
@@ -186,7 +185,7 @@ def test_relators_checked_once_per_lift(monkeypatch):
     check = homomorphisms.verify_relators
     monkeypatch.setattr(homomorphisms, "verify_relators",
                         lambda phi: calls.append(phi) or check(phi))
-    src, tgt = build_C(TWO_POINTS), k_graph(EDGE, RADIUS)
+    src, tgt = build_C(TWO_POINTS), k_graph(EDGE)
     phi = lift_graph_epi(VertexMap(3, 3, (0, 2, 2)), src, tgt.system)
     induced_k_map(src, tgt, phi)
     assert calls == [phi]
@@ -195,7 +194,7 @@ def test_relators_checked_once_per_lift(monkeypatch):
 def test_order_dichotomy_enforced():
     # two braided generators make an order-6 image: neither trivial nor full
     with pytest.raises(FalsificationError, match="v0_1"):
-        _classify_block_image(k_graph(EDGE, RADIUS), (0, 1, None, None))
+        _classify_block_image(k_graph(EDGE), (0, 1, None, None))
 
 
 # --- labels against matrices -------------------------------------------------
@@ -246,7 +245,7 @@ def test_label_rule_matches_matrices_between_systems(source, target, data):
                          ids=SMALL_SYSTEMS.keys())
 def test_block_image_classification_matches_enumeration(system):
     C = system.matrix
-    target = k_graph(system.graph, RADIUS)
+    target = k_graph(system.graph)
 
     def subgroup(T):
         return frozenset(enumerate_parabolic(C, T, 10000))
@@ -287,7 +286,7 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
 
     monkeypatch.setattr(acceptance, "RelatorMemo", Recording)
     monkeypatch.setattr(oracles, "evaluate", counting_evaluate)
-    report = acceptance.theorem_report(3, RADIUS)
+    report = acceptance.theorem_report(3)
     assert report.passed and report.total_epis == 375
     assert len(memos) == 12
     assert len(evaluated) == sum(len(m.answers) for m in memos) == 470
@@ -392,7 +391,7 @@ def _tables_match_per_call(src, tgt):
 
 
 def test_lift_tables_match_per_call_path():
-    kgs = [k_graph(g, RADIUS) for g in all_labeled_graphs(3)]
+    kgs = [k_graph(g) for g in all_labeled_graphs(3)]
     assert sum(_tables_match_per_call(src, tgt)
                for src in kgs for tgt in kgs) == 375
 
@@ -402,7 +401,7 @@ GRAPHS4 = all_labeled_graphs(4)
 
 @functools.cache
 def _kgraph4(index):
-    return k_graph(GRAPHS4[index], RADIUS)
+    return k_graph(GRAPHS4[index])
 
 
 @settings(max_examples=25, deadline=None)
@@ -426,7 +425,7 @@ def test_lift_round_trip():
     assert epi is not None
     phi = lift_graph_epi(epi, src, tgt)
     assert verify_relators(phi)
-    images = induced_k_map(src, k_graph(h, RADIUS), phi)
+    images = induced_k_map(src, k_graph(h), phi)
     for v in range(g.n):
         if epi.image[v] == q.base:
             assert images[v].kind == "base"

@@ -1,7 +1,8 @@
-"""Rebuilding a graph from its block system.
+"""Rebuilding a graph from its block system, and the centralizer sweep
+the normaliser certificate is tested against.
 
-Unit tests run the centralizer sweep at small radius to stay quick; the
-acceptance suite pushes the radius to its contracted value.
+Unit tests run the sweep at small radius to stay quick; the acceptance
+suite pushes the radius to its contracted value.
 """
 
 import itertools
@@ -10,20 +11,22 @@ import random
 import numpy as np
 import pytest
 
-from epicox import coxeter, reconstruction
+from epicox import oracles, reconstruction
+from epicox.cli import main
 from epicox.construction import (BLOCK_SIZE, LabeledCoxeterSystem,
                                  alt_involution, build_C)
-from epicox.coxeter import (INFINITE, ball_levels, evaluate, mul,
-                            parabolic_levels, simple_reflection)
-from epicox.errors import PreconditionError
+from epicox.coxeter import (INFINITE, evaluate, mul, parabolic_levels,
+                            simple_reflection)
+from epicox.errors import InternalInconsistencyError, PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
-from epicox.oracles import words_commute_by_matrices
-from epicox.reconstruction import (DEFAULT_RADIUS, _centralizer_certificate,
-                                   _centralizer_core, _conjugation_distances,
-                                   _even_involutions, _named, _two_block_labels,
-                                   bounded_centralizer_check,
-                                   commuting_witness, k_graph,
-                                   verify_reconstruction)
+from epicox.oracles import (_centralizer_core, ball_levels,
+                            bounded_centralizer_check,
+                            words_commute_by_matrices)
+from epicox.reconstruction import (_centralizer_certificate,
+                                   _conjugation_distances, _even_involutions,
+                                   _named, _two_block_labels,
+                                   centralizer_certificate, commuting_witness,
+                                   k_graph, verify_reconstruction)
 
 from oracles import (assert_same_levels, ball_levels_by_set,
                      centralizer_sweep_by_membership)
@@ -114,8 +117,7 @@ def test_bounded_check_shares_one_entry_per_shape(fresh_sweep_cache):
     # every pair of PATH3's ends and of TWO_POINTS is the same shape
     assert bounded_centralizer_check(build_C(PATH3), 0, 2, RADIUS)
     assert bounded_centralizer_check(build_C(TWO_POINTS), 0, 1, RADIUS)
-    # the certificate answers both, so its cache is the one shared
-    info = _centralizer_certificate.cache_info()
+    info = _centralizer_core.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -130,26 +132,26 @@ def test_bounded_check_rejects_negative_radius():
 
 @pytest.mark.parametrize("graph", [EDGE, TWO_POINTS, PATH3, G16])
 def test_k_graph_is_reflexive_closure(graph):
-    kg = k_graph(graph, RADIUS)
+    kg = k_graph(graph)
     assert kg.system == build_C(graph)
     assert kg.graph == graph.reflexive_closure()
     assert set(kg.witnesses) == set(graph.edges())
 
 
 def test_k_graph_witness_support():
-    kg = k_graph(PATH3, RADIUS)
+    kg = k_graph(PATH3)
     assert set(kg.witnesses) == {(0, 1), (1, 2)}
 
 
 def test_verify_reconstruction_identity():
     for g in all_labeled_graphs(2):
-        iso = verify_reconstruction(g, RADIUS)
+        iso = verify_reconstruction(g)
         assert tuple(iso.image) == tuple(range(g.n))
 
 
 def test_verify_reconstruction_reuses_prebuilt():
-    kg = k_graph(PATH3, RADIUS)
-    iso = verify_reconstruction(PATH3, RADIUS, kg=kg)
+    kg = k_graph(PATH3)
+    iso = verify_reconstruction(PATH3, kg=kg)
     assert tuple(iso.image) == (0, 1, 2)
 
 
@@ -243,33 +245,39 @@ def test_certificate_fails_on_adjacent_shape():
     assert _centralizer_certificate(ADJACENT.m) is False
 
 
-def _recording_core(monkeypatch):
-    """Replace the sweep core with a wrapper that records its arguments."""
-    calls = []
+def test_k_graph_never_builds_a_ball(monkeypatch, fresh_sweep_cache):
+    """Every graph with <= 4 vertices is rebuilt cold with the oracle's ball
+    and sweep unreachable: the certificate decides every witnessless pair,
+    from one cache entry."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("k_graph reached the sweep")
 
-    def core(labels, radius):
-        calls.append(radius)
-        return _centralizer_core(labels, radius)
-
-    monkeypatch.setattr(reconstruction, "_centralizer_core", core)
-    return calls
-
-
-def test_cold_k_graph_on_isolated_pair_skips_the_sweep(monkeypatch,
-                                                       fresh_sweep_cache):
-    calls = _recording_core(monkeypatch)
-    kg = k_graph(TWO_POINTS, DEFAULT_RADIUS)
-    assert kg.graph == TWO_POINTS.reflexive_closure()
-    assert calls == []
+    monkeypatch.setattr(oracles, "ball_levels", unreachable)
+    monkeypatch.setattr(oracles, "_centralizer_core", unreachable)
+    for g in all_labeled_graphs(4):
+        assert k_graph(g).graph == g.reflexive_closure()
     assert _centralizer_certificate.cache_info().misses == 1
 
 
-def test_adjacent_shape_falls_through_to_the_sweep(monkeypatch,
-                                                   fresh_sweep_cache):
-    calls = _recording_core(monkeypatch)
-    system = LabeledCoxeterSystem(build_C(EDGE).matrix, TWO_POINTS)
-    assert not bounded_centralizer_check(system, 0, 1, RADIUS)
-    assert calls == [RADIUS]
+def test_inconclusive_certificate_is_an_internal_fault(monkeypatch, tmp_path,
+                                                       capsys):
+    """Negative control: with the certificate made inconclusive, k_graph
+    raises instead of sweeping, and k-graph exits 1."""
+    monkeypatch.setattr(reconstruction, "_centralizer_certificate",
+                        lambda labels: False)
+    with pytest.raises(InternalInconsistencyError, match="vertices 0,1"):
+        k_graph(TWO_POINTS)
+    # a witness needs no certificate
+    assert k_graph(EDGE).graph == EDGE.reflexive_closure()
+    f = tmp_path / "two.txt"
+    f.write_text("n 2 irreflexive\n")
+    assert main(["k-graph", str(f)]) == 1
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_certificate_needs_distinct_vertices():
+    with pytest.raises(PreconditionError):
+        centralizer_certificate(build_C(TWO_POINTS), 1, 1)
 
 
 def test_certificate_never_contradicts_the_sweep(fresh_sweep_cache):
@@ -316,7 +324,7 @@ def test_commuting_reads_each_pair_in_order():
     A = _even_involutions(NON_ADJACENT, FIRST_BLOCK)
     x = np.array(evaluate(NON_ADJACENT, (0, 1)), dtype=np.int64)
     xi = np.array(evaluate(NON_ADJACENT, (1, 0)), dtype=np.int64)
-    v = np.array(reconstruction._PROBE, dtype=np.int64)
+    v = np.array(oracles._PROBE, dtype=np.int64)
 
     def index(m):
         return int(np.flatnonzero((A == m).all(axis=(1, 2)))[0])
@@ -328,8 +336,8 @@ def test_commuting_reads_each_pair_in_order():
             continue
         orders += 1
         pair = np.array([a]), np.array([b])
-        assert reconstruction._commuting(x[None], A, v, *pair)
-        assert not reconstruction._commuting(x[None], A, v, *pair[::-1])
+        assert oracles._commuting(x[None], A, v, *pair)
+        assert not oracles._commuting(x[None], A, v, *pair[::-1])
     assert orders
 
 
@@ -379,21 +387,21 @@ def _recording_commuting(monkeypatch):
     after checking that the chunk, the involutions and the probe vector
     share it."""
     seen = []
-    commuting = reconstruction._commuting
+    commuting = oracles._commuting
 
     def recording(X, A, v, ka, kb):
         assert X.dtype == A.dtype == v.dtype
         seen.append(X.dtype)
         return commuting(X, A, v, ka, kb)
 
-    monkeypatch.setattr(reconstruction, "_commuting", recording)
+    monkeypatch.setattr(oracles, "_commuting", recording)
     return seen
 
 
 def _patch_guards(monkeypatch, int16, int32, int64):
-    monkeypatch.setattr(coxeter, "_INT16_SAFE", int16)
-    monkeypatch.setattr(coxeter, "_INT32_SAFE", int32)
-    monkeypatch.setattr(coxeter, "_INT64_SAFE", int64)
+    monkeypatch.setattr(oracles, "_INT16_SAFE", int16)
+    monkeypatch.setattr(oracles, "_INT32_SAFE", int32)
+    monkeypatch.setattr(oracles, "_INT64_SAFE", int64)
 
 
 INT16, INT32, INT64, OBJECT = map(np.dtype, (np.int16, np.int32, np.int64,
@@ -416,7 +424,7 @@ def test_sweep_dtypes_at_radius_six(monkeypatch, fresh_sweep_cache):
 def test_exact_object_path_agrees_with_oracle(monkeypatch, fresh_sweep_cache,
                                               safe):
     seen = _recording_commuting(monkeypatch)
-    monkeypatch.setattr(coxeter, "_INT64_SAFE", safe)
+    monkeypatch.setattr(oracles, "_INT64_SAFE", safe)
     for sub, _ in SUBSYSTEMS:
         levels = ball_levels(sub, 3)
         assert {lv.dtype for lv in levels[1:]} == (

@@ -21,7 +21,7 @@ EXPECT = {
 
 
 @pytest.mark.parametrize("script,args", [
-    ("survey_small_graphs.py", ["--max-vertices", "2", "--radius", "2"]),
+    ("survey_small_graphs.py", ["--max-vertices", "2"]),
     ("ball_growth.py", ["--vertices", "2", "--edges", "", "--radius", "3",
                         "--sweep"]),
 ])
@@ -64,6 +64,18 @@ def test_ball_growth_refuses_radius_above_ceiling(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert re.search("cap|ceiling", err), err
+
+
+def test_ball_growth_refuses_negative_radius():
+    """A negative radius gets the sweep's refusal: exit 2 with a message,
+    no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "ball_growth.py"
+    proc = subprocess.run([sys.executable, str(script), "--radius", "-1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: radius must be nonnegative\n"
 
 
 def test_bench_pairs_verdict():
