@@ -31,8 +31,12 @@ def parse_edges(text: str):
         return []
     out = []
     for part in text.split(","):
-        u, v = part.strip().split("-")
-        out.append((int(u), int(v)))
+        try:
+            u, v = part.strip().split("-")
+            out.append((int(u), int(v)))
+        except ValueError:
+            raise PreconditionError(
+                f"edge {part.strip()!r} is not of the form u-v") from None
     return out
 
 
@@ -51,6 +55,9 @@ def main() -> int:
     try:
         # the sweep's refusals, before any level is built (radius 9 is huge)
         check_radius(args.radius)
+        if args.sweep and args.vertices < 2:
+            raise PreconditionError(
+                "--sweep needs at least 2 vertices: it sweeps vertices 0 and 1")
         g = FiniteGraph.from_edges(args.vertices, parse_edges(args.edges))
         system = build_C(g)
         print(f"system rank {system.matrix.n} over {args.vertices} vertices")

@@ -10,6 +10,7 @@ import itertools
 import sys
 import time
 
+from epicox.acceptance import THEOREM_MAX_VERTICES
 from epicox.graphs import (all_labeled_graphs, f_reduce, find_epimorphism,
                            find_injective_hom)
 from epicox.reconstruction import verify_reconstruction
@@ -17,8 +18,17 @@ from epicox.reconstruction import verify_reconstruction
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-vertices", type=int, default=3)
+    ap.add_argument("--max-vertices", type=int, default=3,
+                    help=f"at most {THEOREM_MAX_VERTICES}, the exhaustive "
+                         "theorem check's ceiling")
     args = ap.parse_args()
+    # the exhaustive check's ceiling: 2^C(n, 2) graphs at n, about 2.1 M
+    # at 7, so larger requests are refused before any is made
+    if args.max_vertices > THEOREM_MAX_VERTICES:
+        print(f"input error: max vertices {args.max_vertices} is above the "
+              f"ceiling of {THEOREM_MAX_VERTICES} for the exhaustive survey",
+              file=sys.stderr)
+        return 2
 
     graphs = all_labeled_graphs(args.max_vertices)
     print(f"{len(graphs)} labeled graphs up to {args.max_vertices} vertices")

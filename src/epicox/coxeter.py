@@ -16,8 +16,8 @@ not represent a group element at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 from .errors import (EnumerationCapExceeded, InternalInconsistencyError,
@@ -47,8 +47,6 @@ class CoxeterMatrix:
     n: int
     m: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
-    # per-generator column operations, precomputed once; not part of identity
-    _gen_coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -68,11 +66,18 @@ class CoxeterMatrix:
                 if self.m[i][j] not in (2, 3, INFINITE):
                     raise PreconditionError(
                         f"label {self.m[i][j]} at ({i},{j}) outside {{2,3,oo}}")
-        coeffs = tuple(
+
+    # Per generator, its neighbours and their root coefficients: the column
+    # operations of mul_gen and the row operations of gen_mul.  Built on the
+    # first product, not with the matrix: a system read only for its labels
+    # never multiplies, and at 512 vertices the infinite labels make these
+    # lists nearly dense (299 MB).  Not a field, so not part of identity.
+    @cached_property
+    def _gen_coeffs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(
             tuple((j, _COEFF[self.m[i][j]]) for j in range(self.n)
                   if j != i and _COEFF[self.m[i][j]] != 0)
             for i in range(self.n))
-        object.__setattr__(self, "_gen_coeffs", coeffs)
 
     @staticmethod
     def from_labels(n: int, labels, names=None) -> CoxeterMatrix:
@@ -145,6 +150,18 @@ def mul_gen(C: CoxeterMatrix, w: Matrix, i: int) -> Matrix:
                 new[j] += c * v
         rows.append(tuple(new))
     return tuple(rows)
+
+
+def gen_mul(C: CoxeterMatrix, i: int, w: Matrix) -> Matrix:
+    """Left multiplication by sigma_i as a row operation: row i becomes
+    minus itself plus each neighbour's row times its root coefficient, and
+    every other row stays.  The mirror of mul_gen."""
+    new = [-x for x in w[i]]
+    for j, c in C._gen_coeffs[i]:
+        for k, x in enumerate(w[j]):
+            if x:
+                new[k] += c * x
+    return w[:i] + (tuple(new),) + w[i + 1:]
 
 
 def evaluate(C: CoxeterMatrix, word) -> Matrix:

@@ -3,20 +3,28 @@ subsets.
 
 A step out of a subset I along an outside generator s looks at the component
 K of s inside I + s in the opposed diagram.  When K is spherical, the product
-of the two longest elements (of K minus s, then of K) conjugates the subgroup
-on I onto the subgroup on another subset J of the same size; when K is not
-spherical there is no step.  Two spherical subsets carry conjugate subgroups
-exactly when they are linked by such steps, so breadth-first closure over all
-labels computes the whole conjugacy class of a subset.
+nu of the two longest elements (of K minus s, then of K) conjugates the
+subgroup on I onto the subgroup on another subset J of the same size; when K
+is not spherical there is no step.  Two spherical subsets carry conjugate
+subgroups exactly when they are linked by such steps, so breadth-first
+closure over all labels computes the whole conjugacy class of a subset.
+
+Each step checks its conjugator on integer matrices, as s_i nu == nu s_j
+for a row operation against a column operation, which needs no inverse.
+The block census asks for no step at all where the labels already refuse
+every one: a generator with an infinite label into the block makes K
+non-spherical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construction import LabeledCoxeterSystem
-from .coxeter import (ELEMENT_CAP, CoxeterMatrix, invert, is_spherical,
-                      longest_element, mul, simple_reflection)
+import numpy as np
+
+from .construction import BLOCK_SIZE, LabeledCoxeterSystem
+from .coxeter import (ELEMENT_CAP, INFINITE, CoxeterMatrix, gen_mul,
+                      is_spherical, longest_element, mul, mul_gen)
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      InternalInconsistencyError, PreconditionError)
 
@@ -55,9 +63,12 @@ def ks_step(C: CoxeterMatrix, subset, s: int) -> frozenset[int] | None:
     """The subset reached by one conjugation step out of the subset along
     s, or None when the relevant component is not spherical.
 
-    The conjugator is checked generator by generator: it must fix every
+    The conjugator nu is checked generator by generator: it must fix every
     generator outside the component and send each one inside to some simple
-    reflection.  Anything else is an internal error, not a soft failure.
+    reflection.  nu^-1 s_i nu == s_j holds exactly when s_i nu == nu s_j,
+    and each side is one row or column operation on nu (``gen_mul``,
+    ``mul_gen``), so the check forms neither nu^-1 nor a full product.
+    Anything else is an internal error, not a soft failure.
     """
     I = frozenset(subset)
     if s in I:
@@ -68,17 +79,15 @@ def ks_step(C: CoxeterMatrix, subset, s: int) -> frozenset[int] | None:
     if not is_spherical(C, K):
         return None
     nu = mul(longest_element(C, K - {s}), longest_element(C, K))
-    nu_inv = invert(C, nu)
     target = set(I - K)
     for i in sorted(I - K):
-        si = simple_reflection(C, i)
-        if mul(mul(nu_inv, si), nu) != si:
+        if gen_mul(C, i, nu) != mul_gen(C, nu, i):
             raise InternalInconsistencyError(
                 f"conjugator moved generator {i} outside the component")
     for i in sorted(I & K):
-        conj = mul(mul(nu_inv, simple_reflection(C, i)), nu)
+        left = gen_mul(C, i, nu)
         for j in range(C.n):
-            if conj == simple_reflection(C, j):
+            if left == mul_gen(C, nu, j):
                 target.add(j)
                 break
         else:
@@ -129,6 +138,17 @@ def a4_chains(C: CoxeterMatrix) -> set[frozenset[int]]:
             if C.m[a][c] == C.m[a][d] == C.m[b][d] == 2}
 
 
+def _alone_by_labels(system: LabeledCoxeterSystem) -> np.ndarray:
+    """alone[v]: every generator outside the block of v has an infinite
+    label to some generator of the block.  Then no step leaves the block
+    (``classify_s5_classes``), which this reads for all blocks at once."""
+    n = system.vertex_count
+    into = (system.label_array == INFINITE).reshape(n, BLOCK_SIZE,
+                                                    system.matrix.n)
+    return (into.any(axis=1)
+            | np.eye(n, dtype=bool).repeat(BLOCK_SIZE, axis=1)).all(axis=1)
+
+
 def classify_s5_classes(system: LabeledCoxeterSystem) -> list[ConjugacyClass]:
     """Conjugacy classes of the order-120 nonabelian standard subgroups.
 
@@ -137,6 +157,13 @@ def classify_s5_classes(system: LabeledCoxeterSystem) -> list[ConjugacyClass]:
     system these must come out as one singleton class per graph vertex, in
     vertex order; any other outcome is reported as evidence against the
     construction, loudly.
+
+    A block T is alone in its class without a single step when every
+    generator s outside it has an infinite label to some t in T: the
+    component K of s in T + s then holds s and t, whose 2x2 minor is 0, so
+    K is not spherical and the step along s is refused, as ``ks_step``
+    would refuse it.  Every block of a build_C system passes this label
+    test; ``conjugacy_component`` decides the blocks that fail it.
     """
     C = system.matrix
     hits = a4_chains(C)
@@ -146,8 +173,9 @@ def classify_s5_classes(system: LabeledCoxeterSystem) -> list[ConjugacyClass]:
             "census mismatch: order-120 nonabelian subsets are "
             f"{sorted(tuple(sorted(h)) for h in hits)}, expected one per block")
     classes = []
-    for T in expected:
-        comp = conjugacy_component(C, T)
+    for T, alone in zip(expected, _alone_by_labels(system).tolist()):
+        comp = ConjugacyClass.from_members({T}) if alone \
+            else conjugacy_component(C, T)
         if comp.members != {T}:
             raise FalsificationError(
                 f"block {sorted(T)} is conjugate to {sorted(map(sorted, comp.members))}; "

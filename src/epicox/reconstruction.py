@@ -25,6 +25,16 @@ C_W(a) lies in W_J.  When the even involutions also form one class under
 W_J, each is u a u^-1 for some u in W_J, and its centraliser lies in W_J
 too.  A failed certificate is inconclusive, not a violation: a step
 normalises W_I but need not centralise a.
+
+The class test runs in W_J's own rank-4 system, built from the block's
+4x4 labels, not in the rank-8 subsystem.  A standard parabolic subgroup is
+the Coxeter group of its own labels, with the same lengths (Humphreys,
+Reflection Groups and Coxeter Groups 5.5), and the geometric
+representation of that group is faithful (5.4).  So its involutions, their
+lengths and the conjugations between them are the same in either system;
+each rank-8 matrix holds the rank-4 one in its top-left corner, since W_J
+maps the span of its own simple roots to itself.  Only the steps, which
+may leave J, need the rank-8 labels.
 """
 
 from __future__ import annotations
@@ -146,17 +156,19 @@ def _conjugation_distances(sub: CoxeterMatrix, block, A: np.ndarray,
 # blocks, and only the non-adjacent one ever reaches the certificate.
 @lru_cache(maxsize=64)
 def _centralizer_certificate(labels: tuple[tuple[int, ...], ...]) -> bool:
-    sub = _named(labels)
+    # the class test runs in W_J's own rank-4 system (module docstring)
+    wj = _named(tuple(row[:BLOCK_SIZE] for row in labels[:BLOCK_SIZE]))
     block = frozenset(range(BLOCK_SIZE))
     I = (0, 2)  # alt_involution's positions 1 and 3
-    A = _even_involutions(sub, block)
+    A = _even_involutions(wj, block)
     hit = np.flatnonzero(
-        (A == np.array(evaluate(sub, I), dtype=np.int64)).all(axis=(1, 2)))
+        (A == np.array(evaluate(wj, I), dtype=np.int64)).all(axis=(1, 2)))
     # a path between involutions is shorter than their count
     if not len(hit) or \
-            (_conjugation_distances(sub, block, A, len(A))[hit[0]]
+            (_conjugation_distances(wj, block, A, len(A))[hit[0]]
              >= len(A)).any():
         return False
+    sub = _named(labels)
     members = conjugacy_component(sub, I).members
     return all(X <= block for X in members) and \
         all(ks_step(sub, X, s) is None
@@ -173,29 +185,52 @@ def centralizer_certificate(system: LabeledCoxeterSystem, s: int,
     return _centralizer_certificate(_two_block_labels(system, s, t))
 
 
+def _pair_blocks(system: LabeledCoxeterSystem):
+    """Every vertex pair s < t, in row-major order, with its rank-8 label
+    block read from the group as 48 bytes: the two blocks' own labels and
+    the labels between them, which fix the rest since labels are
+    symmetric."""
+    n = system.vertex_count
+    step = BLOCK_SIZE * BLOCK_SIZE
+    # the labels between the blocks of u and v: step bytes at step (u n + v)
+    raw = np.ascontiguousarray(
+        system.label_array.reshape(n, BLOCK_SIZE, n, BLOCK_SIZE)
+        .transpose(0, 2, 1, 3)).tobytes()
+    own = [raw[step * (n + 1) * v:step * ((n + 1) * v + 1)] for v in range(n)]
+    for s in range(n):
+        for t in range(s + 1, n):
+            at = step * (n * s + t)
+            yield s, t, own[s] + raw[at:at + step] + own[t]
+
+
 def k_graph(graph: FiniteGraph) -> KGraph:
     """Class graph of the block system of the input graph.
 
     Reflexive by construction; an off-diagonal edge is present exactly when
     a commuting witness exists.  Every witnessless pair must also pass the
     normaliser certificate; it holds on the one label block such a pair has
-    in a build_C system, so a failure is a fault of the code.
+    in a build_C system, so a failure is a fault of the code.  Both are
+    decided once per distinct label block, at the first pair showing it.
     """
     system = build_C(graph)
     classes = tuple(classify_s5_classes(system))
     n = len(classes)
     adj = [[u == v for v in range(n)] for u in range(n)]
     witnesses: dict[tuple[int, int], tuple[Word, Word]] = {}
-    for s in range(n):
-        for t in range(s + 1, n):
-            wit = commuting_witness(system, s, t)
-            if wit is not None:
-                adj[s][t] = adj[t][s] = True
-                witnesses[(s, t)] = wit
-            elif not centralizer_certificate(system, s, t):
+    decided: dict[bytes, bool] = {}
+    for s, t, block in _pair_blocks(system):
+        commutes = decided.get(block)
+        if commutes is None:
+            labels = _two_block_labels(system, s, t)
+            commutes = decided[block] = _shape_commutes(labels)
+            if not commutes and not _centralizer_certificate(labels):
                 raise InternalInconsistencyError(
                     f"vertices {s},{t}: no commuting witness, and the "
                     "normaliser certificate does not hold on their blocks")
+        if commutes:
+            adj[s][t] = adj[t][s] = True
+            witnesses[(s, t)] = (alt_involution(system, s),
+                                 alt_involution(system, t))
     g = FiniteGraph(n, tuple(tuple(row) for row in adj), reflexive=True)
     return KGraph(g, classes, witnesses, system)
 

@@ -3,9 +3,12 @@ permutation model of the 4-chain, the subset scan that the labelled 4-chain
 census replaced, the set-deduplicating ball and membership-first
 centralizer sweep that the descent-keyed ball and the probe-first sweep
 replaced, the product over all vertex maps that the backtracking
-epimorphism enumeration replaced, and the per-call lift and induced class
-map that the per-system lift tables replaced.  The oracles shared with the
-acceptance criteria live in ``epicox.oracles``.
+epimorphism enumeration replaced, the per-call lift and induced class
+map that the per-system lift tables replaced, the conjugation step checked
+by inverse and full products that the row-against-column check replaced,
+and the normaliser certificate with its class test at rank 8 that the
+block-rank class test replaced.  The oracles shared with the acceptance
+criteria live in ``epicox.oracles``.
 """
 
 from __future__ import annotations
@@ -16,12 +19,17 @@ from fractions import Fraction
 import numpy as np
 
 from epicox.construction import BLOCK_SIZE
-from epicox.coxeter import (enumerate_parabolic, gram_matrix, identity,
-                            is_spherical, length, mul, simple_reflection)
+from epicox.coxeter import (enumerate_parabolic, evaluate, gram_matrix,
+                            identity, invert, is_spherical, length,
+                            longest_element, mul, simple_reflection)
 from epicox.errors import (EnumerationCapExceeded, FalsificationError,
-                           PreconditionError)
+                           InternalInconsistencyError, PreconditionError)
 from epicox.graphs import VertexMap
 from epicox.homomorphisms import ClassImage, GeneratorMap
+from epicox.parabolics import (conjugacy_component, ks_component_candidate,
+                               ks_step)
+from epicox.reconstruction import (_conjugation_distances, _even_involutions,
+                                   _named)
 
 
 def fraction_minors(C, subset):
@@ -252,3 +260,61 @@ def induced_classes_per_call(source_system, target,
             raise FalsificationError(f"image set {sorted(J)} is in no class")
         out.append(ClassImage(v, "class", hits[0]))
     return tuple(out)
+
+
+# --- the conjugation step, checked by inverse and full products ----------------
+
+
+def ks_step_by_products(C, subset, s):
+    """One step out of the subset along s, its conjugator nu checked as
+    nu^-1 s_i nu, with nu^-1 from a reduced word and both products full."""
+    I = frozenset(subset)
+    if s in I:
+        raise PreconditionError(f"generator {s} already belongs to the subset")
+    K = ks_component_candidate(C, I, s)
+    if not is_spherical(C, K):
+        return None
+    nu = mul(longest_element(C, K - {s}), longest_element(C, K))
+    nu_inv = invert(C, nu)
+    target = set(I - K)
+    for i in sorted(I - K):
+        si = simple_reflection(C, i)
+        if mul(mul(nu_inv, si), nu) != si:
+            raise InternalInconsistencyError(
+                f"conjugator moved generator {i} outside the component")
+    for i in sorted(I & K):
+        conj = mul(mul(nu_inv, simple_reflection(C, i)), nu)
+        for j in range(C.n):
+            if conj == simple_reflection(C, j):
+                target.add(j)
+                break
+        else:
+            raise InternalInconsistencyError(
+                f"conjugate of generator {i} is not a simple reflection")
+    J = frozenset(target)
+    if len(J) != len(I):
+        raise InternalInconsistencyError(
+            f"step changed subset size: {sorted(I)} -> {sorted(J)}")
+    return J
+
+
+# --- the normaliser certificate, its class test at rank 8 ---------------------
+
+
+def centralizer_certificate_at_rank_8(labels) -> bool:
+    """The certificate with the first block's even involutions and their
+    W_J-class read in the whole rank-8 subsystem, not in W_J's own."""
+    sub = _named(labels)
+    block = frozenset(range(BLOCK_SIZE))
+    I = (0, 2)
+    A = _even_involutions(sub, block)
+    hit = np.flatnonzero(
+        (A == np.array(evaluate(sub, I), dtype=np.int64)).all(axis=(1, 2)))
+    if not len(hit) or \
+            (_conjugation_distances(sub, block, A, len(A))[hit[0]]
+             >= len(A)).any():
+        return False
+    members = conjugacy_component(sub, I).members
+    return all(X <= block for X in members) and \
+        all(ks_step(sub, X, s) is None
+            for X in members for s in range(BLOCK_SIZE, sub.n))

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicox.construction import LabeledCoxeterSystem, build_C, build_L4
-from epicox.coxeter import INFINITE, CoxeterMatrix, is_spherical
+from epicox import parabolics
+from epicox.construction import (BLOCK_SIZE, LabeledCoxeterSystem, build_C,
+                                 build_L4)
+from epicox.coxeter import INFINITE, CoxeterMatrix, is_spherical, mul, mul_gen
 from epicox.errors import (EnumerationCapExceeded, FalsificationError,
-                           PreconditionError)
+                           InternalInconsistencyError, PreconditionError)
 from epicox.graphs import FiniteGraph, all_labeled_graphs
-from epicox.parabolics import (ConjugacyClass, a4_chains, classify_s5_classes,
-                               conjugacy_component, ks_component_candidate,
-                               ks_step)
+from epicox.parabolics import (ConjugacyClass, _alone_by_labels, a4_chains,
+                               classify_s5_classes, conjugacy_component,
+                               ks_component_candidate, ks_step)
 
-from oracles import s5_subsets_by_enumeration
+from oracles import ks_step_by_products, s5_subsets_by_enumeration
 
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
@@ -166,3 +168,172 @@ def label_matrices(draw):
 @given(label_matrices())
 def test_census_matches_enumeration_on_random_labels(C):
     assert a4_chains(C) == s5_subsets_by_enumeration(C)
+
+
+# --- the census step test read off the labels, against conjugacy_component ---
+
+
+def _alone_by_definition(C, T):
+    return all(any(C.m[s][t] == INFINITE for t in T)
+               for s in range(C.n) if s not in T)
+
+
+def test_label_test_matches_components_on_small_graphs():
+    """Every block of every graph with <= 4 vertices passes the label test,
+    and conjugacy_component agrees that it is alone in its class."""
+    blocks = 0
+    for graph in all_labeled_graphs(4):
+        system = build_C(graph)
+        C = system.matrix
+        assert _alone_by_labels(system).tolist() == [True] * graph.n
+        classes = classify_s5_classes(system)
+        for v, cls in enumerate(classes):
+            T = system.block(v)
+            assert _alone_by_definition(C, T)
+            assert conjugacy_component(C, T) == cls
+            assert cls.members == {T}
+            blocks += 1
+    assert blocks == 285
+
+
+@st.composite
+def chained_blocks(draw):
+    """A system of 1 to 3 blocks, each a 4-chain in position order, with the
+    labels between blocks drawn from {2, 3, oo}, oo first with chance 3/4."""
+    k = draw(st.integers(1, 3))
+    labels = []
+    for u, v in itertools.combinations(range(BLOCK_SIZE * k), 2):
+        if u // BLOCK_SIZE == v // BLOCK_SIZE:
+            lab = 3 if v == u + 1 else 2
+        elif draw(st.integers(0, 3)):
+            lab = INFINITE
+        else:
+            lab = draw(st.sampled_from([2, 3, INFINITE]))
+        labels.append((u, v, lab))
+    C = CoxeterMatrix.from_labels(BLOCK_SIZE * k, labels)
+    return LabeledCoxeterSystem(C, FiniteGraph.from_edges(k, []))
+
+
+def _classes_by_components(system):
+    """The census with every block's class from conjugacy_component."""
+    classes = []
+    for v in range(system.vertex_count):
+        T = system.block(v)
+        comp = conjugacy_component(system.matrix, T)
+        if comp.members != {T}:
+            raise FalsificationError("blocks conjugate")
+        classes.append(comp)
+    return classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_blocks())
+def test_label_test_matches_components_on_random_labels(system):
+    """The label test is its definition, a block passing it is alone in its
+    class, and the census answers as if every class came from
+    conjugacy_component."""
+    C = system.matrix
+    alone = _alone_by_labels(system).tolist()
+    for v, ok in enumerate(alone):
+        T = system.block(v)
+        assert ok == _alone_by_definition(C, T)
+        if ok:
+            assert conjugacy_component(C, T).members == {T}
+    if a4_chains(C) != {system.block(v) for v in range(system.vertex_count)}:
+        return
+    try:
+        want = _classes_by_components(system)
+    except FalsificationError:
+        with pytest.raises(FalsificationError):
+            classify_s5_classes(system)
+    else:
+        assert classify_s5_classes(system) == want
+
+
+def test_label_test_falls_back_to_the_component(monkeypatch):
+    """Generator 4 (the second block's position 1) gets label 2 to the whole
+    first block, so the label test fails there, and conjugacy_component
+    decides that block alone: the step along 4 is a loop."""
+    base = build_C(TWO_POINTS).matrix
+    m = [list(row) for row in base.m]
+    for t in range(BLOCK_SIZE):
+        m[4][t] = m[t][4] = 2
+    C = CoxeterMatrix(8, tuple(map(tuple, m)), base.names)
+    system = LabeledCoxeterSystem(C, TWO_POINTS)
+    assert _alone_by_labels(system).tolist() == [False, True]
+    assert ks_step(C, system.block(0), 4) == system.block(0)
+    asked = []
+    real = parabolics.conjugacy_component
+
+    def recording(C, subset, *args):
+        asked.append(frozenset(subset))
+        return real(C, subset, *args)
+
+    monkeypatch.setattr(parabolics, "conjugacy_component", recording)
+    classes = classify_s5_classes(system)
+    assert asked == [system.block(0)]
+    assert [cls.members for cls in classes] == \
+        [{system.block(0)}, {system.block(1)}]
+
+
+# --- ks_step's row-against-column check, against the product check -----------
+
+
+def _all_steps(C):
+    for size in range(C.n + 1):
+        for I in itertools.combinations(range(C.n), size):
+            for s in range(C.n):
+                if s not in I:
+                    yield frozenset(I), s
+
+
+def _rank_8_shapes():
+    out = []
+    for graph in (TWO_POINTS, EDGE):
+        system = build_C(graph)
+        out.append(system.matrix)
+    return out
+
+
+@pytest.mark.parametrize("C", [L4, *_rank_8_shapes()],
+                         ids=["L4", "non_adjacent", "adjacent"])
+def test_step_matches_product_check_everywhere(C):
+    """Every subset and outside generator of the 4-chain and of both
+    two-block shapes."""
+    taken = 0
+    for I, s in _all_steps(C):
+        got = ks_step(C, I, s)
+        assert got == ks_step_by_products(C, I, s), (sorted(I), s)
+        taken += got is not None
+    assert taken
+
+
+@st.composite
+def steps(draw):
+    C = draw(label_matrices().filter(lambda C: C.n >= 1))
+    s = draw(st.integers(0, C.n - 1))
+    others = [g for g in range(C.n) if g != s]
+    I = draw(st.sets(st.sampled_from(others)) if others else st.just(set()))
+    return C, frozenset(I), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps())
+def test_step_matches_product_check_on_random_labels(step):
+    C, I, s = step
+    assert ks_step(C, I, s) == ks_step_by_products(C, I, s)
+
+
+@pytest.mark.parametrize("I,s,extra,moved", [
+    ({0}, 1, 2, "conjugate of generator 0 is not a simple reflection"),
+    ({0, 3}, 1, 2, "conjugator moved generator 3 outside the component"),
+])
+def test_corrupted_conjugator_is_an_internal_fault(monkeypatch, I, s, extra,
+                                                   moved):
+    """Negative control: nu with one extra generator on the right no longer
+    conjugates as a step must, and ks_step raises in either loop."""
+    assert ks_step(L4, I, s) is not None
+    monkeypatch.setattr(parabolics, "mul",
+                        lambda a, b: mul_gen(L4, mul(a, b), extra))
+    with pytest.raises(InternalInconsistencyError, match=moved):
+        ks_step(L4, I, s)

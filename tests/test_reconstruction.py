@@ -7,11 +7,12 @@ suite pushes the radius to its contracted value.
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from epicox import oracles, reconstruction
+from epicox import coxeter, oracles, parabolics, reconstruction
 from epicox.cli import main
 from epicox.construction import (BLOCK_SIZE, LabeledCoxeterSystem,
                                  alt_involution, build_C)
@@ -29,6 +30,7 @@ from epicox.reconstruction import (_centralizer_certificate,
                                    k_graph, verify_reconstruction)
 
 from oracles import (assert_same_levels, ball_levels_by_set,
+                     centralizer_certificate_at_rank_8,
                      centralizer_sweep_by_membership)
 
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
@@ -296,6 +298,84 @@ def test_certificate_never_contradicts_the_sweep(fresh_sweep_cache):
         held += 1
     # neither vacuous nor trivial
     assert 0 < held < 64
+
+
+# both shapes, then the 64 oo-biased blocks of the test above
+ORACLE_BLOCKS = [NON_ADJACENT.m, ADJACENT.m] + [
+    _random_label_block(random.Random(seed), cross_inf=0.8)
+    for seed in range(64)]
+
+
+def test_block_rank_certificate_matches_rank_8(fresh_sweep_cache):
+    """The class test in W_J's own rank-4 system gives the verdict the
+    rank-8 one gives, on both shapes and the 64 oo-biased blocks."""
+    held = [_centralizer_certificate(labels) for labels in ORACLE_BLOCKS]
+    assert held == [centralizer_certificate_at_rank_8(labels)
+                    for labels in ORACLE_BLOCKS]
+    assert held[:2] == [True, False] and 0 < sum(held[2:]) < 64
+
+
+@pytest.mark.parametrize("labels", ORACLE_BLOCKS[:4],
+                         ids=["non_adjacent", "adjacent", "seed0", "seed1"])
+def test_even_involutions_at_block_rank_are_the_rank_8_corner(labels):
+    """W_J fixes the span of its own simple roots, so each rank-8 matrix is
+    its rank-4 matrix in the top-left corner, zeros below it, and the
+    class distances agree."""
+    wj = _named(tuple(row[:BLOCK_SIZE] for row in labels[:BLOCK_SIZE]))
+    A4 = _even_involutions(wj, FIRST_BLOCK)
+    A8 = _even_involutions(_named(labels), FIRST_BLOCK)
+    assert len(A4) == len(A8) == 15
+    assert (A8[:, :BLOCK_SIZE, :BLOCK_SIZE] == A4).all()
+    assert (A8[:, BLOCK_SIZE:, :BLOCK_SIZE] == 0).all()
+    assert (_conjugation_distances(wj, FIRST_BLOCK, A4, 20)
+            == _conjugation_distances(_named(labels), FIRST_BLOCK, A8,
+                                      20)).all()
+
+
+def _counting(monkeypatch, module, name):
+    """Record the calls to a library function, under every epicox module
+    that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "epicox" or mod_name.startswith("epicox."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_cold_k_graph_pays_only_for_what_it_reads(monkeypatch,
+                                                   fresh_sweep_cache):
+    """A cold k_graph over every graph with <= 4 vertices: one
+    conjugacy_component in all (the certificate's), no invert, and the
+    full-rank system never builds its per-generator operations."""
+    reconstruction._shape_commutes.cache_clear()
+    components = _counting(monkeypatch, parabolics, "conjugacy_component")
+    inverses = _counting(monkeypatch, coxeter, "invert")
+    for g in all_labeled_graphs(4):
+        kg = k_graph(g)
+        assert "_gen_coeffs" not in kg.system.matrix.__dict__, g.edges()
+    assert len(components) == 1
+    assert inverses == []
+
+
+def test_k_graph_reads_one_label_block_per_shape(monkeypatch):
+    """G(16, 1/2) has 120 pairs and two label blocks: k_graph reads each
+    block once, and its edges and witnesses are commuting_witness's, pair
+    by pair."""
+    reads = _counting(monkeypatch, reconstruction, "_two_block_labels")
+    kg = k_graph(G16)
+    assert len(reads) == 2
+    assert kg.graph == G16.reflexive_closure()
+    for s, t in itertools.combinations(range(16), 2):
+        assert kg.witnesses.get((s, t)) == \
+            commuting_witness(kg.system, s, t)
 
 
 def test_conjugation_distances_are_shortest_conjugators():

@@ -78,6 +78,44 @@ def test_ball_growth_refuses_negative_radius():
     assert proc.stderr == "input error: radius must be nonnegative\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--vertices", "1", "--sweep"],
+     "input error: --sweep needs at least 2 vertices: it sweeps vertices 0 "
+     "and 1\n"),
+    (["--edges", "x"], "input error: edge 'x' is not of the form u-v\n"),
+    (["--edges", "0-1-2"],
+     "input error: edge '0-1-2' is not of the form u-v\n"),
+])
+def test_ball_growth_refuses_bad_input(args, message):
+    """Input the sweep cannot take exits 2 with a message before anything
+    is built, never with a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "ball_growth.py"
+    proc = subprocess.run([sys.executable, str(script), "--radius", "2",
+                           *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+def test_survey_refuses_vertices_above_ceiling(monkeypatch, capsys):
+    """More vertices than the exhaustive theorem check takes exits 2
+    before any graph is enumerated: 9 would ask for 2^36 graphs."""
+    survey = _script_module("survey_small_graphs")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated before the ceiling was checked")
+
+    monkeypatch.setattr(survey, "all_labeled_graphs", unreachable)
+    limit = survey.THEOREM_MAX_VERTICES
+    monkeypatch.setattr(sys, "argv", ["survey_small_graphs.py",
+                                      "--max-vertices", str(limit + 1)])
+    assert survey.main() == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"input error: max vertices {limit + 1} is above the "
+                   f"ceiling of {limit} for the exhaustive survey\n")
+
+
 def test_bench_pairs_verdict():
     """The pair summary: ties count for neither side, and the gap is set
     against the parent's interquartile range."""
