@@ -15,15 +15,16 @@ import time
 from dataclasses import dataclass
 
 from .construction import alt_involution, build_C, build_L4, verify_L4_is_S5
-from .coxeter import (Word, enumerate_parabolic, evaluate, identity,
+from .coxeter import (enumerate_parabolic, evaluate, identity,
                       is_spherical, length, longest_element, mul,
                       preserves_form, reduced_word)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, all_labeled_graphs, epimorphisms, f_reduce,
                      find_epimorphism, find_injective_hom)
 from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
-                            lift_graph_epi, presentation_of)
-from .oracles import (RelatorMemo, bfs_lengths, bounded_centralizer_check,
+                            lift_graph_epi)
+from .oracles import (RelatorGroups, RelatorMemo, bfs_lengths,
+                      bounded_centralizer_check, group_relators,
                       naive_hom_exists, words_commute_by_matrices)
 from .parabolics import (conjugacy_component, ks_component_candidate, ks_step)
 from .reconstruction import (KGraph, centralizer_certificate,
@@ -213,10 +214,11 @@ THEOREM_MAX_VERTICES = 5
 @dataclass
 class _TheoremGraph:
     """What the epimorphism loop needs of one graph, built once: its class
-    graph (which carries the system and the pointed graph), its relators as
-    a source, and its matrix relator memo as a target."""
+    graph (which carries the system and the pointed graph), its relators
+    grouped by block pair as a source, and its matrix relator memo as a
+    target."""
     kg: KGraph
-    relators: tuple[Word, ...]
+    groups: RelatorGroups
     memo: RelatorMemo
 
 
@@ -229,9 +231,13 @@ def theorem_report(max_vertices: int,
     isomorphisms.
 
     Relators are checked as matrices through one RelatorMemo per target,
-    held for this run only, so each distinct mapped word is evaluated once.
-    inject_fault corrupts the first liftable map to prove the relator check
-    can fail; the corrupted pair is reported as a failure.
+    held for this run only.  Each source's relators are grouped by block
+    pair once, with their patterns interned for the run, so the memo
+    answers a lift with one lookup per block pair, and each distinct mapped
+    word is evaluated once.  inject_fault corrupts the first liftable map
+    to prove the relator check can fail; the corrupted map goes through
+    the same block-pair check, and the corrupted pair is reported as a
+    failure.
     """
     if max_vertices > THEOREM_MAX_VERTICES:
         raise PreconditionError(
@@ -239,12 +245,13 @@ def theorem_report(max_vertices: int,
             f"{THEOREM_MAX_VERTICES} for the exhaustive theorem check")
     graphs = all_labeled_graphs(max_vertices)
     entries = []
+    patterns: dict = {}
     for g in graphs:
         kg = k_graph(g)
         verify_reconstruction(g, kg=kg)
-        entries.append(_TheoremGraph(
-            kg, presentation_of(kg.system.matrix).relators,
-            RelatorMemo(kg.system.matrix)))
+        C = kg.system.matrix
+        entries.append(_TheoremGraph(kg, group_relators(C, patterns),
+                                     RelatorMemo(C)))
     outcomes = []
     fault_pending = inject_fault
     for i, src in enumerate(entries):
@@ -262,13 +269,13 @@ def theorem_report(max_vertices: int,
                     if corrupted is not None:
                         fault_pending = False
                         ok = False
-                        if tgt.memo.relators_hold(corrupted, src.relators):
+                        if tgt.memo.blocks_hold(corrupted, src.groups):
                             message = "fault injection not detected"
                         else:
                             message = ("injected relator fault detected "
                                        "(expected failure)")
                         break
-                if not tgt.memo.relators_hold(phi, src.relators):
+                if not tgt.memo.blocks_hold(phi, src.groups):
                     ok, message = False, f"relators failed for {f.image}"
                     break
                 if not is_onto_generators(phi):

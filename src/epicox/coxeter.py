@@ -79,6 +79,16 @@ class CoxeterMatrix:
                   if j != i and _COEFF[self.m[i][j]] != 0)
             for i in range(self.n))
 
+    # The (i, j, label) triples with i < j and a finite label, in row
+    # order: the pairs that carry a braid relator, and the only ones the
+    # label rule reads.  Built on first use like _gen_coeffs, so a system
+    # read only for its census never builds it at full rank.
+    @cached_property
+    def finite_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple((i, j, self.m[i][j]) for i in range(self.n)
+                     for j in range(i + 1, self.n)
+                     if self.m[i][j] != INFINITE)
+
     @staticmethod
     def from_labels(n: int, labels, names=None) -> CoxeterMatrix:
         """Build from (i, j, m) triples; unlisted off-diagonal pairs get the
@@ -138,17 +148,20 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mul_gen(C: CoxeterMatrix, w: Matrix, i: int) -> Matrix:
     """Right multiplication by sigma_i as column operations: column i flips
-    sign and feeds into its neighbours.  Much cheaper than a full product."""
+    sign and feeds into its neighbours.  Much cheaper than a full product.
+    A row with 0 in column i is unchanged and is kept as it is, so a word
+    evaluated from the identity rebuilds only its own letters' rows."""
     coeffs = C._gen_coeffs[i]
     rows = []
     for row in w:
         v = row[i]
-        new = list(row)
-        new[i] = -v
         if v:
+            new = list(row)
+            new[i] = -v
             for j, c in coeffs:
                 new[j] += c * v
-        rows.append(tuple(new))
+            row = tuple(new)
+        rows.append(row)
     return tuple(rows)
 
 

@@ -87,20 +87,20 @@ def verify_relators(phi: GeneratorMap) -> bool:
 
     Decided from the labels: squares always hold, and (s_i s_j)^m holds
     exactly when the images are equal, or one is the identity and m is
-    even, or they are distinct generators with target label m.
+    even, or they are distinct generators with target label m.  An
+    infinite label carries no relator, so only the source's finite pairs
+    are read.
     """
-    src, tgt, img = phi.source, phi.target, phi.images
-    for i, a in enumerate(img):
-        row = src.m[i]
-        for j in range(i + 1, src.n):
-            m, b = row[j], img[j]
-            if m == INFINITE or a == b:
-                continue
-            if a is None or b is None:
-                if m % 2:
-                    return False
-            elif tgt.m[a][b] != m:
+    tm, img = phi.target.m, phi.images
+    for i, j, m in phi.source.finite_pairs:
+        a, b = img[i], img[j]
+        if a == b:
+            continue
+        if a is None or b is None:
+            if m % 2:
                 return False
+        elif tm[a][b] != m:
+            return False
     return True
 
 

@@ -31,6 +31,7 @@ arrays.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,19 +77,63 @@ def bfs_lengths(C, subset):
     return dist
 
 
+@dataclass(frozen=True)
+class RelatorGroups:
+    """A source system's relators, grouped by the pair of blocks they touch.
+
+    Each entry is (token, u, v, relators): the relators whose letters lie
+    in the blocks starting at generators u <= v (u == v for a relator inside
+    one block, squares included), in the source's letters, and the token
+    of their pattern, the same relators written in block-local letters
+    (block u's positions as 0-3, block v's as 4-7).  The pattern and the
+    images of the two blocks fix every mapped word of the group, for any
+    generator map.  Built by ``group_relators``.
+    """
+    source: CoxeterMatrix
+    groups: tuple[tuple[object, int, int, tuple[Word, ...]], ...]
+
+
+def group_relators(source: CoxeterMatrix, patterns: dict) -> RelatorGroups:
+    """Group ``presentation_of(source)``'s relators by block pair.
+
+    patterns interns the patterns for a run: equal patterns, from any
+    source, get one token, so a memo answers them from one entry.  A token
+    is a bare object, equal only to itself, so patterns interned in two
+    different dicts can never share a memo entry.
+    """
+    by_pair: dict[tuple[int, int], list[Word]] = {}
+    for rel in presentation_of(source).relators:
+        u, v = sorted((rel[0] // BLOCK_SIZE * BLOCK_SIZE,
+                       rel[1] // BLOCK_SIZE * BLOCK_SIZE))
+        by_pair.setdefault((u, v), []).append(rel)
+    groups = []
+    for (u, v), rels in by_pair.items():
+        pattern = tuple(tuple(g - u if g < u + BLOCK_SIZE
+                              else g - v + BLOCK_SIZE for g in rel)
+                        for rel in rels)
+        token = patterns.setdefault(pattern, object())
+        groups.append((token, u, v, tuple(rels)))
+    return RelatorGroups(source, tuple(groups))
+
+
 class RelatorMemo:
     """The matrix relator oracle for maps into one target system, memoised
-    per pair of generator images.
+    per block pair and per pair of generator images.
 
-    A relator of ``presentation_of``'s shape alternates two generators:
-    (s_i s_j)^m, or s_i^2 with i = j.  Its mapped word is therefore fixed
-    by (phi(s_i), phi(s_j), length), where an image may be the identity,
-    and ``pairs`` holds one answer per such key.  Only on a key miss is the
-    relator mapped to its word; ``answers`` holds one entry per distinct
-    word, each evaluated once as integer matrices from the target's
-    identity, so no answer comes from the label rule.  A relator of any
-    other shape is refused, checked once per relator tuple.  A memo lives
-    only as long as the run that fills it.
+    ``blocks_hold`` answers a ``RelatorGroups`` entry from one key in
+    ``blocks``: its pattern token and the images of its two blocks, which
+    fix all of its mapped words.  On a miss the group's relators go
+    through the per-relator path of ``relators_hold``.  A relator of
+    ``presentation_of``'s shape alternates two generators: (s_i s_j)^m, or
+    s_i^2 with i = j.  Its mapped word is therefore fixed by (phi(s_i),
+    phi(s_j), length), where an image may be the identity, and ``pairs``
+    holds one answer per such key.  Only on a key miss is the relator
+    mapped to its word; ``answers`` holds one entry per distinct word, each
+    evaluated once as integer matrices from the target's identity, so no
+    answer comes from the label rule.  ``relators_hold`` refuses a relator
+    of any other shape; ``group_relators`` takes the relators from
+    ``presentation_of``, which makes no other.  A memo lives only as long
+    as the run that fills it.
     """
 
     def __init__(self, target: CoxeterMatrix):
@@ -96,27 +141,13 @@ class RelatorMemo:
         self.identity = identity(target)
         self.answers: dict[Word, bool] = {}
         self.pairs: dict[tuple[int | None, int | None, int], bool] = {}
-        # relator tuples already checked for shape, by id
-        self._checked: dict[int, tuple[Word, ...]] = {}
+        self.blocks: dict[tuple[object, tuple, tuple], bool] = {}
 
-    def _check_shapes(self, relators) -> None:
-        if self._checked.get(id(relators)) is relators:
-            return
-        for rel in relators:
-            if not rel or tuple(rel) != tuple(rel[:2]) * (len(rel) // 2):
-                raise PreconditionError(
-                    f"relator {rel} is not (s_i s_j)^m or s_i^2")
-        # only a tuple cannot change under its id between calls
-        if isinstance(relators, tuple):
-            self._checked[id(relators)] = relators
-
-    def relators_hold(self, phi: GeneratorMap, relators) -> bool:
-        """Does every relator, pushed through the map, evaluate to the
-        identity?  relators are the source's, as ``presentation_of``
-        gives them."""
+    def _check_target(self, phi: GeneratorMap) -> None:
         if phi.target != self.target:
             raise PreconditionError("map into a different target system")
-        self._check_shapes(relators)
+
+    def _hold(self, phi: GeneratorMap, relators) -> bool:
         img, pairs = phi.images, self.pairs
         for rel in relators:
             key = (img[rel[0]], img[rel[1]], len(rel))
@@ -128,6 +159,34 @@ class RelatorMemo:
                     hit = self.answers[word] = (evaluate(self.target, word)
                                                 == self.identity)
                 pairs[key] = hit
+            if not hit:
+                return False
+        return True
+
+    def relators_hold(self, phi: GeneratorMap, relators) -> bool:
+        """Does every relator, pushed through the map, evaluate to the
+        identity?  relators are the source's, as ``presentation_of``
+        gives them."""
+        self._check_target(phi)
+        for rel in relators:
+            if not rel or tuple(rel) != tuple(rel[:2]) * (len(rel) // 2):
+                raise PreconditionError(
+                    f"relator {rel} is not (s_i s_j)^m or s_i^2")
+        return self._hold(phi, relators)
+
+    def blocks_hold(self, phi: GeneratorMap, groups: RelatorGroups) -> bool:
+        """``relators_hold`` for the source's relators, one lookup per
+        block pair; groups is the map's source grouped by
+        ``group_relators``."""
+        self._check_target(phi)
+        if phi.source != groups.source:
+            raise PreconditionError("map from a different source system")
+        img, blocks = phi.images, self.blocks
+        for token, u, v, rels in groups.groups:
+            key = (token, img[u:u + BLOCK_SIZE], img[v:v + BLOCK_SIZE])
+            hit = blocks.get(key)
+            if hit is None:
+                hit = blocks[key] = self._hold(phi, rels)
             if not hit:
                 return False
         return True

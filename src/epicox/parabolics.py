@@ -124,14 +124,21 @@ def conjugacy_component(C: CoxeterMatrix, subset,
     return ConjugacyClass.from_members(members)
 
 
-def a4_chains(C: CoxeterMatrix) -> set[frozenset[int]]:
+def a4_chains(C: CoxeterMatrix, labels: np.ndarray) -> set[frozenset[int]]:
     """Generator sets of the labelled 4-chains: label-3 paths a-b-c-d whose
     pairs (a,c), (a,d) and (b,d) have label 2.  With labels in {2, 3, oo}
     these are exactly the subsets of at most four generators whose standard
     subgroup has order 120 and is nonabelian: type A_4, since every other
     finite type on four simply laced generators has another order
-    (Humphreys, *Reflection Groups and Coxeter Groups* 2.11)."""
-    three = [[j for j in range(C.n) if C.m[i][j] == 3] for i in range(C.n)]
+    (Humphreys, *Reflection Groups and Coxeter Groups* 2.11).
+
+    labels is C's label matrix as a uint8 array
+    (``LabeledCoxeterSystem.label_array``).  The label-3 neighbours are
+    read off it in one pass, and only the few paths of 3s are checked
+    label by label."""
+    three = [[] for _ in range(C.n)]
+    for i, j in zip(*(x.tolist() for x in np.nonzero(labels == 3))):
+        three[i].append(j)
     return {frozenset((a, b, c, d))
             for a in range(C.n) for b in three[a] for c in three[b]
             for d in three[c]
@@ -166,7 +173,7 @@ def classify_s5_classes(system: LabeledCoxeterSystem) -> list[ConjugacyClass]:
     test; ``conjugacy_component`` decides the blocks that fail it.
     """
     C = system.matrix
-    hits = a4_chains(C)
+    hits = a4_chains(C, system.label_array)
     expected = [system.block(v) for v in range(system.vertex_count)]
     if hits != set(expected):
         raise FalsificationError(

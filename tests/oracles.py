@@ -7,8 +7,9 @@ epimorphism enumeration replaced, the per-call lift and induced class
 map that the per-system lift tables replaced, the conjugation step checked
 by inverse and full products that the row-against-column check replaced,
 and the normaliser certificate with its class test at rank 8 that the
-block-rank class test replaced.  The oracles shared with the acceptance
-criteria live in ``epicox.oracles``.
+block-rank class test replaced, and the label rule over all pairs of
+generators that the loop over finite-label pairs replaced.  The oracles
+shared with the acceptance criteria live in ``epicox.oracles``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from epicox.construction import BLOCK_SIZE
-from epicox.coxeter import (enumerate_parabolic, evaluate, gram_matrix,
-                            identity, invert, is_spherical, length,
-                            longest_element, mul, simple_reflection)
+from epicox.coxeter import (INFINITE, enumerate_parabolic, evaluate,
+                            gram_matrix, identity, invert, is_spherical,
+                            length, longest_element, mul, simple_reflection)
 from epicox.errors import (EnumerationCapExceeded, FalsificationError,
                            InternalInconsistencyError, PreconditionError)
 from epicox.graphs import VertexMap
@@ -318,3 +319,26 @@ def centralizer_certificate_at_rank_8(labels) -> bool:
     return all(X <= block for X in members) and \
         all(ks_step(sub, X, s) is None
             for X in members for s in range(BLOCK_SIZE, sub.n))
+
+
+# --- the label rule, over all pairs of generators ------------------------------
+
+
+def verify_relators_all_pairs(phi) -> bool:
+    """The label rule read over every pair i < j of source generators,
+    infinite labels skipped one by one: (s_i s_j)^m holds exactly when the
+    images are equal, or one is the identity and m is even, or they are
+    distinct generators with target label m."""
+    src, tgt, img = phi.source, phi.target, phi.images
+    for i, a in enumerate(img):
+        row = src.m[i]
+        for j in range(i + 1, src.n):
+            m, b = row[j], img[j]
+            if m == INFINITE or a == b:
+                continue
+            if a is None or b is None:
+                if m % 2:
+                    return False
+            elif tgt.m[a][b] != m:
+                return False
+    return True

@@ -78,6 +78,30 @@ def test_mul_gen_matches_mul():
         assert mul_gen(L4, w, i) == mul(w, simple_reflection(L4, i))
 
 
+# block systems of rank 8 (an edge) and 12 (a path on three vertices)
+BLOCK_SYSTEMS = [build_C(FiniteGraph.from_edges(2, [(0, 1)])).matrix,
+                 build_C(FiniteGraph.from_edges(3, [(0, 1), (1, 2)])).matrix]
+
+
+@pytest.mark.parametrize("C", BLOCK_SYSTEMS, ids=["rank 8", "rank 12"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mul_gen_matches_full_products_on_block_systems(C, data):
+    """mul_gen is a full product with a simple reflection, keeping every
+    row with 0 in column i as it is, and evaluate is the full product of
+    the word's simple reflections."""
+    word = data.draw(words(C, max_len=12))
+    i = data.draw(st.integers(0, C.n - 1))
+    w = evaluate(C, word)
+    got = mul_gen(C, w, i)
+    assert got == mul(w, simple_reflection(C, i))
+    assert all(new is row for new, row in zip(got, w) if row[i] == 0)
+    full = identity(C)
+    for g in word:
+        full = mul(full, simple_reflection(C, g))
+    assert w == full
+
+
 def test_braid_relation_holds():
     a, b = simple_reflection(L4, 0), simple_reflection(L4, 1)
     lhs = mul(a, mul(b, a))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicox.construction import BLOCK_SIZE, build_C, build_L4
-from epicox.coxeter import (enumerate_parabolic, evaluate, identity,
-                            is_spherical)
+from epicox.coxeter import (INFINITE, CoxeterMatrix, enumerate_parabolic,
+                            evaluate, identity, is_spherical)
 from epicox.errors import FalsificationError, PreconditionError
 from epicox.graphs import (FiniteGraph, VertexMap, all_labeled_graphs,
                            epimorphisms, find_epimorphism, make_pointed)
@@ -17,9 +17,11 @@ from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   lift_graph_epi, map_word, presentation_of,
                                   verify_relators)
 from epicox import acceptance, homomorphisms, oracles
-from epicox.oracles import RelatorMemo, relators_hold_by_matrices
+from epicox.oracles import (RelatorMemo, group_relators,
+                            relators_hold_by_matrices)
 from epicox.reconstruction import k_graph
-from oracles import induced_classes_per_call, lift_images_per_call
+from oracles import (induced_classes_per_call, lift_images_per_call,
+                     verify_relators_all_pairs)
 
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
@@ -207,8 +209,40 @@ def test_label_rule_matches_matrices_on_l4():
         phi = GeneratorMap(L4, L4, picks)
         got = verify_relators(phi)
         assert got == relators_hold_by_matrices(phi), picks
+        assert got == verify_relators_all_pairs(phi), picks
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+@st.composite
+def sparse_label_maps(draw):
+    """A generator map between random label matrices of rank <= 7 whose
+    labels are mostly infinite."""
+    def matrix(n):
+        pairs = list(itertools.combinations(range(n), 2))
+        labels = draw(st.lists(
+            st.sampled_from([INFINITE] * 4 + [2, 3]),
+            min_size=len(pairs), max_size=len(pairs)))
+        return CoxeterMatrix.from_labels(
+            n, [(i, j, m) for (i, j), m in zip(pairs, labels)])
+
+    source, target = matrix(draw(st.integers(0, 7))), matrix(
+        draw(st.integers(1, 7)))
+    images = draw(st.lists(st.sampled_from([None, *range(target.n)]),
+                           min_size=source.n, max_size=source.n))
+    return GeneratorMap(source, target, tuple(images))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_label_maps())
+def test_finite_pairs_rule_matches_all_pairs_rule(phi):
+    """The loop over the source's finite-label pairs answers as the scan of
+    every pair does, on maps between mostly unbounded systems."""
+    assert verify_relators(phi) == verify_relators_all_pairs(phi)
+    assert phi.source.finite_pairs == tuple(
+        (i, j, phi.source.m[i][j]) for i, j in
+        itertools.combinations(range(phi.source.n), 2)
+        if phi.source.m[i][j] != INFINITE)
 
 
 def block_maps(source, target):
@@ -371,6 +405,135 @@ def test_relator_memo_refuses_other_target():
     C = build_C(TWO_POINTS).matrix
     with pytest.raises(PreconditionError):
         memo.relators_hold(identity_map(C), presentation_of(C).relators)
+
+
+# --- the block-pair memo -------------------------------------------------------
+
+
+def test_relator_groups_partition_the_relators_by_block_pair():
+    """Every relator lands in exactly one group, whose two blocks hold its
+    letters, and the patterns are interned across sources: one for a
+    block's own relators and one per kind of block pair, with or without
+    an edge."""
+    patterns, tokens = {}, set()
+    for graph in all_labeled_graphs(3):
+        C = build_C(graph).matrix
+        groups = group_relators(C, patterns)
+        assert sorted(rel for *_, rels in groups.groups for rel in rels) \
+            == sorted(presentation_of(C).relators)
+        for token, u, v, rels in groups.groups:
+            assert u <= v and u % BLOCK_SIZE == v % BLOCK_SIZE == 0
+            assert all({g // BLOCK_SIZE for g in rel}
+                       <= {u // BLOCK_SIZE, v // BLOCK_SIZE} for rel in rels)
+            tokens.add(token)
+    assert len(patterns) == 3 and tokens == set(patterns.values())
+
+
+def test_block_memo_matches_per_relator_memo_on_every_lift():
+    """Over every lift between graphs with <= 3 vertices and its corrupted
+    sibling, one block-pair memo per target (patterns interned across all
+    sources, as in a run) answers as the per-relator memo and a fresh
+    matrix evaluation do, and the entry for each of the map's groups is
+    the per-relator answer on that group's relators."""
+    systems = [build_C(g) for g in all_labeled_graphs(3)]
+    patterns = {}
+    answers = {True: 0, False: 0}
+    for src in systems:
+        grouped = group_relators(src.matrix, patterns)
+        rels = presentation_of(src.matrix).relators
+        for tgt in systems:
+            memo, per_relator = RelatorMemo(tgt.matrix), RelatorMemo(tgt.matrix)
+            for f in epimorphisms(src.pointed, tgt.pointed):
+                phi = lift_graph_epi(f, src, tgt)
+                for m in (phi, acceptance._corrupt(phi, src, tgt, f)):
+                    if m is None:
+                        continue
+                    got = memo.blocks_hold(m, grouped)
+                    assert got == per_relator.relators_hold(m, rels)
+                    assert got == relators_hold_by_matrices(m)
+                    assert got == (m is phi)
+                    answers[got] += 1
+                    img = m.images
+                    for token, u, v, group in grouped.groups:
+                        key = (token, img[u:u + BLOCK_SIZE],
+                               img[v:v + BLOCK_SIZE])
+                        if key in memo.blocks:
+                            assert memo.blocks[key] \
+                                == per_relator.relators_hold(m, group), key
+    assert answers == {True: 375, False: 375 - 12}
+
+
+@pytest.mark.parametrize("source,target", [
+    pytest.param(s.matrix, t.matrix, id=f"{a}->{b}")
+    for a, s in SMALL_SYSTEMS.items() for b, t in SMALL_SYSTEMS.items()])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_memo_matches_per_relator_memo_between_systems(source, target,
+                                                             data):
+    """Random and block-shaped maps, several through one memo so that later
+    maps meet the entries earlier ones left, each followed by the splices
+    of consecutive maps (the first block of one, the rest of the next),
+    which share a block with each: each block-pair answer equals the
+    per-relator memo's and a fresh matrix evaluation's."""
+    random_maps = st.lists(st.sampled_from([None, *range(target.n)]),
+                           min_size=source.n, max_size=source.n)
+    maps = data.draw(st.lists(st.one_of(random_maps,
+                                        block_maps(source, target)),
+                              min_size=1, max_size=6))
+    maps += [a[:BLOCK_SIZE] + b[BLOCK_SIZE:] for a, b in zip(maps, maps[1:])]
+    grouped = group_relators(source, {})
+    rels = presentation_of(source).relators
+    memo, per_relator = RelatorMemo(target), RelatorMemo(target)
+    for images in maps:
+        phi = GeneratorMap(source, target, tuple(images))
+        got = memo.blocks_hold(phi, grouped)
+        assert got == per_relator.relators_hold(phi, rels)
+        assert got == relators_hold_by_matrices(phi)
+
+
+def test_block_memo_keys_on_both_blocks():
+    """Two maps of an edge into two points that agree on the first block:
+    both blocks onto the first target block keeps every cross relator,
+    the blocks onto the two target blocks breaks (s_1 s_1')^2, since the
+    target's blocks share no edge.  The second map must not read the
+    first one's entry."""
+    source, target = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
+    grouped = group_relators(source, {})
+    memo = RelatorMemo(target)
+    folded = GeneratorMap(source, target, (0, 1, 2, 3) * 2)
+    spread = GeneratorMap(source, target, tuple(range(8)))
+    assert memo.blocks_hold(folded, grouped)
+    assert not memo.blocks_hold(spread, grouped)
+    assert not relators_hold_by_matrices(spread)
+
+
+def test_block_memo_skipping_a_group_misses_the_fault(monkeypatch):
+    """Negative control: with each source's first group, its first block's
+    own relators, left out of the block path, the corrupted map of the
+    fault injection passes, and the run reports the fault as undetected."""
+    group = oracles.group_relators
+
+    def skip_first(source, patterns):
+        grouped = group(source, patterns)
+        return dataclasses.replace(grouped, groups=grouped.groups[1:])
+
+    report = acceptance.theorem_report(2, inject_fault=True)
+    assert [p.message for p in report.pair_outcomes if not p.ok] \
+        == ["injected relator fault detected (expected failure)"]
+    monkeypatch.setattr(acceptance, "group_relators", skip_first)
+    report = acceptance.theorem_report(2, inject_fault=True)
+    assert [p.message for p in report.pair_outcomes if not p.ok] \
+        == ["fault injection not detected"]
+
+
+def test_block_memo_refuses_other_systems():
+    C, D = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
+    grouped = group_relators(C, {})
+    with pytest.raises(PreconditionError, match="target"):
+        RelatorMemo(C).blocks_hold(identity_map(D), group_relators(D, {}))
+    with pytest.raises(PreconditionError, match="source"):
+        RelatorMemo(C).blocks_hold(GeneratorMap(D, C, tuple(range(8))),
+                                   grouped)
 
 
 # --- the lift tables against the per-call path -------------------------------

@@ -3,6 +3,7 @@ system."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,11 @@ from oracles import ks_step_by_products, s5_subsets_by_enumeration
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
+
+
+def chains(C):
+    """a4_chains on C, its labels handed over as the uint8 array it reads."""
+    return a4_chains(C, np.array(C.m, dtype=np.uint8).reshape(C.n, C.n))
 
 
 def test_component_candidate_braided_neighbor():
@@ -122,8 +128,10 @@ def test_component_respects_cap():
 
 def test_census_matches_enumeration_on_small_graphs():
     for graph in all_labeled_graphs(4):
-        C = build_C(graph).matrix
-        assert a4_chains(C) == s5_subsets_by_enumeration(C), graph.edges()
+        system = build_C(graph)
+        C = system.matrix
+        assert a4_chains(C, system.label_array) \
+            == s5_subsets_by_enumeration(C), graph.edges()
 
 
 def _labelled(n, threes, twos):
@@ -150,7 +158,7 @@ TRIANGLE_OF_3S = _labelled(4, [(0, 1), (1, 2), (0, 2), (2, 3)],
     (TRIANGLE_OF_3S, set()),
 ], ids=["A4 chain", "A5 chain", "D4 star", "4-cycle of 3s", "triangle of 3s"])
 def test_census_on_named_diagrams(C, expected):
-    assert a4_chains(C) == expected
+    assert chains(C) == expected
     assert s5_subsets_by_enumeration(C) == expected
 
 
@@ -167,7 +175,7 @@ def label_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(label_matrices())
 def test_census_matches_enumeration_on_random_labels(C):
-    assert a4_chains(C) == s5_subsets_by_enumeration(C)
+    assert chains(C) == s5_subsets_by_enumeration(C)
 
 
 # --- the census step test read off the labels, against conjugacy_component ---
@@ -239,7 +247,7 @@ def test_label_test_matches_components_on_random_labels(system):
         assert ok == _alone_by_definition(C, T)
         if ok:
             assert conjugacy_component(C, T).members == {T}
-    if a4_chains(C) != {system.block(v) for v in range(system.vertex_count)}:
+    if a4_chains(C, system.label_array) != {system.block(v) for v in range(system.vertex_count)}:
         return
     try:
         want = _classes_by_components(system)
