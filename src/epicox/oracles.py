@@ -31,8 +31,8 @@ arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def bfs_lengths(C, subset):
     return dist
 
 
-@dataclass(frozen=True)
-class RelatorGroups:
+class RelatorGroups(NamedTuple):
     """A source system's relators, grouped by the pair of blocks they touch.
 
     Each entry is (token, u, v, relators): the relators whose letters lie
@@ -87,7 +86,8 @@ class RelatorGroups:
     of their pattern, the same relators written in block-local letters
     (block u's positions as 0-3, block v's as 4-7).  The pattern and the
     images of the two blocks fix every mapped word of the group, for any
-    generator map.  Built by ``group_relators``.
+    generator map.  Built by ``group_relators``.  A named tuple because a
+    frozen dataclass costs about ten times as much to define at import.
     """
     source: CoxeterMatrix
     groups: tuple[tuple[object, int, int, tuple[Word, ...]], ...]

@@ -515,7 +515,7 @@ def test_block_memo_skipping_a_group_misses_the_fault(monkeypatch):
 
     def skip_first(source, patterns):
         grouped = group(source, patterns)
-        return dataclasses.replace(grouped, groups=grouped.groups[1:])
+        return grouped._replace(groups=grouped.groups[1:])
 
     report = acceptance.theorem_report(2, inject_fault=True)
     assert [p.message for p in report.pair_outcomes if not p.ok] \
