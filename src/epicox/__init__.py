@@ -16,11 +16,10 @@ from .coxeter import (INFINITE, CoxeterMatrix, enumerate_parabolic,
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      InternalInconsistencyError, PreconditionError)
 from .graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
-                     all_labeled_graphs, are_isomorphic, f_reduce,
-                     find_epimorphism, find_injective_hom, make_pointed)
+                     all_labeled_graphs, f_reduce, find_epimorphism,
+                     find_injective_hom, make_pointed)
 from .homomorphisms import (GeneratorMap, Presentation, induced_k_map,
                             lift_graph_epi, presentation_of, verify_relators)
-from .oracles import bounded_centralizer_check
 from .parabolics import (ConjugacyClass, classify_s5_classes,
                          conjugacy_component, ks_step)
 from .reconstruction import (KGraph, centralizer_certificate,
@@ -33,8 +32,7 @@ __all__ = [
     "EnumerationCapExceeded", "FalsificationError", "FiniteGraph",
     "GeneratorMap", "InternalInconsistencyError", "KGraph",
     "LabeledCoxeterSystem", "PointedReflexiveGraph", "PreconditionError",
-    "Presentation", "VertexMap", "all_labeled_graphs", "are_isomorphic",
-    "bounded_centralizer_check", "build_C", "build_L4",
+    "Presentation", "VertexMap", "all_labeled_graphs", "build_C", "build_L4",
     "centralizer_certificate", "classify_s5_classes", "commuting_witness",
     "conjugacy_component", "enumerate_parabolic", "evaluate", "f_reduce",
     "find_epimorphism", "find_injective_hom", "identity", "induced_k_map",

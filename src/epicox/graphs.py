@@ -169,11 +169,9 @@ def is_homomorphism(f: VertexMap, source: FiniteGraph, target: FiniteGraph) -> b
 
 def _maps(source: FiniteGraph, target: FiniteGraph, *,
           injective: bool = False, onto: bool = False,
-          reflect: bool = False,
           pin: tuple[int, int] | None = None) -> Iterator[VertexMap]:
     """Every edge-preserving map in lexicographic order, by backtracking
-    over partial maps.  reflect also preserves non-edges, and pin = (v, w)
-    forces v to w.
+    over partial maps.  pin = (v, w) forces v to w.
 
     Image sets are bitmasks over the target.  The pinned vertex is placed
     first: its image is fixed, so the maps still come out in lexicographic
@@ -188,10 +186,9 @@ def _maps(source: FiniteGraph, target: FiniteGraph, *,
     if pin:
         order.remove(pin[0])
         order.insert(0, pin[0])
-    # per place in the order: the vertices placed before it that constrain
-    # its image, and whether each is adjacent to it
-    constraints = [[(u, source.adj[u][v]) for u in order[:k]
-                    if reflect or source.adj[u][v]]
+    # per place in the order: the neighbours placed before it, which
+    # constrain its image
+    constraints = [[u for u in order[:k] if source.adj[u][v]]
                    for k, v in enumerate(order)]
     neighbours = [sum(1 << x for x in range(m) if target.adj[w][x])
                   for w in range(m)]
@@ -200,9 +197,8 @@ def _maps(source: FiniteGraph, target: FiniteGraph, *,
     def extend(k: int, used: int) -> Iterator[VertexMap]:
         v = order[k]
         cand = 1 << pin[1] if pin and v == pin[0] else (1 << m) - 1
-        for u, edge in constraints[k]:
-            near = neighbours[image[u]]
-            cand &= near if edge else ~near
+        for u in constraints[k]:
+            cand &= neighbours[image[u]]
         if injective:
             cand &= ~used
         while cand:
@@ -220,12 +216,6 @@ def _maps(source: FiniteGraph, target: FiniteGraph, *,
     yield from extend(0, 0)
 
 
-def _first_map(source: FiniteGraph, target: FiniteGraph,
-               **kwargs) -> VertexMap | None:
-    """First map of ``_maps`` with the same options, or None."""
-    return next(_maps(source, target, **kwargs), None)
-
-
 def find_injective_hom(source: FiniteGraph, target: FiniteGraph) -> VertexMap | None:
     """First injective edge-preserving map in lexicographic order, or None.
     Both graphs must be irreflexive."""
@@ -233,7 +223,7 @@ def find_injective_hom(source: FiniteGraph, target: FiniteGraph) -> VertexMap | 
         raise PreconditionError("injective search expects irreflexive graphs")
     if source.n > target.n:
         return None
-    return _first_map(source, target, injective=True)
+    return next(_maps(source, target, injective=True), None)
 
 
 def _unwrap(g) -> tuple[FiniteGraph, int | None]:
@@ -269,14 +259,6 @@ def epimorphisms(source, target,
 def find_epimorphism(source, target, base_preserving: bool | None = None) -> VertexMap | None:
     """First map of ``epimorphisms``, or None."""
     return next(epimorphisms(source, target, base_preserving), None)
-
-
-def are_isomorphic(g: FiniteGraph, h: FiniteGraph) -> VertexMap | None:
-    """Brute-force isomorphism search, intended for graphs of at most a
-    handful of vertices."""
-    if g.n != h.n or g.reflexive != h.reflexive:
-        return None
-    return _first_map(g, h, injective=True, reflect=True)
 
 
 # --- file formats ---------------------------------------------------------

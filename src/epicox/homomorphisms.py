@@ -138,24 +138,16 @@ def lift_graph_epi(f: VertexMap, source_system: LabeledCoxeterSystem,
     return phi
 
 
-@dataclass(frozen=True)
-class ClassImage:
-    source_vertex: int
-    kind: str  # "class" | "base"
-    target_vertex: int | None = None
-
-
-def _classify_block_image(target: KGraph,
-                          gen_images: tuple) -> tuple[str, int | None]:
-    """Classify the standard subgroup on the given target generators: at
-    most one generator collapses to the base, a member of a target class
-    gives that class, and any other set aborts loudly."""
+def _classify_block_image(target: KGraph, gen_images: tuple) -> int:
+    """The pointed class vertex of the standard subgroup on the given target
+    generators: at most one generator collapses to the base, a member of a
+    target class gives that class, and any other set aborts loudly."""
     J = frozenset(j for j in gen_images if j is not None)
     if len(J) <= 1:
-        return "base", None
+        return len(target.classes)
     u = target.class_of_member.get(J)
     if u is not None:
-        return "class", u
+        return u
     names = [target.system.matrix.names[j] for j in sorted(J)]
     raise FalsificationError(
         f"a block image generates the standard subgroup on {names}, which "
@@ -163,23 +155,22 @@ def _classify_block_image(target: KGraph,
 
 
 def induced_k_map(source_system: LabeledCoxeterSystem, target: KGraph,
-                  phi: GeneratorMap) -> tuple[ClassImage, ...]:
-    """Where each source class vertex goes under a relator-respecting map.
+                  phi: GeneratorMap) -> VertexMap:
+    """The map a relator-respecting map induces from the source's pointed
+    graph to the target's pointed class graph, the base appended last.
 
     A block's image is the standard subgroup on the set J of its image
     generators.  The relators force J to be empty, one generator, or a
     labelled 4-chain, and the target's class census shows the 4-chains are
     exactly the target blocks, each alone in its class.  So |J| <= 1
     collapses the class to the base point and J equal to a target block
-    gives that block's class.
+    gives that block's class.  The base goes to the base.
     """
     if phi.source != source_system.matrix or phi.target != target.system.matrix:
         raise PreconditionError("map endpoints do not match the systems")
     if not phi.relators_hold:
         raise PreconditionError("map does not respect the source relators")
-    img = phi.images
-    out = []
-    for v, gens in enumerate(source_system.block_generators):
-        kind, u = _classify_block_image(target, tuple(img[g] for g in gens))
-        out.append(ClassImage(v, kind, u))
-    return tuple(out)
+    img, base = phi.images, len(target.classes)
+    image = tuple(_classify_block_image(target, tuple(img[g] for g in gens))
+                  for gens in source_system.block_generators)
+    return VertexMap(len(image) + 1, base + 1, image + (base,))

@@ -118,61 +118,41 @@ def group_relators(source: CoxeterMatrix, patterns: dict) -> RelatorGroups:
 
 class RelatorMemo:
     """The matrix relator oracle for maps into one target system, memoised
-    per block pair and per pair of generator images.
+    in two layers: per block pair and per mapped word.
 
     ``blocks_hold`` answers a ``RelatorGroups`` entry from one key in
     ``blocks``: its pattern token and the images of its two blocks, which
-    fix all of its mapped words.  On a miss the group's relators go
-    through the per-relator path of ``relators_hold``.  A relator of
-    ``presentation_of``'s shape alternates two generators: (s_i s_j)^m, or
-    s_i^2 with i = j.  Its mapped word is therefore fixed by (phi(s_i),
-    phi(s_j), length), where an image may be the identity, and ``pairs``
-    holds one answer per such key.  Only on a key miss is the relator
-    mapped to its word; ``answers`` holds one entry per distinct word, each
-    evaluated once as integer matrices from the target's identity, so no
-    answer comes from the label rule.  ``relators_hold`` refuses a relator
-    of any other shape; ``group_relators`` takes the relators from
-    ``presentation_of``, which makes no other.  A memo lives only as long
-    as the run that fills it.
+    fix all of its mapped words.  On a miss the group's relators go through
+    ``relators_hold``, which maps each relator to its word; ``answers``
+    holds one entry per distinct word, each evaluated once as integer
+    matrices from the target's identity, so no answer comes from the label
+    rule.  A memo lives only as long as the run that fills it.
     """
 
     def __init__(self, target: CoxeterMatrix):
         self.target = target
         self.identity = identity(target)
         self.answers: dict[Word, bool] = {}
-        self.pairs: dict[tuple[int | None, int | None, int], bool] = {}
         self.blocks: dict[tuple[object, tuple, tuple], bool] = {}
 
     def _check_target(self, phi: GeneratorMap) -> None:
         if phi.target != self.target:
             raise PreconditionError("map into a different target system")
 
-    def _hold(self, phi: GeneratorMap, relators) -> bool:
-        img, pairs = phi.images, self.pairs
+    def relators_hold(self, phi: GeneratorMap, relators) -> bool:
+        """Does every relator, pushed through the map, evaluate to the
+        identity?"""
+        self._check_target(phi)
+        answers = self.answers
         for rel in relators:
-            key = (img[rel[0]], img[rel[1]], len(rel))
-            hit = pairs.get(key)
+            word = map_word(phi, rel)
+            hit = answers.get(word)
             if hit is None:
-                word = map_word(phi, rel)
-                hit = self.answers.get(word)
-                if hit is None:
-                    hit = self.answers[word] = (evaluate(self.target, word)
-                                                == self.identity)
-                pairs[key] = hit
+                hit = answers[word] = (evaluate(self.target, word)
+                                       == self.identity)
             if not hit:
                 return False
         return True
-
-    def relators_hold(self, phi: GeneratorMap, relators) -> bool:
-        """Does every relator, pushed through the map, evaluate to the
-        identity?  relators are the source's, as ``presentation_of``
-        gives them."""
-        self._check_target(phi)
-        for rel in relators:
-            if not rel or tuple(rel) != tuple(rel[:2]) * (len(rel) // 2):
-                raise PreconditionError(
-                    f"relator {rel} is not (s_i s_j)^m or s_i^2")
-        return self._hold(phi, relators)
 
     def blocks_hold(self, phi: GeneratorMap, groups: RelatorGroups) -> bool:
         """``relators_hold`` for the source's relators, one lookup per
@@ -186,7 +166,7 @@ class RelatorMemo:
             key = (token, img[u:u + BLOCK_SIZE], img[v:v + BLOCK_SIZE])
             hit = blocks.get(key)
             if hit is None:
-                hit = blocks[key] = self._hold(phi, rels)
+                hit = blocks[key] = self.relators_hold(phi, rels)
             if not hit:
                 return False
         return True

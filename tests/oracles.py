@@ -3,8 +3,10 @@ permutation model of the 4-chain, the subset scan that the labelled 4-chain
 census replaced, the set-deduplicating ball and membership-first
 centralizer sweep that the descent-keyed ball and the probe-first sweep
 replaced, the product over all vertex maps that the backtracking
-epimorphism enumeration replaced, the per-call lift and induced class
-map that the per-system lift tables replaced, the conjugation step checked
+epimorphism enumeration replaced, a graph isomorphism search over vertex
+permutations (no command needs one, so the library keeps none), the
+per-call lift and induced pointed class map that the per-system lift
+tables replaced, the conjugation step checked
 by inverse and full products that the row-against-column check replaced,
 and the normaliser certificate with its class test at rank 8 that the
 block-rank class test replaced, and the label rule over all pairs of
@@ -26,7 +28,7 @@ from epicox.coxeter import (INFINITE, enumerate_parabolic, evaluate,
 from epicox.errors import (EnumerationCapExceeded, FalsificationError,
                            InternalInconsistencyError, PreconditionError)
 from epicox.graphs import VertexMap
-from epicox.homomorphisms import ClassImage, GeneratorMap
+from epicox.homomorphisms import GeneratorMap
 from epicox.parabolics import (conjugacy_component, ks_component_candidate,
                                ks_step)
 from epicox.reconstruction import (_conjugation_distances, _even_involutions,
@@ -223,6 +225,21 @@ def base_preserving_epis_by_product(src_p, tgt_p) -> list[VertexMap]:
     return out
 
 
+# --- graph isomorphism, by permutations -------------------------------------
+
+
+def are_isomorphic(g, h) -> VertexMap | None:
+    """The first vertex permutation, in lexicographic order, that carries
+    g's adjacency onto h's exactly (loops included), or None."""
+    if g.n != h.n or g.reflexive != h.reflexive:
+        return None
+    for perm in itertools.permutations(range(g.n)):
+        if all(g.adj[u][v] == h.adj[perm[u]][perm[v]]
+               for u in range(g.n) for v in range(u, g.n)):
+            return VertexMap(g.n, h.n, perm)
+    return None
+
+
 # --- lifts and induced class maps, per call ------------------------------------
 #
 # Every generator's (vertex, position) is read through block_of, every image
@@ -245,22 +262,23 @@ def lift_images_per_call(f, source_system, target_system) -> GeneratorMap:
                         tuple(images))
 
 
-def induced_classes_per_call(source_system, target,
-                             phi) -> tuple[ClassImage, ...]:
+def induced_classes_per_call(source_system, target, phi) -> VertexMap:
     """Where each source block goes: the base for at most one image
-    generator, else the first target class holding the image set."""
-    out = []
+    generator, else the first target class holding the image set; the base
+    goes to the base, appended last after the classes."""
+    base = len(target.classes)
+    image = []
     for v in range(source_system.vertex_count):
         J = frozenset(phi.images[g] for g in sorted(source_system.block(v))
                       if phi.images[g] is not None)
         if len(J) <= 1:
-            out.append(ClassImage(v, "base", None))
+            image.append(base)
             continue
         hits = [u for u, cls in enumerate(target.classes) if J in cls.members]
         if not hits:
             raise FalsificationError(f"image set {sorted(J)} is in no class")
-        out.append(ClassImage(v, "class", hits[0]))
-    return tuple(out)
+        image.append(hits[0])
+    return VertexMap(len(image) + 1, base + 1, tuple(image) + (base,))
 
 
 # --- the conjugation step, checked by inverse and full products ----------------

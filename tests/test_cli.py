@@ -2,6 +2,7 @@
 where argument parsing itself must refuse, which runs a subprocess."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from epicox import acceptance, cli, oracles
 from epicox.cli import main
+from epicox.construction import build_C
 from epicox.errors import FalsificationError
+from epicox.graphs import all_labeled_graphs, find_epimorphism
 
 PATH3_TEXT = "n 3 irreflexive\ne 0 1\ne 1 2\n"
 EDGE_TEXT = "n 2 irreflexive\ne 0 1\n"
@@ -311,6 +314,64 @@ def test_check_theorem_fault_caught_by_matrices(capsys, vertices, counts):
         "verdict: FAIL\n")
 
 
+def _first_epis(max_vertices):
+    """The first base-preserving epimorphism of every ordered pair that has
+    one, keyed by the pair's indices, and the pair count."""
+    pointed = [build_C(g).pointed for g in all_labeled_graphs(max_vertices)]
+    firsts = {}
+    for i, p in enumerate(pointed):
+        for j, q in enumerate(pointed):
+            f = find_epimorphism(p, q)
+            if f is not None:
+                firsts[i, j] = f
+    return firsts, len(pointed) ** 2
+
+
+def test_check_theorem_catches_wrong_induced_map(monkeypatch, capsys):
+    """Negative control: an induced map that sends class 0 to the base
+    fails every pair whose target has a class, since an onto map hits
+    class 0, on the pair's first epimorphism; check-theorem exits 3."""
+    induced = acceptance.induced_k_map
+
+    def class_0_to_base(source_system, target, phi):
+        got = induced(source_system, target, phi)
+        base = len(target.classes)
+        return dataclasses.replace(
+            got, image=tuple(base if x == 0 else x for x in got.image))
+
+    monkeypatch.setattr(acceptance, "induced_k_map", class_0_to_base)
+    report = acceptance.theorem_report(2)
+    firsts, pairs = _first_epis(2)
+    want = {}
+    for (i, j), f in firsts.items():
+        base = f.target_size - 1
+        if base:
+            wrong = tuple(base if x == 0 else x for x in f.image)
+            want[i, j] = f"induced map {wrong}, expected {f.image}"
+    assert len(report.pair_outcomes) == pairs and want
+    assert {(p.source_index, p.target_index): p.message
+            for p in report.pair_outcomes if not p.ok} == want
+    assert main(["check-theorem", "--max-vertices", "2"]) == 3
+    assert capsys.readouterr().out.endswith("".join(
+        f"pair {i} -> {j}: {message}\n"
+        for (i, j), message in sorted(want.items())) + "verdict: FAIL\n")
+
+
+def test_check_theorem_catches_missed_generators(monkeypatch, capsys):
+    """Negative control: a generator check that never passes fails every
+    pair with an epimorphism, on its first one; check-theorem exits 3."""
+    monkeypatch.setattr(acceptance, "is_onto_generators", lambda phi: False)
+    report = acceptance.theorem_report(2)
+    firsts, pairs = _first_epis(2)
+    assert len(report.pair_outcomes) == pairs
+    assert {(p.source_index, p.target_index): p.message
+            for p in report.pair_outcomes if not p.ok} == {
+        pair: f"lift of onto map missed generators: {f.image}"
+        for pair, f in firsts.items()}
+    assert main(["check-theorem", "--max-vertices", "2"]) == 3
+    assert capsys.readouterr().out.endswith("verdict: FAIL\n")
+
+
 def test_check_theorem_vertex_ceiling_refused_before_enumeration(
         monkeypatch, capsys):
     def unreachable(*args, **kwargs):
@@ -332,14 +393,14 @@ def test_acceptance_single_criterion(capsys):
     assert "criterion 1" in out and "PASS" in out
 
 
-def _falsified(radius):
+def _falsified():
     raise FalsificationError("planted counterexample")
 
 
 @pytest.mark.parametrize("criterion,code", [
     (_falsified, 3),
     # a plain failure exits 1 even when its detail mentions falsification
-    (lambda radius: (False, "no falsification here"), 1)])
+    (lambda: (False, "no falsification here"), 1)])
 def test_acceptance_exit_code_follows_exception(monkeypatch, capsys,
                                                 criterion, code):
     (number, name, _), *rest = acceptance.CRITERIA
@@ -356,7 +417,7 @@ def test_acceptance_options_do_not_carry_over(monkeypatch, capsys):
     ran = []
 
     def stub(number):
-        def criterion(radius):
+        def criterion(*radius):  # criterion 6 alone is given the radius
             ran.append(number)
             return True, "stub"
         return criterion

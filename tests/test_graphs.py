@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from epicox.errors import PreconditionError
 from epicox.graphs import (FiniteGraph, PointedReflexiveGraph, VertexMap,
-                           all_labeled_graphs, are_isomorphic, epimorphisms,
-                           f_reduce, find_epimorphism, find_injective_hom,
+                           all_labeled_graphs, epimorphisms, f_reduce,
+                           find_epimorphism, find_injective_hom,
                            is_homomorphism, make_pointed)
 from epicox.oracles import naive_hom_exists
 
-from oracles import base_preserving_epis_by_product
+from oracles import are_isomorphic, base_preserving_epis_by_product
 
 TRIANGLE = FiniteGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
