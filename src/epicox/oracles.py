@@ -37,11 +37,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import BLOCK_SIZE, LabeledCoxeterSystem
-from .coxeter import CoxeterMatrix, Word, evaluate, identity, mul_gen
+from .coxeter import (CoxeterMatrix, Word, evaluate, identity, mul_gen,
+                      parabolic_levels, simple_reflection)
 from .errors import EnumerationCapExceeded, PreconditionError
 from .homomorphisms import GeneratorMap, map_word, presentation_of
-from .reconstruction import (_conjugation_distances, _even_involutions,
-                             _named, _two_block_labels)
+from .reconstruction import _named, _two_block_labels
 
 
 def naive_hom_exists(source, target, injective=False, onto=False) -> bool:
@@ -118,22 +118,31 @@ def group_relators(source: CoxeterMatrix, patterns: dict) -> RelatorGroups:
 
 class RelatorMemo:
     """The matrix relator oracle for maps into one target system, memoised
-    in two layers: per block pair and per mapped word.
+    in three layers: per block pair, per label shape and per mapped word.
 
     ``blocks_hold`` answers a ``RelatorGroups`` entry from one key in
     ``blocks``: its pattern token and the images of its two blocks, which
-    fix all of its mapped words.  On a miss the group's relators go through
-    ``relators_hold``, which maps each relator to its word; ``answers``
-    holds one entry per distinct word, each evaluated once as integer
-    matrices from the target's identity, so no answer comes from the label
-    rule.  A memo lives only as long as the run that fills it.
+    fix all of its mapped words.  A miss there looks up ``shapes``, a dict
+    that memos into different targets may share for a run.  Its key is the
+    token, the two image blocks written in local letters (numbered in order
+    of first appearance) and the target labels among those letters.  A
+    word in letters L is trivial exactly when it is trivial in the Coxeter
+    group of the labels among L (Humphreys, Reflection Groups and Coxeter
+    Groups 5.5), so equal keys get equal answers, in any target.  Only a
+    miss there sends the group's relators through ``relators_hold``, which
+    maps each relator to its word; ``answers`` holds one entry per distinct
+    word, each evaluated once as integer matrices from the target's
+    identity, so no answer comes from the label rule.  A memo lives only as
+    long as the run that fills it.
     """
 
-    def __init__(self, target: CoxeterMatrix):
+    def __init__(self, target: CoxeterMatrix, shapes: dict | None = None):
         self.target = target
         self.identity = identity(target)
         self.answers: dict[Word, bool] = {}
         self.blocks: dict[tuple[object, tuple, tuple], bool] = {}
+        self.shapes: dict[tuple[object, tuple, tuple], bool] = \
+            {} if shapes is None else shapes
 
     def _check_target(self, phi: GeneratorMap) -> None:
         if phi.target != self.target:
@@ -154,6 +163,16 @@ class RelatorMemo:
                 return False
         return True
 
+    def _shape(self, token, images: tuple) -> tuple[object, tuple, tuple]:
+        """The ``shapes`` key of a group's token and the images of its two
+        blocks, concatenated."""
+        local: dict[int, int] = {}
+        letters = tuple(None if g is None else local.setdefault(g, len(local))
+                        for g in images)
+        m = self.target.m
+        return token, letters, tuple(tuple(m[a][b] for b in local)
+                                     for a in local)
+
     def blocks_hold(self, phi: GeneratorMap, groups: RelatorGroups) -> bool:
         """``relators_hold`` for the source's relators, one lookup per
         block pair; groups is the map's source grouped by
@@ -161,12 +180,16 @@ class RelatorMemo:
         self._check_target(phi)
         if phi.source != groups.source:
             raise PreconditionError("map from a different source system")
-        img, blocks = phi.images, self.blocks
+        img, blocks, shapes = phi.images, self.blocks, self.shapes
         for token, u, v, rels in groups.groups:
             key = (token, img[u:u + BLOCK_SIZE], img[v:v + BLOCK_SIZE])
             hit = blocks.get(key)
             if hit is None:
-                hit = blocks[key] = self.relators_hold(phi, rels)
+                shape = self._shape(token, key[1] + key[2])
+                hit = shapes.get(shape)
+                if hit is None:
+                    hit = shapes[shape] = self.relators_hold(phi, rels)
+                blocks[key] = hit
             if not hit:
                 return False
         return True
@@ -367,6 +390,41 @@ def _commuting(X: np.ndarray, A: np.ndarray, v: np.ndarray, ka: np.ndarray,
     i, p = np.nonzero(lhs == rhs)
     Y, a, b = X[i], A[ka[p]], A[kb[p]]
     return bool((np.matmul(Y, a) == np.matmul(b, Y)).all(axis=(1, 2)).any())
+
+
+def _even_involutions(sub: CoxeterMatrix, block) -> np.ndarray:
+    """The nonidentity involutions of even length in the standard subgroup
+    on the block, found by S @ S == I over the whole subgroup at once."""
+    by_length = parabolic_levels(sub, block)
+    S = np.array([w for level in by_length for w in level],
+                 dtype=np.int64)
+    lengths = np.repeat(np.arange(len(by_length)),
+                        [len(level) for level in by_length])
+    eye = np.eye(sub.n, dtype=np.int64)
+    inv = (np.matmul(S, S) == eye).all(axis=(1, 2)) & \
+        (S != eye).any(axis=(1, 2))
+    return S[inv & (lengths % 2 == 0)]
+
+
+def _conjugation_distances(sub: CoxeterMatrix, block, A: np.ndarray,
+                           far: int) -> np.ndarray:
+    """D[a, b]: the length of a shortest u in the standard subgroup on the
+    block with A[a] u == u A[b], or at least ``far`` when that length is
+    ``far`` or more or there is no such u.
+
+    It is the distance from a to b when each a is joined to s a s for every
+    generator s of the block (a reduced word of u walks from a to b, and a
+    walk spells such a u), found by Floyd-Warshall.
+    """
+    G = np.array([simple_reflection(sub, t) for t in sorted(block)],
+                 dtype=np.int64)
+    sas = np.matmul(np.matmul(G[:, None], A), G[:, None])
+    near = (sas[:, :, None] == A).all(axis=(3, 4)).any(axis=0)
+    D = np.where(near, 1, far)
+    np.fill_diagonal(D, 0)
+    for k in range(len(A)):
+        D = np.minimum(D, D[:, k, None] + D[k])
+    return D
 
 
 # Keyed, like reconstruction._shape_commutes, by the pair's rank-8 label

@@ -26,28 +26,39 @@ W_J, each is u a u^-1 for some u in W_J, and its centraliser lies in W_J
 too.  A failed certificate is inconclusive, not a violation: a step
 normalises W_I but need not centralise a.
 
-The class test runs in W_J's own rank-4 system, built from the block's
-4x4 labels, not in the rank-8 subsystem.  A standard parabolic subgroup is
+That class test reads the involutions off subsets instead of enumerating
+W_J.  Every involution of a Coxeter group is conjugate to w_K, the longest
+element of some K with W_K finite and w_K central in W_K, and two such
+w_K are conjugate exactly when K and K' are conjugate subsets, that is,
+in one conjugacy component (Richardson, Conjugacy classes of involutions
+in Coxeter groups, Bull. Austral. Math. Soc. 26, 1982).  Such a w_K acts
+as -1 on the span of K's simple roots and trivially modulo it, so its
+determinant, (-1) to its length, is (-1)^|K|: the even involutions other
+than the identity are the conjugates of w_K for nonempty K of even size.
+So they form one class containing a = w_I exactly when w_I is central in
+W_I and each such K lies in I's component in W_J.
+
+It needs no rank-4 system of its own.  A standard parabolic subgroup is
 the Coxeter group of its own labels, with the same lengths (Humphreys,
-Reflection Groups and Coxeter Groups 5.5), and the geometric
-representation of that group is faithful (5.4).  So its involutions, their
-lengths and the conjugations between them are the same in either system;
-each rank-8 matrix holds the rank-4 one in its top-left corner, since W_J
-maps the span of its own simple roots to itself.  Only the steps, which
-may leave J, need the rank-8 labels.
+Reflection Groups and Coxeter Groups 5.5), so whether W_K is finite and
+w_K central in it reads the same in the rank-8 subsystem as in W_J.  And
+a step along a generator of J, out of a subset of J, reads only J's
+labels, so when no member of I's component steps out of J, the component
+is I's component in W_J as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
                            build_C)
-from .coxeter import (CoxeterMatrix, Word, evaluate, parabolic_levels,
-                      simple_reflection)
+from .coxeter import (CoxeterMatrix, Word, evaluate, gen_mul, is_spherical,
+                      longest_element, mul_gen)
 from .errors import (FalsificationError, InternalInconsistencyError,
                      PreconditionError)
 from .graphs import FiniteGraph, VertexMap
@@ -76,6 +87,17 @@ class KGraph:
             for member in cls.members:
                 out.setdefault(member, u)
         return out
+
+    @cached_property
+    def class_of_block_image(self) -> dict[tuple[int | None, ...], int]:
+        """The pointed class vertex of each image a lift gives a block, keyed
+        on the image generators in position order: the block of vertex v
+        gives its class, four identities give the base, numbered after the
+        classes."""
+        table = {gens: self.class_of_member[frozenset(gens)]
+                 for gens in self.system.block_generators}
+        table[(None,) * BLOCK_SIZE] = len(self.classes)
+        return table
 
 
 def _two_block_labels(system: LabeledCoxeterSystem, s: int,
@@ -117,62 +139,42 @@ def commuting_witness(system: LabeledCoxeterSystem, s: int,
     return None
 
 
-def _even_involutions(sub: CoxeterMatrix, block) -> np.ndarray:
-    """The nonidentity involutions of even length in the standard subgroup
-    on the block, found by S @ S == I over the whole subgroup at once."""
-    by_length = parabolic_levels(sub, block)
-    S = np.array([w for level in by_length for w in level],
-                 dtype=np.int64)
-    lengths = np.repeat(np.arange(len(by_length)),
-                        [len(level) for level in by_length])
-    eye = np.eye(sub.n, dtype=np.int64)
-    inv = (np.matmul(S, S) == eye).all(axis=(1, 2)) & \
-        (S != eye).any(axis=(1, 2))
-    return S[inv & (lengths % 2 == 0)]
+def _central_longest(C: CoxeterMatrix, K) -> bool:
+    """Whether W_K is finite and its longest element commutes with every
+    generator of K, so is central in W_K."""
+    if not is_spherical(C, K):
+        return False
+    w = longest_element(C, K)
+    return all(gen_mul(C, s, w) == mul_gen(C, w, s) for s in K)
 
 
-def _conjugation_distances(sub: CoxeterMatrix, block, A: np.ndarray,
-                           far: int) -> np.ndarray:
-    """D[a, b]: the length of a shortest u in the standard subgroup on the
-    block with A[a] u == u A[b], or at least ``far`` when that length is
-    ``far`` or more or there is no such u.
-
-    It is the distance from a to b when each a is joined to s a s for every
-    generator s of the block (a reduced word of u walks from a to b, and a
-    walk spells such a u), found by Floyd-Warshall.
-    """
-    G = np.array([simple_reflection(sub, t) for t in sorted(block)],
-                 dtype=np.int64)
-    sas = np.matmul(np.matmul(G[:, None], A), G[:, None])
-    near = (sas[:, :, None] == A).all(axis=(3, 4)).any(axis=0)
-    D = np.where(near, 1, far)
-    np.fill_diagonal(D, 0)
-    for k in range(len(A)):
-        D = np.minimum(D, D[:, k, None] + D[k])
-    return D
+def _one_even_class(C: CoxeterMatrix, J, members) -> bool:
+    """Whether every nonidentity involution of even length in W_J is
+    conjugate in W_J to w_I, given the members of I's conjugacy component
+    in W_J: every nonempty K in J of even size with w_K central in W_K is a
+    member (Richardson, module docstring)."""
+    return all(frozenset(K) in members
+               for size in range(2, len(J) + 1, 2)
+               for K in combinations(sorted(J), size)
+               if _central_longest(C, K))
 
 
 # Keyed and bounded like _shape_commutes: a build_C system has two label
 # blocks, and only the non-adjacent one ever reaches the certificate.
 @lru_cache(maxsize=64)
 def _centralizer_certificate(labels: tuple[tuple[int, ...], ...]) -> bool:
-    # the class test runs in W_J's own rank-4 system (module docstring)
-    wj = _named(tuple(row[:BLOCK_SIZE] for row in labels[:BLOCK_SIZE]))
+    sub = _named(labels)
     block = frozenset(range(BLOCK_SIZE))
     I = (0, 2)  # alt_involution's positions 1 and 3
-    A = _even_involutions(wj, block)
-    hit = np.flatnonzero(
-        (A == np.array(evaluate(wj, I), dtype=np.int64)).all(axis=(1, 2)))
-    # a path between involutions is shorter than their count
-    if not len(hit) or \
-            (_conjugation_distances(wj, block, A, len(A))[hit[0]]
-             >= len(A)).any():
+    # their product is an involution exactly when it is w_I, central in W_I
+    if not _central_longest(sub, I):
         return False
-    sub = _named(labels)
     members = conjugacy_component(sub, I).members
+    # with no step out of J, these are also I's members in W_J
     return all(X <= block for X in members) and \
         all(ks_step(sub, X, s) is None
-            for X in members for s in range(BLOCK_SIZE, sub.n))
+            for X in members for s in range(BLOCK_SIZE, sub.n)) and \
+        _one_even_class(sub, block, members)
 
 
 def centralizer_certificate(system: LabeledCoxeterSystem, s: int,

@@ -6,12 +6,14 @@ replaced, the product over all vertex maps that the backtracking
 epimorphism enumeration replaced, a graph isomorphism search over vertex
 permutations (no command needs one, so the library keeps none), the
 per-call lift and induced pointed class map that the per-system lift
-tables replaced, the conjugation step checked
-by inverse and full products that the row-against-column check replaced,
-and the normaliser certificate with its class test at rank 8 that the
-block-rank class test replaced, and the label rule over all pairs of
-generators that the loop over finite-label pairs replaced.  The oracles
-shared with the acceptance criteria live in ``epicox.oracles``.
+tables replaced, the conjugation step checked by inverse and full products
+that the row-against-column check replaced, the normaliser certificate
+with its class test at rank 8 that the block-rank class test replaced, the
+class test over all of W_J that the one over subsets replaced, the label
+rule over all pairs of generators that the loop over finite-label pairs
+replaced, and the theorem check with every epimorphism through the full
+path that the table path replaced.  The oracles shared with the
+acceptance criteria live in ``epicox.oracles``.
 """
 
 from __future__ import annotations
@@ -21,18 +23,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from epicox.acceptance import _corrupt
 from epicox.construction import BLOCK_SIZE
 from epicox.coxeter import (INFINITE, enumerate_parabolic, evaluate,
                             gram_matrix, identity, invert, is_spherical,
                             length, longest_element, mul, simple_reflection)
 from epicox.errors import (EnumerationCapExceeded, FalsificationError,
                            InternalInconsistencyError, PreconditionError)
-from epicox.graphs import VertexMap
-from epicox.homomorphisms import GeneratorMap
+from epicox.graphs import VertexMap, all_labeled_graphs, epimorphisms
+from epicox.homomorphisms import (GeneratorMap, induced_k_map,
+                                  is_onto_generators, lift_graph_epi)
+from epicox.oracles import (RelatorMemo, _conjugation_distances,
+                            _even_involutions, group_relators)
 from epicox.parabolics import (conjugacy_component, ks_component_candidate,
                                ks_step)
-from epicox.reconstruction import (_conjugation_distances, _even_involutions,
-                                   _named)
+from epicox.reconstruction import _named, k_graph
 
 
 def fraction_minors(C, subset):
@@ -317,7 +322,21 @@ def ks_step_by_products(C, subset, s):
     return J
 
 
-# --- the normaliser certificate, its class test at rank 8 ---------------------
+# --- the normaliser certificate, its class test by enumeration -----------------
+
+
+def one_even_class_by_enumeration(sub, block, I=(0, 2)) -> bool:
+    """The certificate's class test over all of W_J, J the block: the
+    product of the pair I is a nonidentity involution of even length, and
+    every other such involution is conjugate to it in W_J, by S @ S == I
+    over the whole subgroup and Floyd-Warshall over its conjugations."""
+    A = _even_involutions(sub, block)
+    hit = np.flatnonzero(
+        (A == np.array(evaluate(sub, I), dtype=np.int64)).all(axis=(1, 2)))
+    # a path between involutions is shorter than their count
+    return bool(len(hit)) and not \
+        (_conjugation_distances(sub, block, A, len(A))[hit[0]]
+         >= len(A)).any()
 
 
 def centralizer_certificate_at_rank_8(labels) -> bool:
@@ -326,12 +345,7 @@ def centralizer_certificate_at_rank_8(labels) -> bool:
     sub = _named(labels)
     block = frozenset(range(BLOCK_SIZE))
     I = (0, 2)
-    A = _even_involutions(sub, block)
-    hit = np.flatnonzero(
-        (A == np.array(evaluate(sub, I), dtype=np.int64)).all(axis=(1, 2)))
-    if not len(hit) or \
-            (_conjugation_distances(sub, block, A, len(A))[hit[0]]
-             >= len(A)).any():
+    if not one_even_class_by_enumeration(sub, block, I):
         return False
     members = conjugacy_component(sub, I).members
     return all(X <= block for X in members) and \
@@ -360,3 +374,65 @@ def verify_relators_all_pairs(phi) -> bool:
             elif tgt.m[a][b] != m:
                 return False
     return True
+
+
+# --- the theorem check, every epimorphism through the full path ----------------
+
+
+def full_path_passes(f, src, tgt) -> bool:
+    """Whether a base-preserving vertex map f between the pointed graphs of
+    two class graphs passes the full check, with a fresh relator memo:
+    it lifts, the lift's relators hold as matrices, it hits every
+    generator, and it induces f."""
+    try:
+        phi = lift_graph_epi(f, src.system, tgt.system)
+    except PreconditionError:  # not a homomorphism of pointed graphs
+        return False
+    return (RelatorMemo(tgt.system.matrix).blocks_hold(
+                phi, group_relators(src.system.matrix, {}))
+            and is_onto_generators(phi)
+            and induced_k_map(src.system, tgt, phi) == f)
+
+
+def theorem_outcomes_by_full_path(max_vertices, inject_fault=False):
+    """(source, target, epimorphisms, ok, message) per ordered pair, with
+    every epimorphism through the full check and no table: the loop the
+    table path replaced, as it was."""
+    kgs = [k_graph(g) for g in all_labeled_graphs(max_vertices)]
+    patterns = {}
+    groups = [group_relators(kg.system.matrix, patterns) for kg in kgs]
+    memos = [RelatorMemo(kg.system.matrix) for kg in kgs]
+    outcomes = []
+    fault_pending = inject_fault
+    for i, src in enumerate(kgs):
+        sys1 = src.system
+        for j, tgt in enumerate(kgs):
+            sys2 = tgt.system
+            epis = list(epimorphisms(sys1.pointed, sys2.pointed))
+            ok, message = True, "ok"
+            for f in epis:
+                phi = lift_graph_epi(f, sys1, sys2)
+                if fault_pending:
+                    corrupted = _corrupt(phi, sys1, sys2, f)
+                    if corrupted is not None:
+                        fault_pending, ok = False, False
+                        message = (
+                            "fault injection not detected"
+                            if memos[j].blocks_hold(corrupted, groups[i])
+                            else "injected relator fault detected "
+                                 "(expected failure)")
+                        break
+                if not memos[j].blocks_hold(phi, groups[i]):
+                    ok, message = False, f"relators failed for {f.image}"
+                    break
+                if not is_onto_generators(phi):
+                    ok, message = False, \
+                        f"lift of onto map missed generators: {f.image}"
+                    break
+                got = induced_k_map(sys1, tgt, phi)
+                if got.image != f.image:
+                    ok, message = False, (f"induced map {got.image}, "
+                                          f"expected {f.image}")
+                    break
+            outcomes.append((i, j, len(epis), ok, message))
+    return outcomes

@@ -20,7 +20,8 @@ from epicox import acceptance, homomorphisms, oracles
 from epicox.oracles import (RelatorMemo, group_relators,
                             relators_hold_by_matrices)
 from epicox.reconstruction import k_graph
-from oracles import (induced_classes_per_call, lift_images_per_call,
+from oracles import (full_path_passes, induced_classes_per_call,
+                     lift_images_per_call, theorem_outcomes_by_full_path,
                      verify_relators_all_pairs)
 
 L4 = build_L4()
@@ -196,6 +197,18 @@ def test_order_dichotomy_enforced():
         _classify_block_image(k_graph(EDGE), (0, 1, None, None))
 
 
+def test_induced_map_classifies_images_outside_the_table():
+    """A block sent onto a target block in reverse position order, which
+    the 4-chain's diagram automorphism allows, is no lift's image, so
+    induced_k_map classifies it through _classify_block_image."""
+    point = FiniteGraph.from_edges(1, [])
+    src, tgt = build_C(point), k_graph(point)
+    phi = GeneratorMap(src.matrix, tgt.system.matrix, (3, 2, 1, 0))
+    assert phi.relators_hold
+    assert phi.images not in tgt.class_of_block_image
+    assert induced_k_map(src, tgt, phi) == VertexMap(2, 2, (0, 1))
+
+
 # --- labels against matrices -------------------------------------------------
 
 
@@ -282,6 +295,8 @@ def test_block_image_classification_matches_enumeration(system):
         return frozenset(enumerate_parabolic(C, T, 10000))
 
     blocks = [subgroup(system.block(u)) for u in range(system.vertex_count)]
+    table = target.class_of_block_image
+    tabled = 0
     for size in range(BLOCK_SIZE + 1):
         for J in itertools.combinations(range(C.n), size):
             images = J + (None,) * (BLOCK_SIZE - size)
@@ -293,8 +308,16 @@ def test_block_image_classification_matches_enumeration(system):
             else:
                 with pytest.raises(FalsificationError):
                     _classify_block_image(target, images)
+                assert images not in table
                 continue
             assert _classify_block_image(target, images) == expected
+            if images in table:
+                assert table[images] == expected
+                tabled += 1
+    # the table holds exactly a lift's block images: each target block in
+    # position order, and four identities
+    assert set(table) == set(system.pointed_blocks)
+    assert tabled == len(table)
 
 
 # --- the memoised matrix relator oracle --------------------------------------
@@ -303,28 +326,48 @@ def test_block_image_classification_matches_enumeration(system):
 def test_relator_memo_matches_fresh_evaluation(monkeypatch):
     """Every answer the theorem check's memos hold, over all pairs of graphs
     with <= 3 vertices, equals a fresh matrix evaluation, and each distinct
-    mapped word was evaluated exactly once."""
-    memos, evaluated = [], []
+    mapped word was evaluated exactly once.  The memos share one dict of
+    answers by label shape, and each of its entries equals a fresh
+    evaluation of the group's pattern in the Coxeter group of the shape's
+    labels."""
+    memos, evaluated, patterns = [], [], {}
 
     class Recording(RelatorMemo):
-        def __init__(self, target):
-            super().__init__(target)
+        def __init__(self, target, shapes):
+            super().__init__(target, shapes)
             memos.append(self)
 
     def counting_evaluate(C, word):
         evaluated.append(word)
         return evaluate(C, word)
 
+    def recording_group_relators(source, interned):
+        patterns[id(interned)] = interned
+        return group_relators(source, interned)
+
     monkeypatch.setattr(acceptance, "RelatorMemo", Recording)
+    monkeypatch.setattr(acceptance, "group_relators", recording_group_relators)
     monkeypatch.setattr(oracles, "evaluate", counting_evaluate)
     report = acceptance.theorem_report(3)
     assert report.passed and report.total_epis == 375
-    assert len(memos) == 12
-    assert len(evaluated) == sum(len(m.answers) for m in memos) == 470
+    assert len(memos) == 12 and len(patterns) == 1
+    shapes = memos[0].shapes
+    assert all(memo.shapes is shapes for memo in memos)
+    assert len(shapes) == 13
+    assert len(evaluated) == sum(len(m.answers) for m in memos) == 21
     for memo in memos:
         idn = identity(memo.target)
         for word, answer in memo.answers.items():
             assert answer == (evaluate(memo.target, word) == idn), word
+    (interned,) = patterns.values()
+    pattern_of = {token: pattern for pattern, token in interned.items()}
+    for (token, letters, labels), answer in shapes.items():
+        local = CoxeterMatrix(len(labels), labels,
+                              tuple(f"g{i}" for i in range(len(labels))))
+        idn = identity(local)
+        words = (tuple(letters[g] for g in rel if letters[g] is not None)
+                 for rel in pattern_of[token])
+        assert answer == all(evaluate(local, w) == idn for w in words)
 
 
 def test_relator_memo_catches_corruption_after_sibling():
@@ -502,6 +545,59 @@ def test_block_memo_refuses_other_systems():
     with pytest.raises(PreconditionError, match="source"):
         RelatorMemo(C).blocks_hold(GeneratorMap(D, C, tuple(range(8))),
                                    grouped)
+
+
+# --- the theorem check's table path against the full path --------------------
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_table_path_outcomes_match_full_path(inject_fault):
+    """Per pair, the theorem check reports the outcome, count and message
+    of the loop that sends every epimorphism through the full check, at
+    <= 3 vertices and with the fault injected at <= 2 and <= 3."""
+    for n in (2, 3):
+        report = acceptance.theorem_report(n, inject_fault=inject_fault)
+        assert [(p.source_index, p.target_index, p.epi_count, p.ok,
+                 p.message) for p in report.pair_outcomes] \
+            == theorem_outcomes_by_full_path(n, inject_fault)
+
+
+def test_table_path_answers_as_full_path_on_every_map(monkeypatch):
+    """Every epimorphism the tables answer passes the full check with a
+    fresh memo.  Then, with the tables as the run left them, on every
+    base-preserving vertex map of every pair at <= 3 vertices, an onto
+    homomorphism or not: the tables answer exactly where the full check
+    passes."""
+    entries, answered = [], []
+    entry, tabled = acceptance._TheoremGraph, acceptance._tabled
+
+    def recording_entry(*args):
+        entries.append(entry(*args))
+        return entries[-1]
+
+    def recording_tabled(f, src, tgt):
+        hit = tabled(f, src, tgt)
+        if hit:
+            answered.append((f, src, tgt))
+        return hit
+
+    monkeypatch.setattr(acceptance, "_TheoremGraph", recording_entry)
+    monkeypatch.setattr(acceptance, "_tabled", recording_tabled)
+    assert acceptance.theorem_report(3).passed
+    assert len(answered) == 375 - 152
+    for f, src, tgt in answered:
+        assert full_path_passes(f, src.kg, tgt.kg), f.image
+    passed = 0
+    for src in entries:
+        n = src.kg.system.vertex_count
+        for tgt in entries:
+            m = tgt.kg.system.vertex_count
+            for image in itertools.product(range(m + 1), repeat=n):
+                f = VertexMap(n + 1, m + 1, (*image, m))
+                full = full_path_passes(f, src.kg, tgt.kg)
+                assert acceptance._tabled(f, src, tgt) == full, f.image
+                passed += full
+    assert passed == 375
 
 
 # --- the lift tables against the per-call path -------------------------------

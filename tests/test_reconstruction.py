@@ -16,22 +16,24 @@ from epicox import coxeter, oracles, parabolics, reconstruction
 from epicox.cli import main
 from epicox.construction import (BLOCK_SIZE, LabeledCoxeterSystem,
                                  alt_involution, build_C)
-from epicox.coxeter import (INFINITE, evaluate, mul, parabolic_levels,
-                            simple_reflection)
+from epicox.coxeter import (INFINITE, CoxeterMatrix, evaluate, is_spherical,
+                            mul, parabolic_levels, simple_reflection)
 from epicox.errors import InternalInconsistencyError, PreconditionError
 from epicox.graphs import FiniteGraph, all_labeled_graphs
-from epicox.oracles import (_centralizer_core, ball_levels,
+from epicox.oracles import (_centralizer_core, _conjugation_distances,
+                            _even_involutions, ball_levels,
                             bounded_centralizer_check,
                             words_commute_by_matrices)
-from epicox.reconstruction import (_centralizer_certificate,
-                                   _conjugation_distances, _even_involutions,
-                                   _named, _two_block_labels,
+from epicox.parabolics import conjugacy_component
+from epicox.reconstruction import (_central_longest, _centralizer_certificate,
+                                   _named, _one_even_class, _two_block_labels,
                                    centralizer_certificate, commuting_witness,
                                    k_graph, verify_reconstruction)
 
 from oracles import (assert_same_levels, ball_levels_by_set,
                      centralizer_certificate_at_rank_8,
-                     centralizer_sweep_by_membership)
+                     centralizer_sweep_by_membership,
+                     one_even_class_by_enumeration)
 
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
@@ -313,6 +315,57 @@ def test_block_rank_certificate_matches_rank_8(fresh_sweep_cache):
     assert held == [centralizer_certificate_at_rank_8(labels)
                     for labels in ORACLE_BLOCKS]
     assert held[:2] == [True, False] and 0 < sum(held[2:]) < 64
+
+
+def _class_test_over_subsets(C, I=(0, 2)) -> bool:
+    """The certificate's class test in W_J, J all of C's generators."""
+    return _central_longest(C, I) and _one_even_class(
+        C, range(C.n), conjugacy_component(C, I).members)
+
+
+def _spherical_rank_4_blocks():
+    pairs = list(itertools.combinations(range(BLOCK_SIZE), 2))
+    for labels in itertools.product((2, 3, INFINITE), repeat=len(pairs)):
+        C = CoxeterMatrix.from_labels(
+            BLOCK_SIZE, [(i, j, m) for (i, j), m in zip(pairs, labels)])
+        if is_spherical(C, range(BLOCK_SIZE)):
+            yield C
+
+
+def test_class_test_over_subsets_matches_enumeration():
+    """On every spherical rank-4 label matrix over {2, 3, oo}, Richardson's
+    test over subsets gives the verdict of S @ S and the conjugation
+    distances over all of W_J."""
+    verdicts = [_class_test_over_subsets(C) for C in _spherical_rank_4_blocks()]
+    assert verdicts == [one_even_class_by_enumeration(C, FIRST_BLOCK)
+                        for C in _spherical_rank_4_blocks()]
+    assert (len(verdicts), sum(verdicts)) == (38, 8)
+
+
+def test_class_test_over_subsets_matches_enumeration_on_oracle_blocks():
+    """The first block of both shapes and of the 64 oo-biased blocks, read
+    at rank 4 and at rank 8."""
+    for labels in ORACLE_BLOCKS:
+        wj = _named(tuple(row[:BLOCK_SIZE] for row in labels[:BLOCK_SIZE]))
+        want = one_even_class_by_enumeration(_named(labels), FIRST_BLOCK)
+        assert _class_test_over_subsets(wj) is want is True
+
+
+def test_class_test_over_subsets_refuses_braided_pair():
+    """Negative control: with label 3 between positions 1 and 3, s1 s3 has
+    order 3, w_I is not central in W_I, and the test fails, as the
+    enumeration does; so does the certificate on a rank-8 block with that
+    first block."""
+    # the path 1-0-2-3 of 3s: type A_4, with 3 between positions 1 and 3
+    C = CoxeterMatrix.from_labels(BLOCK_SIZE, [(0, 1, 3), (0, 2, 3),
+                                               (2, 3, 3), (0, 3, 2),
+                                               (1, 2, 2), (1, 3, 2)])
+    assert is_spherical(C, FIRST_BLOCK)
+    assert not _class_test_over_subsets(C)
+    assert not one_even_class_by_enumeration(C, FIRST_BLOCK)
+    braided = tuple(C.m[i] + row[BLOCK_SIZE:] if i < BLOCK_SIZE else row
+                    for i, row in enumerate(NON_ADJACENT.m))
+    assert not _centralizer_certificate(braided)
 
 
 @pytest.mark.parametrize("labels", ORACLE_BLOCKS[:4],
