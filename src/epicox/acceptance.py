@@ -218,33 +218,33 @@ class _TheoremGraph:
     graph (which carries the system and the pointed graph); as a source,
     its relators grouped by block pair, with each group's token and the
     vertices of its two blocks; as a target, its matrix relator memo and
-    the tables that only passing full checks fill: the (token, f(u), f(v))
-    keys of the groups such a check held, and the pointed class vertex of
-    each vertex's block image."""
+    the table that only passing full checks fill: the (token, f(u), f(v))
+    keys of the groups such a check held."""
     kg: KGraph
     groups: RelatorGroups
     keys: tuple[tuple[object, int, int], ...]
     memo: RelatorMemo
     held: set[tuple[object, int, int]] = field(default_factory=set)
-    classes: dict[int, int] = field(default_factory=dict)
 
 
 def _tabled(f, src: _TheoremGraph, tgt: _TheoremGraph) -> bool:
-    """Whether the tables answer f as the full check would pass it.
+    """Whether the table answers f, an epimorphism after the first of its
+    pair, as the full check would pass it.
 
     A lift sends block u to the block of f(u) in position order, so the
     vertex images fix its images.  Each group's relators then hold when
-    its key is in ``held``, the generators are all hit when f hits every
-    vertex, and the induced map is f when each f(u)'s block image has
-    class f(u)."""
+    its key is in ``held``, and the generators are all hit when f hits
+    every vertex.  The induced map reads only the class of each target
+    block, and the pair's first epimorphism, which is onto and passed the
+    full check, has already shown that the block of every target vertex w
+    has class w; so the induced map of such an f is f."""
     sp, tp = src.kg.system.pointed, tgt.kg.system.pointed
-    img, held, classes = f.image, tgt.held, tgt.classes
+    img, held = f.image, tgt.held
     return (img[sp.base] == tp.base
             and is_homomorphism(f, sp.graph, tp.graph)
             and all((token, img[a], img[b]) in held
                     for token, a, b in src.keys)
-            and len(set(img)) == tp.n
-            and all(classes.get(w) == w for w in img))
+            and len(set(img)) == tp.n)
 
 
 def theorem_report(max_vertices: int,
@@ -259,20 +259,21 @@ def theorem_report(max_vertices: int,
     held for this run only, and sharing one run-wide dict of answers by
     label shape.  Each source's relators are grouped by block pair once,
     with their patterns interned for the run, so the memo answers a lift
-    with one lookup per block pair, and each distinct mapped word is
-    evaluated once, on a shape miss only.
+    with one lookup per block pair, and the group's mapped words are
+    evaluated only on a shape miss.
 
     The full check of f is the lift, the relators, the generators and the
-    induced map.  Every passing full check records, in the target's
-    tables, f's (token, f(u), f(v)) key for each source group and the class
-    of each vertex f hits.  A later f whose keys, vertices and classes the
-    tables hold answers the same, so it is answered from them after the
-    homomorphism re-check (``_tabled``); any other f takes the full check.
-    The first epimorphism of every pair always takes the full check, and so
-    does every f while a fault is pending.  inject_fault corrupts the first
-    liftable map to prove the relator check can fail; the corrupted map
-    goes through the same block-pair check, and the corrupted pair is
-    reported as a failure.
+    induced map.  Every passing full check records, in the target's table,
+    f's (token, f(u), f(v)) key for each source group.  A later f of the
+    same pair that is onto and whose keys the table holds answers the same,
+    so it is answered from the table after the homomorphism re-check
+    (``_tabled``); any other f takes the full check.  The first epimorphism
+    of every pair always takes the full check, and so does every f while a
+    fault is pending.  inject_fault corrupts the first liftable map to
+    prove the relator check can fail; the corrupted map goes through the
+    same block-pair check, and the corrupted pair is reported as a failure.
+    A run in which no lift keeps a block to corrupt raises
+    PreconditionError rather than pass a control that tested nothing.
     """
     if max_vertices > THEOREM_MAX_VERTICES:
         raise PreconditionError(
@@ -329,8 +330,12 @@ def theorem_report(max_vertices: int,
                 img = f.image
                 tgt.held.update((token, img[a], img[b])
                                 for token, a, b in src.keys)
-                tgt.classes.update(zip(img, got.image))
             outcomes.append(PairOutcome(i, j, len(epis), ok, message))
+    if fault_pending:
+        raise PreconditionError(
+            f"no lifted map between graphs with at most {max_vertices} "
+            "vertices keeps a block to corrupt, so the injected fault "
+            "could not be placed")
     return TheoremReport(len(graphs), outcomes)
 
 

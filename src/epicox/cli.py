@@ -64,8 +64,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -23,9 +23,11 @@ from .errors import PreconditionError, as_int
 
 # The parsers refuse more vertices before allocating the n-by-n adjacency.
 # The block system's labels are a 4n-by-4n tuple of tuples, so memory grows
-# about as n^2: on G(512, 1/2) build-coxeter, emit-presentation, ks-classes
-# and k-graph each peak near 470 MB RSS, and 1024 vertices would need about
-# 1.9 GB (not measured).
+# about as n^2.  On G(512, 1/2), Python 3.11, peak RSS (ru_maxrss) is
+# 143-144 MB for build-coxeter, ks-classes and k-graph, 167 MB for
+# emit-presentation and 214 MB for k-graph --json, of which importing the
+# package takes 28 MB.  At 1024 vertices four times the rest, about 0.8 GB
+# for k-graph --json, is an estimate, not a measurement.
 MAX_VERTICES = 512
 
 

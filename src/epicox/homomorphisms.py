@@ -164,20 +164,14 @@ def induced_k_map(source_system: LabeledCoxeterSystem, target: KGraph,
     labelled 4-chain, and the target's class census shows the 4-chains are
     exactly the target blocks, each alone in its class.  So |J| <= 1
     collapses the class to the base point and J equal to a target block
-    gives that block's class.  The base goes to the base.  A lift's block
-    images are read from the target's ``class_of_block_image`` table; any
-    other image goes through ``_classify_block_image``.
+    gives that block's class.  The base goes to the base.  Each block's
+    image goes through ``_classify_block_image``.
     """
     if phi.source != source_system.matrix or phi.target != target.system.matrix:
         raise PreconditionError("map endpoints do not match the systems")
     if not phi.relators_hold:
         raise PreconditionError("map does not respect the source relators")
     img, base = phi.images, len(target.classes)
-    table = target.class_of_block_image
-    image = []
-    for gens in source_system.block_generators:
-        images = tuple(img[g] for g in gens)
-        u = table.get(images)
-        image.append(_classify_block_image(target, images) if u is None
-                     else u)
+    image = [_classify_block_image(target, tuple(img[g] for g in gens))
+             for gens in source_system.block_generators]
     return VertexMap(len(image) + 1, base + 1, (*image, base))

@@ -1,10 +1,12 @@
 """Slow checks that the library's answers are compared against.
 
-Everything here is deliberately naive: exhaustive vertex maps, plain
-breadth-first search, relators evaluated as matrices, and a sweep of the
-word-length ball for the claim ``reconstruction``'s certificate proves.
-The acceptance criteria and the tests compare the package's answers
-against these rather than against the code path under test.
+Exhaustive vertex maps, plain breadth-first search, relators evaluated
+as matrices, and a sweep of the word-length ball for the claim
+``reconstruction``'s certificate proves.  The acceptance criteria and the
+tests compare the package's answers against these rather than against the
+code path under test.  ``group_relators`` and ``RelatorMemo`` are
+``check-theorem``'s memoised matrix check: relators are still evaluated
+as matrices, but grouped by block pair and answered once per label shape.
 
 The sweep rests on the parabolic factorisation W = W_J . JW, W the
 subsystem on two blocks and J the first block (Bjorner-Brenti,
@@ -118,7 +120,7 @@ def group_relators(source: CoxeterMatrix, patterns: dict) -> RelatorGroups:
 
 class RelatorMemo:
     """The matrix relator oracle for maps into one target system, memoised
-    in three layers: per block pair, per label shape and per mapped word.
+    in two layers: per block pair and per label shape.
 
     ``blocks_hold`` answers a ``RelatorGroups`` entry from one key in
     ``blocks``: its pattern token and the images of its two blocks, which
@@ -130,16 +132,14 @@ class RelatorMemo:
     group of the labels among L (Humphreys, Reflection Groups and Coxeter
     Groups 5.5), so equal keys get equal answers, in any target.  Only a
     miss there sends the group's relators through ``relators_hold``, which
-    maps each relator to its word; ``answers`` holds one entry per distinct
-    word, each evaluated once as integer matrices from the target's
-    identity, so no answer comes from the label rule.  A memo lives only as
-    long as the run that fills it.
+    evaluates each distinct mapped word as integer matrices from the
+    target's identity, so no answer comes from the label rule.  A memo
+    lives only as long as the run that fills it.
     """
 
     def __init__(self, target: CoxeterMatrix, shapes: dict | None = None):
         self.target = target
         self.identity = identity(target)
-        self.answers: dict[Word, bool] = {}
         self.blocks: dict[tuple[object, tuple, tuple], bool] = {}
         self.shapes: dict[tuple[object, tuple, tuple], bool] = \
             {} if shapes is None else shapes
@@ -150,18 +150,12 @@ class RelatorMemo:
 
     def relators_hold(self, phi: GeneratorMap, relators) -> bool:
         """Does every relator, pushed through the map, evaluate to the
-        identity?"""
+        identity?  Each distinct mapped word is evaluated once, in relator
+        order, up to the first that fails."""
         self._check_target(phi)
-        answers = self.answers
-        for rel in relators:
-            word = map_word(phi, rel)
-            hit = answers.get(word)
-            if hit is None:
-                hit = answers[word] = (evaluate(self.target, word)
-                                       == self.identity)
-            if not hit:
-                return False
-        return True
+        words = dict.fromkeys(map_word(phi, rel) for rel in relators)
+        return all(evaluate(self.target, word) == self.identity
+                   for word in words)
 
     def _shape(self, token, images: tuple) -> tuple[object, tuple, tuple]:
         """The ``shapes`` key of a group's token and the images of its two

@@ -88,17 +88,6 @@ class KGraph:
                 out.setdefault(member, u)
         return out
 
-    @cached_property
-    def class_of_block_image(self) -> dict[tuple[int | None, ...], int]:
-        """The pointed class vertex of each image a lift gives a block, keyed
-        on the image generators in position order: the block of vertex v
-        gives its class, four identities give the base, numbered after the
-        classes."""
-        table = {gens: self.class_of_member[frozenset(gens)]
-                 for gens in self.system.block_generators}
-        table[(None,) * BLOCK_SIZE] = len(self.classes)
-        return table
-
 
 def _two_block_labels(system: LabeledCoxeterSystem, s: int,
                       t: int) -> tuple[tuple[int, ...], ...]:

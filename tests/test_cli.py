@@ -65,6 +65,17 @@ def test_reduce_f_output_file(path3_file, tmp_path):
     assert json.loads(out.read_text())["n"] == 4
 
 
+@pytest.mark.parametrize("command", ["reduce-f", "k-graph"])
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_output_is_input_error(path3_file, tmp_path, capsys,
+                                          command, target):
+    out = tmp_path if target == "directory" else tmp_path / "no" / "out.txt"
+    assert main([command, path3_file, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {out}: ")
+
+
 def test_json_graph_input(tmp_path, capsys):
     f = tmp_path / "g.json"
     f.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
@@ -357,6 +368,40 @@ def test_check_theorem_catches_wrong_induced_map(monkeypatch, capsys):
         for (i, j), message in sorted(want.items())) + "verdict: FAIL\n")
 
 
+def test_check_theorem_checks_the_induced_map_on_every_pair(monkeypatch):
+    """Negative control for the first-epimorphism rule, which alone makes
+    every pair check its induced map: with the map wrong (class 0 sent to
+    the base) only out of the last source, the triangle, whose pairs come
+    after every other source has filled the tables, each of its three pairs
+    into a target with a class fails on its first epimorphism, although
+    the tables already answer all three of those epimorphisms.  Every
+    other pair passes."""
+    induced = acceptance.induced_k_map
+    graphs = all_labeled_graphs(3)
+    triangle = len(graphs) - 1
+
+    def wrong_out_of_triangle(source_system, target, phi):
+        got = induced(source_system, target, phi)
+        if source_system.graph != graphs[triangle]:
+            return got
+        base = len(target.classes)
+        return dataclasses.replace(
+            got, image=tuple(base if x == 0 else x for x in got.image))
+
+    monkeypatch.setattr(acceptance, "induced_k_map", wrong_out_of_triangle)
+    report = acceptance.theorem_report(3)
+    firsts, pairs = _first_epis(3)
+    want = {}
+    for (i, j), f in firsts.items():
+        base = f.target_size - 1
+        if i == triangle and base:
+            wrong = tuple(base if x == 0 else x for x in f.image)
+            want[i, j] = f"induced map {wrong}, expected {f.image}"
+    assert len(report.pair_outcomes) == pairs and len(want) == 3
+    assert {(p.source_index, p.target_index): p.message
+            for p in report.pair_outcomes if not p.ok} == want
+
+
 def test_check_theorem_catches_missed_generators(monkeypatch, capsys):
     """Negative control: a generator check that never passes fails every
     pair with an epimorphism, on its first one; check-theorem exits 3."""
@@ -370,6 +415,17 @@ def test_check_theorem_catches_missed_generators(monkeypatch, capsys):
         for pair, f in firsts.items()}
     assert main(["check-theorem", "--max-vertices", "2"]) == 3
     assert capsys.readouterr().out.endswith("verdict: FAIL\n")
+
+
+def test_check_theorem_refuses_a_fault_it_cannot_place(capsys):
+    """Without a map that keeps a block, the injected fault is never placed,
+    so the negative control is refused instead of passing vacuously."""
+    assert main(["check-theorem", "--max-vertices", "0",
+                 "--inject-fault"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") \
+        and "fault could not be placed" in captured.err
 
 
 def test_check_theorem_vertex_ceiling_refused_before_enumeration(

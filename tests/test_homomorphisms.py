@@ -199,13 +199,12 @@ def test_order_dichotomy_enforced():
 
 def test_induced_map_classifies_images_outside_the_table():
     """A block sent onto a target block in reverse position order, which
-    the 4-chain's diagram automorphism allows, is no lift's image, so
-    induced_k_map classifies it through _classify_block_image."""
+    the 4-chain's diagram automorphism allows and no lift gives, gets that
+    block's class."""
     point = FiniteGraph.from_edges(1, [])
     src, tgt = build_C(point), k_graph(point)
     phi = GeneratorMap(src.matrix, tgt.system.matrix, (3, 2, 1, 0))
     assert phi.relators_hold
-    assert phi.images not in tgt.class_of_block_image
     assert induced_k_map(src, tgt, phi) == VertexMap(2, 2, (0, 1))
 
 
@@ -295,8 +294,6 @@ def test_block_image_classification_matches_enumeration(system):
         return frozenset(enumerate_parabolic(C, T, 10000))
 
     blocks = [subgroup(system.block(u)) for u in range(system.vertex_count)]
-    table = target.class_of_block_image
-    tabled = 0
     for size in range(BLOCK_SIZE + 1):
         for J in itertools.combinations(range(C.n), size):
             images = J + (None,) * (BLOCK_SIZE - size)
@@ -308,28 +305,19 @@ def test_block_image_classification_matches_enumeration(system):
             else:
                 with pytest.raises(FalsificationError):
                     _classify_block_image(target, images)
-                assert images not in table
                 continue
             assert _classify_block_image(target, images) == expected
-            if images in table:
-                assert table[images] == expected
-                tabled += 1
-    # the table holds exactly a lift's block images: each target block in
-    # position order, and four identities
-    assert set(table) == set(system.pointed_blocks)
-    assert tabled == len(table)
 
 
 # --- the memoised matrix relator oracle --------------------------------------
 
 
 def test_relator_memo_matches_fresh_evaluation(monkeypatch):
-    """Every answer the theorem check's memos hold, over all pairs of graphs
-    with <= 3 vertices, equals a fresh matrix evaluation, and each distinct
-    mapped word was evaluated exactly once.  The memos share one dict of
-    answers by label shape, and each of its entries equals a fresh
-    evaluation of the group's pattern in the Coxeter group of the shape's
-    labels."""
+    """Over all pairs of graphs with <= 3 vertices, the theorem check's
+    memos share one dict of answers by label shape, evaluate mapped words
+    as matrices only on its 13 misses, and each of its entries equals a
+    fresh evaluation of the group's pattern in the Coxeter group of the
+    shape's labels."""
     memos, evaluated, patterns = [], [], {}
 
     class Recording(RelatorMemo):
@@ -354,11 +342,7 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
     shapes = memos[0].shapes
     assert all(memo.shapes is shapes for memo in memos)
     assert len(shapes) == 13
-    assert len(evaluated) == sum(len(m.answers) for m in memos) == 21
-    for memo in memos:
-        idn = identity(memo.target)
-        for word, answer in memo.answers.items():
-            assert answer == (evaluate(memo.target, word) == idn), word
+    assert len(evaluated) == 34
     (interned,) = patterns.values()
     pattern_of = {token: pattern for pattern, token in interned.items()}
     for (token, letters, labels), answer in shapes.items():
@@ -372,8 +356,9 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
 
 def test_relator_memo_catches_corruption_after_sibling():
     """Negative control: on every lift between graphs with <= 3 vertices,
-    the corrupted map of the fault injection fails the memo that the
-    correct map has just filled, and a fresh evaluation agrees."""
+    the corrupted map of the fault injection fails the memo's relator
+    check, which its correct sibling has just passed through the same
+    memo, and a fresh evaluation agrees."""
     graphs = all_labeled_graphs(3)
     systems = [build_C(g) for g in graphs]
     relators = [presentation_of(sys_.matrix).relators for sys_ in systems]
@@ -398,9 +383,9 @@ def test_relator_memo_catches_corruption_after_sibling():
 @pytest.mark.parametrize("rel", [(), (0,), (0, 1, 0), (0, 1, 2, 1),
                                  (0, 1, 1, 0), [0, 2, 1, 3]])
 def test_relator_memo_answers_any_word_as_fresh_evaluation(rel):
-    """The memo is keyed on mapped words, so a relator of any shape gets
-    the answer of a fresh matrix evaluation, under the identity map and
-    under a map that collapses a generator and merges two others."""
+    """A relator of any shape gets the answer of a fresh matrix
+    evaluation, under the identity map and under a map that collapses a
+    generator and merges two others."""
     C = build_C(EDGE).matrix
     idn = identity(C)
     for images in (tuple(range(C.n)), (None, 0, 0, *range(3, C.n))):
@@ -408,7 +393,6 @@ def test_relator_memo_answers_any_word_as_fresh_evaluation(rel):
         want = evaluate(C, map_word(phi, rel)) == idn
         memo = RelatorMemo(C)
         assert memo.relators_hold(phi, (rel,)) == want
-        assert memo.answers == {map_word(phi, rel): want}
 
 
 def test_relator_memo_refuses_other_target():
