@@ -14,8 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .construction import (BLOCK_SIZE, alt_involution, build_C, build_L4,
-                           verify_L4_is_S5)
+from .construction import alt_involution, build_C, build_L4, verify_L4_is_S5
 from .coxeter import (enumerate_parabolic, evaluate, identity,
                       is_spherical, length, longest_element, mul,
                       preserves_form, reduced_word)
@@ -217,13 +216,11 @@ class _TheoremGraph:
     """What the epimorphism loop needs of one graph, built once: its class
     graph (which carries the system and the pointed graph); as a source,
     its relators grouped by block pair, with each group's token and the
-    vertices of its two blocks; as a target, its matrix relator memo and
-    the table that only passing full checks fill: the (token, f(u), f(v))
-    keys of the groups such a check held."""
+    vertices of its two blocks; as a target, the table of the
+    (token, f(u), f(v)) keys of the groups whose relators a full check
+    found to hold, filled one group at a time."""
     kg: KGraph
     groups: RelatorGroups
-    keys: tuple[tuple[object, int, int], ...]
-    memo: RelatorMemo
     held: set[tuple[object, int, int]] = field(default_factory=set)
 
 
@@ -232,8 +229,9 @@ def _tabled(f, src: _TheoremGraph, tgt: _TheoremGraph) -> bool:
     pair, as the full check would pass it.
 
     A lift sends block u to the block of f(u) in position order, so the
-    vertex images fix its images.  Each group's relators then hold when
-    its key is in ``held``, and the generators are all hit when f hits
+    vertex images fix its images.  A key enters ``held`` only when its
+    group's relators hold under those images, so each group's relators
+    hold when its key is there, and the generators are all hit when f hits
     every vertex.  The induced map reads only the class of each target
     block, and the pair's first epimorphism, which is onto and passed the
     full check, has already shown that the block of every target vertex w
@@ -243,8 +241,23 @@ def _tabled(f, src: _TheoremGraph, tgt: _TheoremGraph) -> bool:
     return (img[sp.base] == tp.base
             and is_homomorphism(f, sp.graph, tp.graph)
             and all((token, img[a], img[b]) in held
-                    for token, a, b in src.keys)
+                    for token, a, b, _ in src.groups.groups)
             and len(set(img)) == tp.n)
+
+
+def _relators_held(memo: RelatorMemo, phi, f, src: _TheoremGraph,
+                   tgt: _TheoremGraph) -> bool:
+    """The full check's relator step for phi, the lift of f: a group holds
+    when the target's table has its (token, f(u), f(v)) key, and otherwise
+    when the memo answers it by shape, which then adds the key."""
+    img, held = f.image, tgt.held
+    for group in src.groups.groups:
+        key = (group[0], img[group[1]], img[group[2]])
+        if key not in held:
+            if not memo.group_holds(phi, group):
+                return False
+            held.add(key)
+    return True
 
 
 def theorem_report(max_vertices: int,
@@ -255,25 +268,26 @@ def theorem_report(max_vertices: int,
     the induced class map reproduces f through the reconstruction
     isomorphisms.
 
-    Relators are checked as matrices through one RelatorMemo per target,
-    held for this run only, and sharing one run-wide dict of answers by
-    label shape.  Each source's relators are grouped by block pair once,
-    with their patterns interned for the run, so the memo answers a lift
-    with one lookup per block pair, and the group's mapped words are
-    evaluated only on a shape miss.
+    Relators are checked as matrices through one RelatorMemo, held for
+    this run only, which answers a block-pair group once per label shape,
+    in any target.  Each source's relators are grouped by block pair once,
+    with their patterns interned for the run, and a group's mapped words
+    are evaluated only on a shape miss.
 
     The full check of f is the lift, the relators, the generators and the
-    induced map.  Every passing full check records, in the target's table,
-    f's (token, f(u), f(v)) key for each source group.  A later f of the
-    same pair that is onto and whose keys the table holds answers the same,
-    so it is answered from the table after the homomorphism re-check
+    induced map.  Its relator step reads the target's table first: a group
+    whose (token, f(u), f(v)) key the table holds, holds; the memo answers
+    any other, and its key joins the table when it holds.  A later f of
+    the same pair that is onto and whose keys the table holds answers the
+    same, so it is answered from the table after the homomorphism re-check
     (``_tabled``); any other f takes the full check.  The first epimorphism
     of every pair always takes the full check, and so does every f while a
     fault is pending.  inject_fault corrupts the first liftable map to
     prove the relator check can fail; the corrupted map goes through the
-    same block-pair check, and the corrupted pair is reported as a failure.
-    A run in which no lift keeps a block to corrupt raises
-    PreconditionError rather than pass a control that tested nothing.
+    memo's block-pair check, without the table, and the corrupted pair is
+    reported as a failure.  A run in which no lift keeps a block to
+    corrupt raises PreconditionError rather than pass a control that
+    tested nothing.
     """
     if max_vertices > THEOREM_MAX_VERTICES:
         raise PreconditionError(
@@ -282,16 +296,12 @@ def theorem_report(max_vertices: int,
     graphs = all_labeled_graphs(max_vertices)
     entries = []
     patterns: dict = {}
-    shapes: dict = {}
+    memo = RelatorMemo()
     for g in graphs:
         kg = k_graph(g)
         verify_reconstruction(g, kg=kg)
-        C = kg.system.matrix
-        groups = group_relators(C, patterns)
-        keys = tuple((token, u // BLOCK_SIZE, v // BLOCK_SIZE)
-                     for token, u, v, _ in groups.groups)
-        entries.append(_TheoremGraph(kg, groups, keys,
-                                     RelatorMemo(C, shapes)))
+        entries.append(_TheoremGraph(
+            kg, group_relators(kg.system.matrix, patterns)))
     outcomes = []
     fault_pending = inject_fault
     for i, src in enumerate(entries):
@@ -310,13 +320,13 @@ def theorem_report(max_vertices: int,
                     if corrupted is not None:
                         fault_pending = False
                         ok = False
-                        if tgt.memo.blocks_hold(corrupted, src.groups):
+                        if memo.blocks_hold(corrupted, src.groups):
                             message = "fault injection not detected"
                         else:
                             message = ("injected relator fault detected "
                                        "(expected failure)")
                         break
-                if not tgt.memo.blocks_hold(phi, src.groups):
+                if not _relators_held(memo, phi, f, src, tgt):
                     ok, message = False, f"relators failed for {f.image}"
                     break
                 if not is_onto_generators(phi):
@@ -327,9 +337,6 @@ def theorem_report(max_vertices: int,
                     ok, message = False, (f"induced map {got.image}, "
                                           f"expected {f.image}")
                     break
-                img = f.image
-                tgt.held.update((token, img[a], img[b])
-                                for token, a, b in src.keys)
             outcomes.append(PairOutcome(i, j, len(epis), ok, message))
     if fault_pending:
         raise PreconditionError(

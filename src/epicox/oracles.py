@@ -6,7 +6,9 @@ as matrices, and a sweep of the word-length ball for the claim
 tests compare the package's answers against these rather than against the
 code path under test.  ``group_relators`` and ``RelatorMemo`` are
 ``check-theorem``'s memoised matrix check: relators are still evaluated
-as matrices, but grouped by block pair and answered once per label shape.
+as matrices, but grouped by block pair and answered once per label shape
+by one memo per run.  ``check-theorem`` asks the memo only about groups
+its per-target table does not hold yet, and adds each group that holds.
 
 The sweep rests on the parabolic factorisation W = W_J . JW, W the
 subsystem on two blocks and J the first block (Bjorner-Brenti,
@@ -82,14 +84,14 @@ def bfs_lengths(C, subset):
 class RelatorGroups(NamedTuple):
     """A source system's relators, grouped by the pair of blocks they touch.
 
-    Each entry is (token, u, v, relators): the relators whose letters lie
-    in the blocks starting at generators u <= v (u == v for a relator inside
-    one block, squares included), in the source's letters, and the token
-    of their pattern, the same relators written in block-local letters
-    (block u's positions as 0-3, block v's as 4-7).  The pattern and the
-    images of the two blocks fix every mapped word of the group, for any
-    generator map.  Built by ``group_relators``.  A named tuple because a
-    frozen dataclass costs about ten times as much to define at import.
+    Each entry is (token, a, b, relators): the relators whose letters lie
+    in the blocks of vertices a <= b (a == b for a relator inside one
+    block, squares included), in the source's letters, and the token of
+    their pattern, the same relators written in block-local letters (block
+    a's positions as 0-3, block b's as 4-7).  The pattern and the images of
+    the two blocks fix every mapped word of the group, for any generator
+    map.  Built by ``group_relators``.  A named tuple because a frozen
+    dataclass costs about ten times as much to define at import.
     """
     source: CoxeterMatrix
     groups: tuple[tuple[object, int, int, tuple[Word, ...]], ...]
@@ -105,95 +107,81 @@ def group_relators(source: CoxeterMatrix, patterns: dict) -> RelatorGroups:
     """
     by_pair: dict[tuple[int, int], list[Word]] = {}
     for rel in presentation_of(source).relators:
-        u, v = sorted((rel[0] // BLOCK_SIZE * BLOCK_SIZE,
-                       rel[1] // BLOCK_SIZE * BLOCK_SIZE))
-        by_pair.setdefault((u, v), []).append(rel)
+        a, b = sorted((rel[0] // BLOCK_SIZE, rel[1] // BLOCK_SIZE))
+        by_pair.setdefault((a, b), []).append(rel)
     groups = []
-    for (u, v), rels in by_pair.items():
+    for (a, b), rels in by_pair.items():
+        u, v = a * BLOCK_SIZE, b * BLOCK_SIZE
         pattern = tuple(tuple(g - u if g < u + BLOCK_SIZE
                               else g - v + BLOCK_SIZE for g in rel)
                         for rel in rels)
         token = patterns.setdefault(pattern, object())
-        groups.append((token, u, v, tuple(rels)))
+        groups.append((token, a, b, tuple(rels)))
     return RelatorGroups(source, tuple(groups))
 
 
 class RelatorMemo:
-    """The matrix relator oracle for maps into one target system, memoised
-    in two layers: per block pair and per label shape.
+    """The matrix relator oracle for one run, memoised by label shape.
 
-    ``blocks_hold`` answers a ``RelatorGroups`` entry from one key in
-    ``blocks``: its pattern token and the images of its two blocks, which
-    fix all of its mapped words.  A miss there looks up ``shapes``, a dict
-    that memos into different targets may share for a run.  Its key is the
-    token, the two image blocks written in local letters (numbered in order
-    of first appearance) and the target labels among those letters.  A
-    word in letters L is trivial exactly when it is trivial in the Coxeter
-    group of the labels among L (Humphreys, Reflection Groups and Coxeter
-    Groups 5.5), so equal keys get equal answers, in any target.  Only a
-    miss there sends the group's relators through ``relators_hold``, which
-    evaluates each distinct mapped word as integer matrices from the
-    target's identity, so no answer comes from the label rule.  A memo
-    lives only as long as the run that fills it.
+    ``group_holds`` answers a ``RelatorGroups`` entry from one key in
+    ``shapes``: the group's token, the images of its two blocks written in
+    local letters (numbered in order of first appearance) and the target
+    labels among those letters.  A word in letters L is trivial exactly
+    when it is trivial in the Coxeter group of the labels among L
+    (Humphreys, Reflection Groups and Coxeter Groups 5.5), so equal keys
+    get equal answers, in any target, and one memo serves every target of
+    a run.  Only a miss sends the group's relators through
+    ``relators_hold``, which evaluates each distinct mapped word as integer
+    matrices from the target's identity, so no answer comes from the label
+    rule.  ``blocks_hold`` asks it for every group of any generator map's
+    source.  A memo lives only as long as the run that fills it.
     """
 
-    def __init__(self, target: CoxeterMatrix, shapes: dict | None = None):
-        self.target = target
-        self.identity = identity(target)
-        self.blocks: dict[tuple[object, tuple, tuple], bool] = {}
-        self.shapes: dict[tuple[object, tuple, tuple], bool] = \
-            {} if shapes is None else shapes
+    def __init__(self):
+        self.shapes: dict[tuple[object, tuple, tuple], bool] = {}
 
-    def _check_target(self, phi: GeneratorMap) -> None:
-        if phi.target != self.target:
-            raise PreconditionError("map into a different target system")
-
-    def relators_hold(self, phi: GeneratorMap, relators) -> bool:
+    @staticmethod
+    def relators_hold(phi: GeneratorMap, relators) -> bool:
         """Does every relator, pushed through the map, evaluate to the
         identity?  Each distinct mapped word is evaluated once, in relator
         order, up to the first that fails."""
-        self._check_target(phi)
+        idn = identity(phi.target)
         words = dict.fromkeys(map_word(phi, rel) for rel in relators)
-        return all(evaluate(self.target, word) == self.identity
-                   for word in words)
+        return all(evaluate(phi.target, word) == idn for word in words)
 
-    def _shape(self, token, images: tuple) -> tuple[object, tuple, tuple]:
-        """The ``shapes`` key of a group's token and the images of its two
-        blocks, concatenated."""
+    def group_holds(self, phi: GeneratorMap, group) -> bool:
+        """``relators_hold`` for one ``RelatorGroups`` entry of the map's
+        source, read from ``shapes``."""
+        token, a, b, rels = group
+        img = phi.images
+        images = (img[a * BLOCK_SIZE:(a + 1) * BLOCK_SIZE]
+                  + img[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
         local: dict[int, int] = {}
         letters = tuple(None if g is None else local.setdefault(g, len(local))
                         for g in images)
-        m = self.target.m
-        return token, letters, tuple(tuple(m[a][b] for b in local)
-                                     for a in local)
+        m = phi.target.m
+        shape = (token, letters,
+                 tuple(tuple(m[x][y] for y in local) for x in local))
+        hit = self.shapes.get(shape)
+        if hit is None:
+            hit = self.shapes[shape] = self.relators_hold(phi, rels)
+        return hit
 
     def blocks_hold(self, phi: GeneratorMap, groups: RelatorGroups) -> bool:
         """``relators_hold`` for the source's relators, one lookup per
         block pair; groups is the map's source grouped by
         ``group_relators``."""
-        self._check_target(phi)
         if phi.source != groups.source:
             raise PreconditionError("map from a different source system")
-        img, blocks, shapes = phi.images, self.blocks, self.shapes
-        for token, u, v, rels in groups.groups:
-            key = (token, img[u:u + BLOCK_SIZE], img[v:v + BLOCK_SIZE])
-            hit = blocks.get(key)
-            if hit is None:
-                shape = self._shape(token, key[1] + key[2])
-                hit = shapes.get(shape)
-                if hit is None:
-                    hit = shapes[shape] = self.relators_hold(phi, rels)
-                blocks[key] = hit
-            if not hit:
-                return False
-        return True
+        return all(self.group_holds(phi, group) for group in groups.groups)
 
 
 def relators_hold_by_matrices(phi: GeneratorMap) -> bool:
     """Does every source relator, pushed through the map, evaluate to the
-    identity matrix of the target?  One-shot: a fresh memo per call."""
-    return RelatorMemo(phi.target).relators_hold(
-        phi, presentation_of(phi.source).relators)
+    identity matrix of the target?  One-shot: nothing is kept between
+    calls."""
+    return RelatorMemo.relators_hold(phi,
+                                     presentation_of(phi.source).relators)
 
 
 def words_commute_by_matrices(C: CoxeterMatrix, wa: Word, wb: Word) -> bool:

@@ -388,7 +388,7 @@ def full_path_passes(f, src, tgt) -> bool:
         phi = lift_graph_epi(f, src.system, tgt.system)
     except PreconditionError:  # not a homomorphism of pointed graphs
         return False
-    return (RelatorMemo(tgt.system.matrix).blocks_hold(
+    return (RelatorMemo().blocks_hold(
                 phi, group_relators(src.system.matrix, {}))
             and is_onto_generators(phi)
             and induced_k_map(src.system, tgt, phi) == f)
@@ -401,7 +401,7 @@ def theorem_outcomes_by_full_path(max_vertices, inject_fault=False):
     kgs = [k_graph(g) for g in all_labeled_graphs(max_vertices)]
     patterns = {}
     groups = [group_relators(kg.system.matrix, patterns) for kg in kgs]
-    memos = [RelatorMemo(kg.system.matrix) for kg in kgs]
+    memo = RelatorMemo()
     outcomes = []
     fault_pending = inject_fault
     for i, src in enumerate(kgs):
@@ -418,11 +418,11 @@ def theorem_outcomes_by_full_path(max_vertices, inject_fault=False):
                         fault_pending, ok = False, False
                         message = (
                             "fault injection not detected"
-                            if memos[j].blocks_hold(corrupted, groups[i])
+                            if memo.blocks_hold(corrupted, groups[i])
                             else "injected relator fault detected "
                                  "(expected failure)")
                         break
-                if not memos[j].blocks_hold(phi, groups[i]):
+                if not memo.blocks_hold(phi, groups[i]):
                     ok, message = False, f"relators failed for {f.image}"
                     break
                 if not is_onto_generators(phi):

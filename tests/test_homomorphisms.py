@@ -313,17 +313,22 @@ def test_block_image_classification_matches_enumeration(system):
 
 
 def test_relator_memo_matches_fresh_evaluation(monkeypatch):
-    """Over all pairs of graphs with <= 3 vertices, the theorem check's
-    memos share one dict of answers by label shape, evaluate mapped words
-    as matrices only on its 13 misses, and each of its entries equals a
-    fresh evaluation of the group's pattern in the Coxeter group of the
-    shape's labels."""
-    memos, evaluated, patterns = [], [], {}
+    """Over all pairs of graphs with <= 3 vertices, the theorem check
+    builds one memo, whose 13 entries by label shape are the only place it
+    evaluates mapped words as matrices, and its 12 targets' tables hold 145
+    keys.  Each shape entry equals a fresh evaluation of the group's
+    pattern in the Coxeter group of the shape's labels."""
+    memos, evaluated, patterns, entries = [], [], {}, []
+    entry = acceptance._TheoremGraph
 
     class Recording(RelatorMemo):
-        def __init__(self, target, shapes):
-            super().__init__(target, shapes)
+        def __init__(self):
+            super().__init__()
             memos.append(self)
+
+    def recording_entry(*args):
+        entries.append(entry(*args))
+        return entries[-1]
 
     def counting_evaluate(C, word):
         evaluated.append(word)
@@ -334,13 +339,14 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
         return group_relators(source, interned)
 
     monkeypatch.setattr(acceptance, "RelatorMemo", Recording)
+    monkeypatch.setattr(acceptance, "_TheoremGraph", recording_entry)
     monkeypatch.setattr(acceptance, "group_relators", recording_group_relators)
     monkeypatch.setattr(oracles, "evaluate", counting_evaluate)
     report = acceptance.theorem_report(3)
     assert report.passed and report.total_epis == 375
-    assert len(memos) == 12 and len(patterns) == 1
+    assert len(memos) == 1 and len(patterns) == 1 and len(entries) == 12
+    assert sum(len(e.held) for e in entries) == 145
     shapes = memos[0].shapes
-    assert all(memo.shapes is shapes for memo in memos)
     assert len(shapes) == 13
     assert len(evaluated) == 34
     (interned,) = patterns.values()
@@ -363,9 +369,9 @@ def test_relator_memo_catches_corruption_after_sibling():
     systems = [build_C(g) for g in graphs]
     relators = [presentation_of(sys_.matrix).relators for sys_ in systems]
     corrupted_maps = 0
+    memo = RelatorMemo()
     for src, rels in zip(systems, relators):
         for tgt in systems:
-            memo = RelatorMemo(tgt.matrix)
             for f in epimorphisms(src.pointed, tgt.pointed):
                 phi = lift_graph_epi(f, src, tgt)
                 assert memo.relators_hold(phi, rels)
@@ -391,15 +397,8 @@ def test_relator_memo_answers_any_word_as_fresh_evaluation(rel):
     for images in (tuple(range(C.n)), (None, 0, 0, *range(3, C.n))):
         phi = GeneratorMap(C, C, images)
         want = evaluate(C, map_word(phi, rel)) == idn
-        memo = RelatorMemo(C)
+        memo = RelatorMemo()
         assert memo.relators_hold(phi, (rel,)) == want
-
-
-def test_relator_memo_refuses_other_target():
-    memo = RelatorMemo(build_C(EDGE).matrix)
-    C = build_C(TWO_POINTS).matrix
-    with pytest.raises(PreconditionError):
-        memo.relators_hold(identity_map(C), presentation_of(C).relators)
 
 
 # --- the block-pair memo -------------------------------------------------------
@@ -416,28 +415,28 @@ def test_relator_groups_partition_the_relators_by_block_pair():
         groups = group_relators(C, patterns)
         assert sorted(rel for *_, rels in groups.groups for rel in rels) \
             == sorted(presentation_of(C).relators)
-        for token, u, v, rels in groups.groups:
-            assert u <= v and u % BLOCK_SIZE == v % BLOCK_SIZE == 0
-            assert all({g // BLOCK_SIZE for g in rel}
-                       <= {u // BLOCK_SIZE, v // BLOCK_SIZE} for rel in rels)
+        for token, a, b, rels in groups.groups:
+            assert a <= b < graph.n
+            assert all({g // BLOCK_SIZE for g in rel} <= {a, b}
+                       for rel in rels)
             tokens.add(token)
     assert len(patterns) == 3 and tokens == set(patterns.values())
 
 
 def test_block_memo_matches_per_relator_memo_on_every_lift():
     """Over every lift between graphs with <= 3 vertices and its corrupted
-    sibling, one block-pair memo per target (patterns interned across all
+    sibling, one memo for all of them (patterns interned across all
     sources, as in a run) answers as the per-relator memo and a fresh
-    matrix evaluation do, and the entry for each of the map's groups is
+    matrix evaluation do, and its answer for each of the map's groups is
     the per-relator answer on that group's relators."""
     systems = [build_C(g) for g in all_labeled_graphs(3)]
     patterns = {}
     answers = {True: 0, False: 0}
+    memo, per_relator = RelatorMemo(), RelatorMemo()
     for src in systems:
         grouped = group_relators(src.matrix, patterns)
         rels = presentation_of(src.matrix).relators
         for tgt in systems:
-            memo, per_relator = RelatorMemo(tgt.matrix), RelatorMemo(tgt.matrix)
             for f in epimorphisms(src.pointed, tgt.pointed):
                 phi = lift_graph_epi(f, src, tgt)
                 for m in (phi, acceptance._corrupt(phi, src, tgt, f)):
@@ -448,13 +447,9 @@ def test_block_memo_matches_per_relator_memo_on_every_lift():
                     assert got == relators_hold_by_matrices(m)
                     assert got == (m is phi)
                     answers[got] += 1
-                    img = m.images
-                    for token, u, v, group in grouped.groups:
-                        key = (token, img[u:u + BLOCK_SIZE],
-                               img[v:v + BLOCK_SIZE])
-                        if key in memo.blocks:
-                            assert memo.blocks[key] \
-                                == per_relator.relators_hold(m, group), key
+                    for group in grouped.groups:
+                        assert memo.group_holds(m, group) \
+                            == per_relator.relators_hold(m, group[3]), group
     assert answers == {True: 375, False: 375 - 12}
 
 
@@ -478,7 +473,7 @@ def test_block_memo_matches_per_relator_memo_between_systems(source, target,
     maps += [a[:BLOCK_SIZE] + b[BLOCK_SIZE:] for a, b in zip(maps, maps[1:])]
     grouped = group_relators(source, {})
     rels = presentation_of(source).relators
-    memo, per_relator = RelatorMemo(target), RelatorMemo(target)
+    memo, per_relator = RelatorMemo(), RelatorMemo()
     for images in maps:
         phi = GeneratorMap(source, target, tuple(images))
         got = memo.blocks_hold(phi, grouped)
@@ -494,7 +489,7 @@ def test_block_memo_keys_on_both_blocks():
     first one's entry."""
     source, target = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
     grouped = group_relators(source, {})
-    memo = RelatorMemo(target)
+    memo = RelatorMemo()
     folded = GeneratorMap(source, target, (0, 1, 2, 3) * 2)
     spread = GeneratorMap(source, target, tuple(range(8)))
     assert memo.blocks_hold(folded, grouped)
@@ -524,11 +519,9 @@ def test_block_memo_skipping_a_group_misses_the_fault(monkeypatch):
 def test_block_memo_refuses_other_systems():
     C, D = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
     grouped = group_relators(C, {})
-    with pytest.raises(PreconditionError, match="target"):
-        RelatorMemo(C).blocks_hold(identity_map(D), group_relators(D, {}))
     with pytest.raises(PreconditionError, match="source"):
-        RelatorMemo(C).blocks_hold(GeneratorMap(D, C, tuple(range(8))),
-                                   grouped)
+        RelatorMemo().blocks_hold(GeneratorMap(D, C, tuple(range(8))),
+                                  grouped)
 
 
 # --- the theorem check's table path against the full path --------------------
@@ -544,6 +537,59 @@ def test_table_path_outcomes_match_full_path(inject_fault):
         assert [(p.source_index, p.target_index, p.epi_count, p.ok,
                  p.message) for p in report.pair_outcomes] \
             == theorem_outcomes_by_full_path(n, inject_fault)
+
+
+def test_failing_group_never_enters_the_table(monkeypatch):
+    """Negative control: with the memo answering False for the edge
+    pattern whenever its two blocks go to two distinct target blocks, at
+    <= 3 vertices each of the 42 pairs whose lifts meet such a group fails,
+    with the relators message, on the first epimorphism that meets it (the
+    first of the pair for 41, the second for the one pair whose first
+    folds the edge onto one vertex), every other pair passes, and no
+    failing key is in its target's table."""
+    entries, failing = [], []
+    entry = acceptance._TheoremGraph
+
+    class Failing(RelatorMemo):
+        def group_holds(self, phi, group):
+            token, a, b, rels = group
+            # two distinct blocks whose pattern has more than (s_4 s_4')^2
+            # are adjacent
+            fa, fb = phi.images[a * BLOCK_SIZE], phi.images[b * BLOCK_SIZE]
+            if (a != b and len(rels) > 1 and None not in (fa, fb)
+                    and fa // BLOCK_SIZE != fb // BLOCK_SIZE):
+                failing.append((phi.target, (token, fa // BLOCK_SIZE,
+                                             fb // BLOCK_SIZE)))
+                return False
+            return super().group_holds(phi, group)
+
+    def recording_entry(*args):
+        entries.append(entry(*args))
+        return entries[-1]
+
+    monkeypatch.setattr(acceptance, "RelatorMemo", Failing)
+    monkeypatch.setattr(acceptance, "_TheoremGraph", recording_entry)
+    report = acceptance.theorem_report(3)
+    expected, firsts = {}, 0
+    for i, src in enumerate(entries):
+        edges = [(a, b) for _, a, b, rels in src.groups.groups
+                 if a != b and len(rels) > 1]
+        for j, tgt in enumerate(entries):
+            base = tgt.kg.system.pointed.base
+            for k, f in enumerate(epimorphisms(src.kg.system.pointed,
+                                               tgt.kg.system.pointed)):
+                if any(f.image[a] != f.image[b]
+                       and base not in (f.image[a], f.image[b])
+                       for a, b in edges):
+                    expected[i, j] = f"relators failed for {f.image}"
+                    firsts += k == 0
+                    break
+    assert {(p.source_index, p.target_index): p.message
+            for p in report.pair_outcomes if not p.ok} == expected
+    assert len(expected) == len(failing) == 42 and firsts == 41
+    held = {id(e.kg.system.matrix): e.held for e in entries}
+    for target, key in failing:
+        assert key not in held[id(target)], key
 
 
 def test_table_path_answers_as_full_path_on_every_map(monkeypatch):
