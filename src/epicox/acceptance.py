@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .construction import alt_involution, build_C, build_L4, verify_L4_is_S5
 from .coxeter import (enumerate_parabolic, evaluate, identity,
@@ -20,7 +20,7 @@ from .coxeter import (enumerate_parabolic, evaluate, identity,
                       preserves_form, reduced_word)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, all_labeled_graphs, epimorphisms, f_reduce,
-                     find_epimorphism, find_injective_hom, is_homomorphism)
+                     find_epimorphism, find_injective_hom)
 from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
                             lift_graph_epi)
 from .oracles import (RelatorGroups, RelatorMemo, bfs_lengths,
@@ -216,48 +216,37 @@ class _TheoremGraph:
     """What the epimorphism loop needs of one graph, built once: its class
     graph (which carries the system and the pointed graph); as a source,
     its relators grouped by block pair, with each group's token and the
-    vertices of its two blocks; as a target, the table of the
-    (token, f(u), f(v)) keys of the groups whose relators a full check
-    found to hold, filled one group at a time."""
+    vertices of its two blocks; as a target, the verified table of every
+    (token, x, y) key a homomorphism into it can produce (``_key_table``)."""
     kg: KGraph
     groups: RelatorGroups
-    held: set[tuple[object, int, int]] = field(default_factory=set)
+    held: set[tuple[object, int, int]]
 
 
-def _tabled(f, src: _TheoremGraph, tgt: _TheoremGraph) -> bool:
-    """Whether the table answers f, an epimorphism after the first of its
-    pair, as the full check would pass it.
-
-    A lift sends block u to the block of f(u) in position order, so the
-    vertex images fix its images.  A key enters ``held`` only when its
-    group's relators hold under those images, so each group's relators
-    hold when its key is there, and the generators are all hit when f hits
-    every vertex.  The induced map reads only the class of each target
-    block, and the pair's first epimorphism, which is onto and passed the
-    full check, has already shown that the block of every target vertex w
-    has class w; so the induced map of such an f is f."""
-    sp, tp = src.kg.system.pointed, tgt.kg.system.pointed
-    img, held = f.image, tgt.held
-    return (img[sp.base] == tp.base
-            and is_homomorphism(f, sp.graph, tp.graph)
-            and all((token, img[a], img[b]) in held
-                    for token, a, b, _ in src.groups.groups)
-            and len(set(img)) == tp.n)
-
-
-def _relators_held(memo: RelatorMemo, phi, f, src: _TheoremGraph,
-                   tgt: _TheoremGraph) -> bool:
-    """The full check's relator step for phi, the lift of f: a group holds
-    when the target's table has its (token, f(u), f(v)) key, and otherwise
-    when the memo answers it by shape, which then adds the key."""
-    img, held = f.image, tgt.held
-    for group in src.groups.groups:
-        key = (group[0], img[group[1]], img[group[2]])
-        if key not in held:
+def _key_table(memo: RelatorMemo, reps: dict, j: int,
+               system) -> set[tuple[object, int, int]]:
+    """Every admissible key of target j, asked of the memo on the lift of
+    the vertex map that sends a to x, b to y and the rest to the base.
+    reps holds one (source index, source system, group) per token and
+    kind.  A failing key raises FalsificationError: left out, it would let
+    later maps that meet it pass unexamined."""
+    tp, to = system.pointed, system.pointed_blocks
+    held = set()
+    for (token, kind), (i, source, group) in reps.items():
+        _, a, b, _ = group
+        for x, y in itertools.product(range(tp.n), repeat=2):
+            if kind == "edge" and not tp.graph.adjacent(x, y) \
+                    or kind == "own" and x != y:
+                continue
+            images = sum((to[x] if v == a else to[y] if v == b else to[-1]
+                          for v in range(source.vertex_count)), ())
+            phi = GeneratorMap(source.matrix, system.matrix, images)
             if not memo.group_holds(phi, group):
-                return False
-            held.add(key)
-    return True
+                raise FalsificationError(
+                    f"target {j}: the {kind} relators of blocks {a}, {b} "
+                    f"of source {i} fail with the blocks sent to {x}, {y}")
+            held.add((token, x, y))
+    return held
 
 
 def theorem_report(max_vertices: int,
@@ -270,38 +259,48 @@ def theorem_report(max_vertices: int,
 
     Relators are checked as matrices through one RelatorMemo, held for
     this run only, which answers a block-pair group once per label shape,
-    in any target.  Each source's relators are grouped by block pair once,
-    with their patterns interned for the run, and a group's mapped words
-    are evaluated only on a shape miss.
+    in any target; each source's relators are grouped by block pair once,
+    with their patterns interned for the run.  Before any pair, each
+    target's table gets every key (token, x, y) that a base-preserving
+    homomorphism can produce, each verified (``_key_table``): (x, x) for a
+    block's own relators, x adjacent to y for an edge's, any (x, y) for a
+    non-edge's.
 
-    The full check of f is the lift, the relators, the generators and the
-    induced map.  Its relator step reads the target's table first: a group
-    whose (token, f(u), f(v)) key the table holds, holds; the memo answers
-    any other, and its key joins the table when it holds.  A later f of
-    the same pair that is onto and whose keys the table holds answers the
-    same, so it is answered from the table after the homomorphism re-check
-    (``_tabled``); any other f takes the full check.  The first epimorphism
-    of every pair always takes the full check, and so does every f while a
-    fault is pending.  inject_fault corrupts the first liftable map to
-    prove the relator check can fail; the corrupted map goes through the
-    memo's block-pair check, without the table, and the corrupted pair is
-    reported as a failure.  A run in which no lift keeps a block to
-    corrupt raises PreconditionError rather than pass a control that
-    tested nothing.
+    Only the first epimorphism of a pair, and every map while a fault is
+    pending, takes the full check: lift, relators read off the table,
+    generators, induced map.  The later ones pass unexamined, soundly:
+    ``epimorphisms`` yields base-preserving homomorphisms, so their keys
+    are admissible and held; they are onto the vertices, so their lifts
+    hit every generator; and the induced map reads only the class of each
+    target block, which the first epimorphism, onto and fully checked,
+    has shown to be that block's vertex.
+
+    inject_fault corrupts the first liftable map to prove the relator
+    check can fail; the corrupted map goes through the memo's block-pair
+    check, without the table, and the corrupted pair is reported as a
+    failure.  A run in which no lift keeps a block to corrupt raises
+    PreconditionError rather than pass a control that tested nothing.
     """
     if max_vertices > THEOREM_MAX_VERTICES:
         raise PreconditionError(
             f"max vertices {max_vertices} is above the ceiling of "
             f"{THEOREM_MAX_VERTICES} for the exhaustive theorem check")
     graphs = all_labeled_graphs(max_vertices)
-    entries = []
-    patterns: dict = {}
-    memo = RelatorMemo()
-    for g in graphs:
+    kgs, patterns, reps = [], {}, {}
+    for i, g in enumerate(graphs):
         kg = k_graph(g)
         verify_reconstruction(g, kg=kg)
-        entries.append(_TheoremGraph(
-            kg, group_relators(kg.system.matrix, patterns)))
+        grouped = group_relators(kg.system.matrix, patterns)
+        kgs.append((kg, grouped))
+        for group in grouped.groups:
+            token, a, b, _ = group
+            kind = ("own" if a == b else "edge" if g.adjacent(a, b)
+                    else "non-edge")
+            reps.setdefault((token, kind), (i, kg.system, group))
+    memo = RelatorMemo()
+    entries = [_TheoremGraph(kg, grouped,
+                             _key_table(memo, reps, j, kg.system))
+               for j, (kg, grouped) in enumerate(kgs)]
     outcomes = []
     fault_pending = inject_fault
     for i, src in enumerate(entries):
@@ -309,24 +308,21 @@ def theorem_report(max_vertices: int,
         for j, tgt in enumerate(entries):
             sys2 = tgt.kg.system
             epis = list(epimorphisms(sys1.pointed, sys2.pointed))
-            ok = True
-            message = "ok"
-            for k, f in enumerate(epis):
-                if k and not fault_pending and _tabled(f, src, tgt):
-                    continue
+            ok, message = True, "ok"
+            for f in epis:
                 phi = lift_graph_epi(f, sys1, sys2)
                 if fault_pending:
                     corrupted = _corrupt(phi, sys1, sys2, f)
                     if corrupted is not None:
-                        fault_pending = False
-                        ok = False
+                        fault_pending = ok = False
                         if memo.blocks_hold(corrupted, src.groups):
                             message = "fault injection not detected"
                         else:
                             message = ("injected relator fault detected "
                                        "(expected failure)")
                         break
-                if not _relators_held(memo, phi, f, src, tgt):
+                if not all((token, f.image[a], f.image[b]) in tgt.held
+                           for token, a, b, _ in src.groups.groups):
                     ok, message = False, f"relators failed for {f.image}"
                     break
                 if not is_onto_generators(phi):
@@ -336,6 +332,8 @@ def theorem_report(max_vertices: int,
                 if got.image != f.image:
                     ok, message = False, (f"induced map {got.image}, "
                                           f"expected {f.image}")
+                    break
+                if not fault_pending:
                     break
             outcomes.append(PairOutcome(i, j, len(epis), ok, message))
     if fault_pending:

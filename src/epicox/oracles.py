@@ -7,8 +7,8 @@ tests compare the package's answers against these rather than against the
 code path under test.  ``group_relators`` and ``RelatorMemo`` are
 ``check-theorem``'s memoised matrix check: relators are still evaluated
 as matrices, but grouped by block pair and answered once per label shape
-by one memo per run.  ``check-theorem`` asks the memo only about groups
-its per-target table does not hold yet, and adds each group that holds.
+by one memo per run.  ``check-theorem`` asks it, once per target, about
+every key a base-preserving homomorphism can produce, and keeps a table.
 
 The sweep rests on the parabolic factorisation W = W_J . JW, W the
 subsystem on two blocks and J the first block (Bjorner-Brenti,

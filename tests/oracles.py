@@ -12,7 +12,7 @@ with its class test at rank 8 that the block-rank class test replaced, the
 class test over all of W_J that the one over subsets replaced, the label
 rule over all pairs of generators that the loop over finite-label pairs
 replaced, and the theorem check with every epimorphism through the full
-path that the table path replaced.  The oracles shared with the
+path that the key tables and the first-epimorphism rule replaced.  The oracles shared with the
 acceptance criteria live in ``epicox.oracles``.
 """
 
@@ -397,7 +397,7 @@ def full_path_passes(f, src, tgt) -> bool:
 def theorem_outcomes_by_full_path(max_vertices, inject_fault=False):
     """(source, target, epimorphisms, ok, message) per ordered pair, with
     every epimorphism through the full check and no table: the loop the
-    table path replaced, as it was."""
+    key tables replaced, as it was."""
     kgs = [k_graph(g) for g in all_labeled_graphs(max_vertices)]
     patterns = {}
     groups = [group_relators(kg.system.matrix, patterns) for kg in kgs]

@@ -371,11 +371,9 @@ def test_check_theorem_catches_wrong_induced_map(monkeypatch, capsys):
 def test_check_theorem_checks_the_induced_map_on_every_pair(monkeypatch):
     """Negative control for the first-epimorphism rule, which alone makes
     every pair check its induced map: with the map wrong (class 0 sent to
-    the base) only out of the last source, the triangle, whose pairs come
-    after every other source has filled the tables, each of its three pairs
-    into a target with a class fails on its first epimorphism, although
-    the tables already answer all three of those epimorphisms.  Every
-    other pair passes."""
+    the base) only out of the last source, the triangle, each of its three
+    pairs into a target with a class fails on its first epimorphism, the
+    only one of the pair that is examined.  Every other pair passes."""
     induced = acceptance.induced_k_map
     graphs = all_labeled_graphs(3)
     triangle = len(graphs) - 1
@@ -415,6 +413,16 @@ def test_check_theorem_catches_missed_generators(monkeypatch, capsys):
         for pair, f in firsts.items()}
     assert main(["check-theorem", "--max-vertices", "2"]) == 3
     assert capsys.readouterr().out.endswith("verdict: FAIL\n")
+
+
+def test_check_theorem_passes_at_four_vertices(capsys):
+    """The whole check at <= 4 vertices, where no other tier-1 test runs
+    the theorem."""
+    assert main(["check-theorem", "--max-vertices", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("graphs: 76\nordered pairs: 5776\n"
+                            "epimorphisms: 33535\nverdict: PASS\n")
+    assert captured.err == ""
 
 
 def test_check_theorem_refuses_a_fault_it_cannot_place(capsys):

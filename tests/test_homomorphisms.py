@@ -11,12 +11,14 @@ from epicox.coxeter import (INFINITE, CoxeterMatrix, enumerate_parabolic,
                             evaluate, identity, is_spherical)
 from epicox.errors import FalsificationError, PreconditionError
 from epicox.graphs import (FiniteGraph, VertexMap, all_labeled_graphs,
-                           epimorphisms, find_epimorphism, make_pointed)
+                           epimorphisms, find_epimorphism, is_homomorphism,
+                           make_pointed)
 from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   induced_k_map, is_onto_generators,
                                   lift_graph_epi, map_word, presentation_of,
                                   verify_relators)
 from epicox import acceptance, homomorphisms, oracles
+from epicox.cli import main
 from epicox.oracles import (RelatorMemo, group_relators,
                             relators_hold_by_matrices)
 from epicox.reconstruction import k_graph
@@ -315,7 +317,7 @@ def test_block_image_classification_matches_enumeration(system):
 def test_relator_memo_matches_fresh_evaluation(monkeypatch):
     """Over all pairs of graphs with <= 3 vertices, the theorem check
     builds one memo, whose 13 entries by label shape are the only place it
-    evaluates mapped words as matrices, and its 12 targets' tables hold 145
+    evaluates mapped words as matrices, and its 12 targets' tables hold 317
     keys.  Each shape entry equals a fresh evaluation of the group's
     pattern in the Coxeter group of the shape's labels."""
     memos, evaluated, patterns, entries = [], [], {}, []
@@ -345,7 +347,7 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
     report = acceptance.theorem_report(3)
     assert report.passed and report.total_epis == 375
     assert len(memos) == 1 and len(patterns) == 1 and len(entries) == 12
-    assert sum(len(e.held) for e in entries) == 145
+    assert sum(len(e.held) for e in entries) == 317
     shapes = memos[0].shapes
     assert len(shapes) == 13
     assert len(evaluated) == 34
@@ -524,7 +526,7 @@ def test_block_memo_refuses_other_systems():
                                   grouped)
 
 
-# --- the theorem check's table path against the full path --------------------
+# --- the theorem check's key tables against the full path -------------------
 
 
 @pytest.mark.parametrize("inject_fault", [False, True])
@@ -539,16 +541,14 @@ def test_table_path_outcomes_match_full_path(inject_fault):
             == theorem_outcomes_by_full_path(n, inject_fault)
 
 
-def test_failing_group_never_enters_the_table(monkeypatch):
+def test_failing_group_never_enters_the_table(monkeypatch, capsys):
     """Negative control: with the memo answering False for the edge
-    pattern whenever its two blocks go to two distinct target blocks, at
-    <= 3 vertices each of the 42 pairs whose lifts meet such a group fails,
-    with the relators message, on the first epimorphism that meets it (the
-    first of the pair for 41, the second for the one pair whose first
-    folds the edge onto one vertex), every other pair passes, and no
-    failing key is in its target's table."""
-    entries, failing = [], []
-    entry = acceptance._TheoremGraph
+    pattern whenever its two blocks go to two distinct target blocks, the
+    first such key, asked while the tables are built, falsifies the run:
+    at <= 3 vertices theorem_report raises FalsificationError naming the
+    target and the key before any pair is checked, and check-theorem exits
+    3 with the claim falsified."""
+    failing = []
 
     class Failing(RelatorMemo):
         def group_holds(self, phi, group):
@@ -558,76 +558,61 @@ def test_failing_group_never_enters_the_table(monkeypatch):
             fa, fb = phi.images[a * BLOCK_SIZE], phi.images[b * BLOCK_SIZE]
             if (a != b and len(rels) > 1 and None not in (fa, fb)
                     and fa // BLOCK_SIZE != fb // BLOCK_SIZE):
-                failing.append((phi.target, (token, fa // BLOCK_SIZE,
-                                             fb // BLOCK_SIZE)))
+                failing.append((a, b, fa // BLOCK_SIZE, fb // BLOCK_SIZE))
                 return False
             return super().group_holds(phi, group)
 
-    def recording_entry(*args):
-        entries.append(entry(*args))
-        return entries[-1]
-
     monkeypatch.setattr(acceptance, "RelatorMemo", Failing)
-    monkeypatch.setattr(acceptance, "_TheoremGraph", recording_entry)
-    report = acceptance.theorem_report(3)
-    expected, firsts = {}, 0
-    for i, src in enumerate(entries):
-        edges = [(a, b) for _, a, b, rels in src.groups.groups
-                 if a != b and len(rels) > 1]
-        for j, tgt in enumerate(entries):
-            base = tgt.kg.system.pointed.base
-            for k, f in enumerate(epimorphisms(src.kg.system.pointed,
-                                               tgt.kg.system.pointed)):
-                if any(f.image[a] != f.image[b]
-                       and base not in (f.image[a], f.image[b])
-                       for a, b in edges):
-                    expected[i, j] = f"relators failed for {f.image}"
-                    firsts += k == 0
-                    break
-    assert {(p.source_index, p.target_index): p.message
-            for p in report.pair_outcomes if not p.ok} == expected
-    assert len(expected) == len(failing) == 42 and firsts == 41
-    held = {id(e.kg.system.matrix): e.held for e in entries}
-    for target, key in failing:
-        assert key not in held[id(target)], key
+    with pytest.raises(FalsificationError) as raised:
+        acceptance.theorem_report(3)
+    # the first graph with an edge is the first source of the edge pattern
+    # and the first target with two adjacent vertices
+    edge = next(k for k, g in enumerate(all_labeled_graphs(3)) if g.edges())
+    assert failing == [(0, 1, 0, 1)]
+    assert str(raised.value) == (
+        f"target {edge}: the edge relators of blocks 0, 1 of source {edge} "
+        "fail with the blocks sent to 0, 1")
+    assert main(["check-theorem", "--max-vertices", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"claim falsified: {raised.value}\n"
 
 
-def test_table_path_answers_as_full_path_on_every_map(monkeypatch):
-    """Every epimorphism the tables answer passes the full check with a
-    fresh memo.  Then, with the tables as the run left them, on every
-    base-preserving vertex map of every pair at <= 3 vertices, an onto
-    homomorphism or not: the tables answer exactly where the full check
-    passes."""
-    entries, answered = [], []
-    entry, tabled = acceptance._TheoremGraph, acceptance._tabled
+def test_key_tables_hold_exactly_the_homomorphism_keys(monkeypatch):
+    """At <= 3 vertices each target's table is the set of (token, f(a),
+    f(b)) keys of every base-preserving homomorphism f into it, onto or
+    not, from every source, found over all vertex maps; the 375 onto ones
+    each pass the full check with a fresh memo.  At <= 4 vertices the
+    tables hold 3,453 keys."""
+    entries = []
+    entry = acceptance._TheoremGraph
 
     def recording_entry(*args):
         entries.append(entry(*args))
         return entries[-1]
 
-    def recording_tabled(f, src, tgt):
-        hit = tabled(f, src, tgt)
-        if hit:
-            answered.append((f, src, tgt))
-        return hit
-
     monkeypatch.setattr(acceptance, "_TheoremGraph", recording_entry)
-    monkeypatch.setattr(acceptance, "_tabled", recording_tabled)
     assert acceptance.theorem_report(3).passed
-    assert len(answered) == 375 - 152
-    for f, src, tgt in answered:
-        assert full_path_passes(f, src.kg, tgt.kg), f.image
-    passed = 0
-    for src in entries:
-        n = src.kg.system.vertex_count
-        for tgt in entries:
-            m = tgt.kg.system.vertex_count
-            for image in itertools.product(range(m + 1), repeat=n):
-                f = VertexMap(n + 1, m + 1, (*image, m))
-                full = full_path_passes(f, src.kg, tgt.kg)
-                assert acceptance._tabled(f, src, tgt) == full, f.image
-                passed += full
-    assert passed == 375
+    epis = 0
+    for tgt in entries:
+        tp = tgt.kg.system.pointed
+        keys = set()
+        for src in entries:
+            sp = src.kg.system.pointed
+            for image in itertools.product(range(tp.n), repeat=sp.n - 1):
+                f = VertexMap(sp.n, tp.n, (*image, tp.base))
+                if not is_homomorphism(f, sp.graph, tp.graph):
+                    continue
+                keys |= {(token, f.image[a], f.image[b])
+                         for token, a, b, _ in src.groups.groups}
+                if len(set(f.image)) == tp.n:
+                    assert full_path_passes(f, src.kg, tgt.kg), f.image
+                    epis += 1
+        assert tgt.held == keys
+    assert epis == 375
+    entries.clear()
+    assert acceptance.theorem_report(4).passed
+    assert sum(len(e.held) for e in entries) == 3453
 
 
 # --- the lift tables against the per-call path -------------------------------
