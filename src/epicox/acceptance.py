@@ -19,12 +19,13 @@ from .coxeter import (enumerate_parabolic, evaluate, identity,
                       is_spherical, length, longest_element, mul,
                       preserves_form, reduced_word)
 from .errors import FalsificationError, PreconditionError
-from .graphs import (FiniteGraph, all_labeled_graphs, epimorphisms, f_reduce,
-                     find_epimorphism, find_injective_hom)
+from .graphs import (FiniteGraph, all_labeled_graphs, count_epimorphisms,
+                     epimorphisms, f_reduce, find_epimorphism,
+                     find_injective_hom)
 from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
                             lift_graph_epi)
 from .oracles import (RelatorGroups, RelatorMemo, bfs_lengths,
-                      bounded_centralizer_check, group_relators,
+                      bounded_centralizer_check, group_relators, label_shape,
                       naive_hom_exists, words_commute_by_matrices)
 from .parabolics import (conjugacy_component, ks_component_candidate, ks_step)
 from .reconstruction import (KGraph, centralizer_certificate,
@@ -223,25 +224,42 @@ class _TheoremGraph:
     held: set[tuple[object, int, int]]
 
 
+def _pair_shapes(system) -> dict[tuple[int, int], tuple[tuple, tuple]]:
+    """Per pointed pair (x, y) of the target, the ``label_shape`` of a
+    block pair that a lift sends to x and y: x's pointed block, then
+    y's."""
+    to, n = system.pointed_blocks, system.pointed.n
+    return {(x, y): label_shape(to[x] + to[y], system.matrix)
+            for x, y in itertools.product(range(n), repeat=2)}
+
+
 def _key_table(memo: RelatorMemo, reps: dict, j: int,
                system) -> set[tuple[object, int, int]]:
-    """Every admissible key of target j, asked of the memo on the lift of
-    the vertex map that sends a to x, b to y and the rest to the base.
-    reps holds one (source index, source system, group) per token and
-    kind.  A failing key raises FalsificationError: left out, it would let
-    later maps that meet it pass unexamined."""
+    """Every admissible key of target j, each read from the memo's entry
+    for (token, shape of (x, y)), the shapes from ``_pair_shapes``.  Only
+    a shape the memo lacks is asked of ``group_holds``, on the lift of the
+    vertex map that sends a to x, b to y and the rest to the base, so
+    matrices decide every answer.  reps holds one (source index, source
+    system, group) per token and kind.  A failing key raises
+    FalsificationError: left out, it would let later maps that meet it
+    pass unexamined."""
     tp, to = system.pointed, system.pointed_blocks
+    shapes = _pair_shapes(system)
     held = set()
     for (token, kind), (i, source, group) in reps.items():
         _, a, b, _ = group
-        for x, y in itertools.product(range(tp.n), repeat=2):
+        for (x, y), shape in shapes.items():
             if kind == "edge" and not tp.graph.adjacent(x, y) \
                     or kind == "own" and x != y:
                 continue
-            images = sum((to[x] if v == a else to[y] if v == b else to[-1]
-                          for v in range(source.vertex_count)), ())
-            phi = GeneratorMap(source.matrix, system.matrix, images)
-            if not memo.group_holds(phi, group):
+            hit = memo.shapes.get((token, *shape))
+            if hit is None:
+                images = sum((to[x] if v == a else to[y] if v == b
+                              else to[-1]
+                              for v in range(source.vertex_count)), ())
+                hit = memo.group_holds(
+                    GeneratorMap(source.matrix, system.matrix, images), group)
+            if not hit:
                 raise FalsificationError(
                     f"target {j}: the {kind} relators of blocks {a}, {b} "
                     f"of source {i} fail with the blocks sent to {x}, {y}")
@@ -264,16 +282,19 @@ def theorem_report(max_vertices: int,
     target's table gets every key (token, x, y) that a base-preserving
     homomorphism can produce, each verified (``_key_table``): (x, x) for a
     block's own relators, x adjacent to y for an edge's, any (x, y) for a
-    non-edge's.
+    non-edge's.  A key is read off the memo by the label shape of (x, y),
+    computed once per target and pair.
 
-    Only the first epimorphism of a pair, and every map while a fault is
-    pending, takes the full check: lift, relators read off the table,
-    generators, induced map.  The later ones pass unexamined, soundly:
-    ``epimorphisms`` yields base-preserving homomorphisms, so their keys
-    are admissible and held; they are onto the vertices, so their lifts
-    hit every generator; and the induced map reads only the class of each
-    target block, which the first epimorphism, onto and fully checked,
-    has shown to be that block's vertex.
+    ``count_epimorphisms`` counts each pair's epimorphisms and builds only
+    the first, which takes the full check: lift, relators read off the
+    table, generators, induced map.  The later ones are counted, never
+    built, soundly: ``epimorphisms`` yields base-preserving homomorphisms,
+    so their keys are admissible and held; they are onto the vertices, so
+    their lifts hit every generator; and the induced map reads only the
+    class of each target block, which the first epimorphism, onto and
+    fully checked, has shown to be that block's vertex.  While a fault is
+    pending, a pair's maps come from ``epimorphisms`` instead, and each
+    takes the full check.
 
     inject_fault corrupts the first liftable map to prove the relator
     check can fail; the corrupted map goes through the memo's block-pair
@@ -307,9 +328,14 @@ def theorem_report(max_vertices: int,
         sys1 = src.kg.system
         for j, tgt in enumerate(entries):
             sys2 = tgt.kg.system
-            epis = list(epimorphisms(sys1.pointed, sys2.pointed))
+            if fault_pending:
+                maps = list(epimorphisms(sys1.pointed, sys2.pointed))
+                count = len(maps)
+            else:
+                first, count = count_epimorphisms(sys1.pointed, sys2.pointed)
+                maps = (first,) if first else ()
             ok, message = True, "ok"
-            for f in epis:
+            for f in maps:
                 phi = lift_graph_epi(f, sys1, sys2)
                 if fault_pending:
                     corrupted = _corrupt(phi, sys1, sys2, f)
@@ -335,7 +361,7 @@ def theorem_report(max_vertices: int,
                     break
                 if not fault_pending:
                     break
-            outcomes.append(PairOutcome(i, j, len(epis), ok, message))
+            outcomes.append(PairOutcome(i, j, count, ok, message))
     if fault_pending:
         raise PreconditionError(
             f"no lifted map between graphs with at most {max_vertices} "

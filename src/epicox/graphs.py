@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError, as_int
 
@@ -96,6 +97,14 @@ class FiniteGraph:
                     for u, row in enumerate(self.adj))
         return FiniteGraph(self.n, adj, reflexive=False)
 
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bitmask over the vertices: what
+        the homomorphism search reads of a target.  Built once per
+        graph."""
+        return tuple(sum(1 << x for x, a in enumerate(row) if a)
+                     for row in self.adj)
+
 
 @dataclass(frozen=True)
 class PointedReflexiveGraph:
@@ -114,6 +123,13 @@ class PointedReflexiveGraph:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def search_plan(self) -> SearchPlan:
+        """The base-preserving search's plan for this graph as a source:
+        the base first, then the other vertices in order.  Built once per
+        pointed graph."""
+        return _search_plan(self.graph, self.base)
 
 
 @dataclass(frozen=True)
@@ -169,53 +185,85 @@ def is_homomorphism(f: VertexMap, source: FiniteGraph, target: FiniteGraph) -> b
     return True
 
 
-def _maps(source: FiniteGraph, target: FiniteGraph, *,
-          injective: bool = False, onto: bool = False,
-          pin: tuple[int, int] | None = None) -> Iterator[VertexMap]:
-    """Every edge-preserving map in lexicographic order, by backtracking
-    over partial maps.  pin = (v, w) forces v to w.
+# A source graph's search order and, per place in it, the vertices placed
+# before it that are its neighbours: those constrain the place's image.
+SearchPlan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
-    Image sets are bitmasks over the target.  The pinned vertex is placed
-    first: its image is fixed, so the maps still come out in lexicographic
-    order, and the onto bound counts its image from the start.
+
+def _search_plan(source: FiniteGraph, first: int | None) -> SearchPlan:
+    order = [v for v in range(source.n) if v != first]
+    if first is not None:
+        order.insert(0, first)
+    return tuple(order), tuple(tuple(u for u in order[:k] if source.adj[u][v])
+                               for k, v in enumerate(order))
+
+
+def _completions(plan: SearchPlan, target: FiniteGraph, image: list[int], *,
+                 injective: bool = False, onto: bool = False,
+                 pin: int | None = None) -> Iterator[int]:
+    """Backtrack over edge-preserving partial maps in lexicographic order,
+    by bitmasks over the target; pin forces the plan's first vertex to
+    that image.  For each partial map that fills every place but the
+    last, written into image (one slot per source vertex), yield the
+    nonzero bitmask of the last place's images that complete it.  The
+    onto bound prunes every place by the images still missing; at the
+    last place it leaves the one missing image or, when none is missing,
+    every candidate.  The source needs at least one vertex.
     """
-    n, m = source.n, target.n
-    if n == 0:
-        if not (onto and m):
-            yield VertexMap(0, m, ())
-        return
-    order = list(range(n))
-    if pin:
-        order.remove(pin[0])
-        order.insert(0, pin[0])
-    # per place in the order: the neighbours placed before it, which
-    # constrain its image
-    constraints = [[u for u in order[:k] if source.adj[u][v]]
-                   for k, v in enumerate(order)]
-    neighbours = [sum(1 << x for x in range(m) if target.adj[w][x])
-                  for w in range(m)]
-    image = [0] * n
+    order, constraints = plan
+    neighbours = target.neighbour_masks
+    m, last = target.n, len(order) - 1
+    full = (1 << m) - 1
 
-    def extend(k: int, used: int) -> Iterator[VertexMap]:
-        v = order[k]
-        cand = 1 << pin[1] if pin and v == pin[0] else (1 << m) - 1
+    def extend(k: int, used: int) -> Iterator[int]:
+        cand = 1 << pin if pin is not None and k == 0 else full
         for u in constraints[k]:
             cand &= neighbours[image[u]]
         if injective:
             cand &= ~used
+        if k == last:
+            if onto:
+                missing = full & ~used
+                if missing & (missing - 1):
+                    return
+                if missing:
+                    cand &= missing
+            if cand:
+                yield cand
+            return
+        v = order[k]
         while cand:
             low = cand & -cand
             cand ^= low
             # every image still missing must be hit after this place
-            if onto and m - (used | low).bit_count() > n - k - 1:
+            if onto and m - (used | low).bit_count() > last - k:
                 continue
             image[v] = low.bit_length() - 1
-            if k == n - 1:
-                yield VertexMap(n, m, tuple(image))
-            else:
-                yield from extend(k + 1, used | low)
+            yield from extend(k + 1, used | low)
 
     yield from extend(0, 0)
+
+
+def _maps(plan: SearchPlan, target: FiniteGraph, *, injective: bool = False,
+          onto: bool = False, pin: int | None = None) -> Iterator[VertexMap]:
+    """Every edge-preserving map in lexicographic order: each completion
+    of ``_completions``, lowest image first.  A pinned first vertex has
+    one image, so the order stays lexicographic."""
+    order = plan[0]
+    n, m = len(order), target.n
+    if n == 0:
+        if not (onto and m):
+            yield VertexMap(0, m, ())
+        return
+    image = [0] * n
+    v = order[-1]
+    for cand in _completions(plan, target, image, injective=injective,
+                             onto=onto, pin=pin):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[v] = low.bit_length() - 1
+            yield VertexMap(n, m, tuple(image))
 
 
 def find_injective_hom(source: FiniteGraph, target: FiniteGraph) -> VertexMap | None:
@@ -225,13 +273,32 @@ def find_injective_hom(source: FiniteGraph, target: FiniteGraph) -> VertexMap | 
         raise PreconditionError("injective search expects irreflexive graphs")
     if source.n > target.n:
         return None
-    return next(_maps(source, target, injective=True), None)
+    return next(_maps(_search_plan(source, None), target, injective=True),
+                None)
 
 
 def _unwrap(g) -> tuple[FiniteGraph, int | None]:
     if isinstance(g, PointedReflexiveGraph):
         return g.graph, g.base
     return g, None
+
+
+def _epi_search(source, target, base_preserving: bool | None):
+    """The source's plan, the target graph and the base pin of an
+    epimorphism search, after its argument checks."""
+    sg, sb = _unwrap(source)
+    tg, tb = _unwrap(target)
+    if (sb is None) != (tb is None):
+        raise PreconditionError("mixed pointed and unpointed inputs")
+    if not (sg.reflexive and tg.reflexive):
+        raise PreconditionError("epimorphism search expects reflexive graphs")
+    if base_preserving is None:
+        base_preserving = sb is not None
+    if base_preserving and sb is None:
+        raise PreconditionError("base-preserving search needs pointed inputs")
+    if base_preserving:
+        return source.search_plan, tg, tb
+    return _search_plan(sg, None), tg, None
 
 
 def epimorphisms(source, target,
@@ -244,18 +311,28 @@ def epimorphisms(source, target,
     pass ``base_preserving=False`` to search all onto homomorphisms (useful
     when the target base is forced anyway, as for reduced graphs).
     """
-    sg, sb = _unwrap(source)
-    tg, tb = _unwrap(target)
-    if (sb is None) != (tb is None):
-        raise PreconditionError("mixed pointed and unpointed inputs")
-    if not (sg.reflexive and tg.reflexive):
-        raise PreconditionError("epimorphism search expects reflexive graphs")
-    if base_preserving is None:
-        base_preserving = sb is not None
-    if base_preserving and sb is None:
-        raise PreconditionError("base-preserving search needs pointed inputs")
-    return _maps(sg, tg, onto=True,
-                 pin=(sb, tb) if base_preserving else None)
+    plan, tg, pin = _epi_search(source, target, base_preserving)
+    return _maps(plan, tg, onto=True, pin=pin)
+
+
+def count_epimorphisms(source, target) -> tuple[VertexMap | None, int]:
+    """The first map of ``epimorphisms(source, target)`` (None when there
+    is none) and how many maps it yields, without building the others:
+    each partial map that reaches the last place adds the bit count of its
+    completions."""
+    plan, tg, pin = _epi_search(source, target, None)
+    order = plan[0]
+    n, m = len(order), tg.n
+    if n == 0:
+        return (None, 0) if m else (VertexMap(0, 0, ()), 1)
+    image = [0] * n
+    first, count = None, 0
+    for cand in _completions(plan, tg, image, onto=True, pin=pin):
+        if first is None:
+            image[order[-1]] = (cand & -cand).bit_length() - 1
+            first = VertexMap(n, m, tuple(image))
+        count += cand.bit_count()
+    return first, count
 
 
 def find_epimorphism(source, target, base_preserving: bool | None = None) -> VertexMap | None:

@@ -7,8 +7,9 @@ tests compare the package's answers against these rather than against the
 code path under test.  ``group_relators`` and ``RelatorMemo`` are
 ``check-theorem``'s memoised matrix check: relators are still evaluated
 as matrices, but grouped by block pair and answered once per label shape
-by one memo per run.  ``check-theorem`` asks it, once per target, about
-every key a base-preserving homomorphism can produce, and keeps a table.
+by one memo per run.  ``check-theorem`` reads from it, once per target,
+every key a base-preserving homomorphism can produce, by ``label_shape``,
+and keeps a table.
 
 The sweep rests on the parabolic factorisation W = W_J . JW, W the
 subsystem on two blocks and J the first block (Bjorner-Brenti,
@@ -120,20 +121,32 @@ def group_relators(source: CoxeterMatrix, patterns: dict) -> RelatorGroups:
     return RelatorGroups(source, tuple(groups))
 
 
+def label_shape(images, target: CoxeterMatrix) -> tuple[tuple, tuple]:
+    """The label shape of a block pair's images, the first block's four
+    then the second's: the images in local letters, numbered in order of
+    first appearance (None, the identity, stays None), and the target
+    labels among those letters.  With a group's token it is the key of
+    ``RelatorMemo.shapes``."""
+    local: dict[int, int] = {}
+    letters = tuple([None if g is None else local.setdefault(g, len(local))
+                     for g in images])
+    rows = [target.m[x] for x in local]
+    return letters, tuple([tuple([row[y] for y in local]) for row in rows])
+
+
 class RelatorMemo:
     """The matrix relator oracle for one run, memoised by label shape.
 
     ``group_holds`` answers a ``RelatorGroups`` entry from one key in
-    ``shapes``: the group's token, the images of its two blocks written in
-    local letters (numbered in order of first appearance) and the target
-    labels among those letters.  A word in letters L is trivial exactly
-    when it is trivial in the Coxeter group of the labels among L
-    (Humphreys, Reflection Groups and Coxeter Groups 5.5), so equal keys
-    get equal answers, in any target, and one memo serves every target of
-    a run.  Only a miss sends the group's relators through
-    ``relators_hold``, which evaluates each distinct mapped word as integer
-    matrices from the target's identity, so no answer comes from the label
-    rule.  ``blocks_hold`` asks it for every group of any generator map's
+    ``shapes``: the group's token and the ``label_shape`` of the images of
+    its two blocks, their local letters and the target labels among them.
+    A word in letters L is trivial exactly when it is trivial in the
+    Coxeter group of the labels among L (Humphreys, Reflection Groups and
+    Coxeter Groups 5.5), so equal keys get equal answers, in any target,
+    and one memo serves every target of a run.  Only a miss sends the
+    group's relators through ``relators_hold``, which evaluates each
+    distinct mapped word as integer matrices from the target's identity,
+    so no answer comes from the label rule.  ``blocks_hold`` asks it for every group of any generator map's
     source.  A memo lives only as long as the run that fills it.
     """
 
@@ -154,14 +167,9 @@ class RelatorMemo:
         source, read from ``shapes``."""
         token, a, b, rels = group
         img = phi.images
-        images = (img[a * BLOCK_SIZE:(a + 1) * BLOCK_SIZE]
-                  + img[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
-        local: dict[int, int] = {}
-        letters = tuple(None if g is None else local.setdefault(g, len(local))
-                        for g in images)
-        m = phi.target.m
-        shape = (token, letters,
-                 tuple(tuple(m[x][y] for y in local) for x in local))
+        shape = (token, *label_shape(img[a * BLOCK_SIZE:(a + 1) * BLOCK_SIZE]
+                                     + img[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE],
+                                     phi.target))
         hit = self.shapes.get(shape)
         if hit is None:
             hit = self.shapes[shape] = self.relators_hold(phi, rels)

@@ -17,7 +17,7 @@ from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   induced_k_map, is_onto_generators,
                                   lift_graph_epi, map_word, presentation_of,
                                   verify_relators)
-from epicox import acceptance, homomorphisms, oracles
+from epicox import acceptance, graphs, homomorphisms, oracles
 from epicox.cli import main
 from epicox.oracles import (RelatorMemo, group_relators,
                             relators_hold_by_matrices)
@@ -613,6 +613,81 @@ def test_key_tables_hold_exactly_the_homomorphism_keys(monkeypatch):
     entries.clear()
     assert acceptance.theorem_report(4).passed
     assert sum(len(e.held) for e in entries) == 3453
+
+
+def test_key_table_shapes_are_the_memo_shapes(monkeypatch):
+    """For every admissible key at <= 4 vertices, the shape the table
+    looks up for the pair (x, y) is the key ``group_holds`` reads on the
+    lift of the vertex map that sends a to x, b to y and the rest to the
+    base.  The run keeps 13 shapes and evaluates 34 words as matrices,
+    at <= 3 as at <= 4."""
+    calls, evaluated = [], []
+    key_table = acceptance._key_table
+
+    def recording_key_table(memo, reps, j, system):
+        calls.append((memo, reps, system))
+        return key_table(memo, reps, j, system)
+
+    def counting_evaluate(C, word):
+        evaluated.append(word)
+        return evaluate(C, word)
+
+    monkeypatch.setattr(acceptance, "_key_table", recording_key_table)
+    monkeypatch.setattr(oracles, "evaluate", counting_evaluate)
+    for n in (3, 4):
+        calls.clear()
+        evaluated.clear()
+        assert acceptance.theorem_report(n).passed
+        assert len({id(memo) for memo, *_ in calls}) == 1
+        assert len(calls[0][0].shapes) == 13 and len(evaluated) == 34
+
+    asked = []
+
+    class Asked(dict):
+        def get(self, key, default=None):
+            asked.append(key)
+            return super().get(key, default)
+
+    keys = 0
+    for _, reps, system in calls:
+        shapes = acceptance._pair_shapes(system)
+        tp = system.pointed
+        for (token, kind), (_, source, group) in reps.items():
+            _, a, b, _ = group
+            assert kind == ("own" if a == b else "edge"
+                            if source.graph.adjacent(a, b) else "non-edge")
+            for x, y in itertools.product(range(tp.n), repeat=2):
+                if kind == "own" and x != y \
+                        or kind == "edge" and not tp.graph.adjacent(x, y):
+                    continue
+                image = [tp.base] * source.pointed.n
+                image[a], image[b] = x, y
+                phi = lift_graph_epi(VertexMap(len(image), tp.n,
+                                               tuple(image)), source, system)
+                memo = RelatorMemo()
+                memo.shapes = Asked()
+                assert memo.group_holds(phi, group)
+                assert asked[-1] == (token, *shapes[x, y]), (kind, x, y)
+                keys += 1
+    assert keys == 3453
+
+
+def test_pair_loop_builds_one_map_per_pair_with_an_epimorphism(monkeypatch):
+    """Regression guard: at <= 3 vertices the enumeration builds one
+    ``VertexMap`` for each of the 83 pairs that have an epimorphism, not
+    one for each of the 375 epimorphisms it counts."""
+    built = []
+
+    class Counted(VertexMap):
+        def __post_init__(self):
+            built.append(self.image)
+            super().__post_init__()
+
+    monkeypatch.setattr(graphs, "VertexMap", Counted)
+    report = acceptance.theorem_report(3)
+    assert report.passed and report.total_epis == 375
+    assert sum(p.epi_count > 0 for p in report.pair_outcomes) == 83
+    assert len(built) == 83
 
 
 # --- the lift tables against the per-call path -------------------------------
