@@ -20,8 +20,7 @@ from .coxeter import (enumerate_parabolic, evaluate, identity,
                       preserves_form, reduced_word)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, all_labeled_graphs, count_epimorphisms,
-                     epimorphisms, f_reduce, find_epimorphism,
-                     find_injective_hom)
+                     f_reduce, find_epimorphism, find_injective_hom)
 from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
                             lift_graph_epi)
 from .oracles import (RelatorGroups, RelatorMemo, bfs_lengths,
@@ -184,26 +183,17 @@ def criterion_7():
 
 
 @dataclass
-class PairOutcome:
-    source_index: int
-    target_index: int
-    epi_count: int
-    ok: bool
-    message: str
-
-
-@dataclass
 class TheoremReport:
+    """Totals of a theorem check and each failing pair as (source index,
+    target index, message), in pair order."""
     graph_count: int
-    pair_outcomes: list[PairOutcome]
+    pair_count: int
+    epimorphisms: int
+    failures: list[tuple[int, int, str]]
 
     @property
     def passed(self) -> bool:
-        return all(p.ok for p in self.pair_outcomes)
-
-    @property
-    def total_epis(self) -> int:
-        return sum(p.epi_count for p in self.pair_outcomes)
+        return not self.failures
 
 
 # check-theorem enumerates every labelled graph up to this many vertices,
@@ -292,15 +282,19 @@ def theorem_report(max_vertices: int,
     so their keys are admissible and held; they are onto the vertices, so
     their lifts hit every generator; and the induced map reads only the
     class of each target block, which the first epimorphism, onto and
-    fully checked, has shown to be that block's vertex.  While a fault is
-    pending, a pair's maps come from ``epimorphisms`` instead, and each
-    takes the full check.
+    fully checked, has shown to be that block's vertex.
 
-    inject_fault corrupts the first liftable map to prove the relator
-    check can fail; the corrupted map goes through the memo's block-pair
-    check, without the table, and the corrupted pair is reported as a
-    failure.  A run in which no lift keeps a block to corrupt raises
-    PreconditionError rather than pass a control that tested nothing.
+    inject_fault corrupts the first lift, in pair order, that keeps a block,
+    to prove the relator check can fail; the corrupted map goes through the
+    memo's block-pair check, without the table, and the corrupted pair is
+    reported as a failure.  Trying only each pair's first epimorphism places
+    the fault on the same pair as trying every one: a lift keeps a block
+    exactly when some non-base source vertex goes to a non-base target
+    vertex, which every onto, base-preserving map into a target with a
+    non-base vertex does, and a target with only the base has exactly one
+    epimorphism from each source.  A run in which no lift keeps a block to
+    corrupt raises PreconditionError rather than pass a control that tested
+    nothing.
     """
     if max_vertices > THEOREM_MAX_VERTICES:
         raise PreconditionError(
@@ -322,52 +316,40 @@ def theorem_report(max_vertices: int,
     entries = [_TheoremGraph(kg, grouped,
                              _key_table(memo, reps, j, kg.system))
                for j, (kg, grouped) in enumerate(kgs)]
-    outcomes = []
+    epis, failures = 0, []
     fault_pending = inject_fault
     for i, src in enumerate(entries):
         sys1 = src.kg.system
         for j, tgt in enumerate(entries):
             sys2 = tgt.kg.system
-            if fault_pending:
-                maps = list(epimorphisms(sys1.pointed, sys2.pointed))
-                count = len(maps)
+            f, count = count_epimorphisms(sys1.pointed, sys2.pointed)
+            epis += count
+            if f is None:
+                continue
+            phi = lift_graph_epi(f, sys1, sys2)
+            corrupted = _corrupt(phi, sys1, sys2, f) if fault_pending else None
+            if corrupted is not None:
+                fault_pending = False
+                message = ("fault injection not detected"
+                           if memo.blocks_hold(corrupted, src.groups)
+                           else "injected relator fault detected "
+                                "(expected failure)")
+            elif not all((token, f.image[a], f.image[b]) in tgt.held
+                         for token, a, b, _ in src.groups.groups):
+                message = f"relators failed for {f.image}"
+            elif not is_onto_generators(phi):
+                message = f"lift of onto map missed generators: {f.image}"
+            elif (got := induced_k_map(sys1, tgt.kg, phi)).image != f.image:
+                message = f"induced map {got.image}, expected {f.image}"
             else:
-                first, count = count_epimorphisms(sys1.pointed, sys2.pointed)
-                maps = (first,) if first else ()
-            ok, message = True, "ok"
-            for f in maps:
-                phi = lift_graph_epi(f, sys1, sys2)
-                if fault_pending:
-                    corrupted = _corrupt(phi, sys1, sys2, f)
-                    if corrupted is not None:
-                        fault_pending = ok = False
-                        if memo.blocks_hold(corrupted, src.groups):
-                            message = "fault injection not detected"
-                        else:
-                            message = ("injected relator fault detected "
-                                       "(expected failure)")
-                        break
-                if not all((token, f.image[a], f.image[b]) in tgt.held
-                           for token, a, b, _ in src.groups.groups):
-                    ok, message = False, f"relators failed for {f.image}"
-                    break
-                if not is_onto_generators(phi):
-                    ok, message = False, f"lift of onto map missed generators: {f.image}"
-                    break
-                got = induced_k_map(sys1, tgt.kg, phi)
-                if got.image != f.image:
-                    ok, message = False, (f"induced map {got.image}, "
-                                          f"expected {f.image}")
-                    break
-                if not fault_pending:
-                    break
-            outcomes.append(PairOutcome(i, j, count, ok, message))
+                continue
+            failures.append((i, j, message))
     if fault_pending:
         raise PreconditionError(
             f"no lifted map between graphs with at most {max_vertices} "
             "vertices keeps a block to corrupt, so the injected fault "
             "could not be placed")
-    return TheoremReport(len(graphs), outcomes)
+    return TheoremReport(len(graphs), len(graphs) ** 2, epis, failures)
 
 
 def _corrupt(phi, sys1, sys2, f):
@@ -385,13 +367,12 @@ def _corrupt(phi, sys1, sys2, f):
 
 def criterion_8():
     report = theorem_report(3)
-    bad = [p for p in report.pair_outcomes if not p.ok]
-    if bad:
-        p = bad[0]
-        return False, f"pair {p.source_index}->{p.target_index}: {p.message}"
+    if report.failures:
+        i, j, message = report.failures[0]
+        return False, f"pair {i}->{j}: {message}"
     return True, (f"{report.graph_count} graphs, "
-                  f"{len(report.pair_outcomes)} ordered pairs, "
-                  f"{report.total_epis} epimorphisms all verified")
+                  f"{report.pair_count} ordered pairs, "
+                  f"{report.epimorphisms} epimorphisms all verified")
 
 
 def criterion_9():

@@ -171,12 +171,11 @@ def _cmd_check_theorem(args) -> int:
     report = theorem_report(args.max_vertices,
                             inject_fault=args.inject_fault)
     print(f"graphs: {report.graph_count}")
-    print(f"ordered pairs: {len(report.pair_outcomes)}")
-    print(f"epimorphisms: {report.total_epis}")
-    failures = [p for p in report.pair_outcomes if not p.ok]
-    for p in failures:
-        print(f"pair {p.source_index} -> {p.target_index}: {p.message}")
-    if failures:
+    print(f"ordered pairs: {report.pair_count}")
+    print(f"epimorphisms: {report.epimorphisms}")
+    for i, j, message in report.failures:
+        print(f"pair {i} -> {j}: {message}")
+    if report.failures:
         print("verdict: FAIL")
         return 3
     print("verdict: PASS")
@@ -252,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_l4)
 
     p = sub.add_parser("check-theorem",
-                       help="lift every onto map between small graphs and "
-                            "check the round trip")
+                       help="count every epimorphism between small graphs, "
+                            "lift each pair's first and check its round "
+                            "trip")
     p.add_argument("--max-vertices", type=_nonnegative_int, default=2)
     p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
                    help=unused)

@@ -146,8 +146,9 @@ class RelatorMemo:
     and one memo serves every target of a run.  Only a miss sends the
     group's relators through ``relators_hold``, which evaluates each
     distinct mapped word as integer matrices from the target's identity,
-    so no answer comes from the label rule.  ``blocks_hold`` asks it for every group of any generator map's
-    source.  A memo lives only as long as the run that fills it.
+    so no answer comes from the label rule.  ``blocks_hold`` asks it for
+    every group of any generator map's source.  A memo lives only as long
+    as the run that fills it.
     """
 
     def __init__(self):

@@ -313,7 +313,8 @@ def test_check_theorem_fault_injection(capsys):
 
 @pytest.mark.parametrize("vertices,counts", [
     (2, "graphs: 4\nordered pairs: 16\nepimorphisms: 17\n"),
-    (3, "graphs: 12\nordered pairs: 144\nepimorphisms: 375\n")])
+    (3, "graphs: 12\nordered pairs: 144\nepimorphisms: 375\n"),
+    (4, "graphs: 76\nordered pairs: 5776\nepimorphisms: 33535\n")])
 def test_check_theorem_fault_caught_by_matrices(capsys, vertices, counts):
     """The memoised matrix relator oracle still catches the injected
     fault, and the whole output is as before memoisation."""
@@ -338,6 +339,11 @@ def _first_epis(max_vertices):
     return firsts, len(pointed) ** 2
 
 
+def _in_pair_order(messages):
+    """A report's failures for messages keyed by (source, target)."""
+    return [(i, j, message) for (i, j), message in sorted(messages.items())]
+
+
 def test_check_theorem_catches_wrong_induced_map(monkeypatch, capsys):
     """Negative control: an induced map that sends class 0 to the base
     fails every pair whose target has a class, since an onto map hits
@@ -359,9 +365,8 @@ def test_check_theorem_catches_wrong_induced_map(monkeypatch, capsys):
         if base:
             wrong = tuple(base if x == 0 else x for x in f.image)
             want[i, j] = f"induced map {wrong}, expected {f.image}"
-    assert len(report.pair_outcomes) == pairs and want
-    assert {(p.source_index, p.target_index): p.message
-            for p in report.pair_outcomes if not p.ok} == want
+    assert report.pair_count == pairs and want
+    assert report.failures == _in_pair_order(want)
     assert main(["check-theorem", "--max-vertices", "2"]) == 3
     assert capsys.readouterr().out.endswith("".join(
         f"pair {i} -> {j}: {message}\n"
@@ -395,9 +400,8 @@ def test_check_theorem_checks_the_induced_map_on_every_pair(monkeypatch):
         if i == triangle and base:
             wrong = tuple(base if x == 0 else x for x in f.image)
             want[i, j] = f"induced map {wrong}, expected {f.image}"
-    assert len(report.pair_outcomes) == pairs and len(want) == 3
-    assert {(p.source_index, p.target_index): p.message
-            for p in report.pair_outcomes if not p.ok} == want
+    assert report.pair_count == pairs and len(want) == 3
+    assert report.failures == _in_pair_order(want)
 
 
 def test_check_theorem_catches_missed_generators(monkeypatch, capsys):
@@ -406,13 +410,27 @@ def test_check_theorem_catches_missed_generators(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "is_onto_generators", lambda phi: False)
     report = acceptance.theorem_report(2)
     firsts, pairs = _first_epis(2)
-    assert len(report.pair_outcomes) == pairs
-    assert {(p.source_index, p.target_index): p.message
-            for p in report.pair_outcomes if not p.ok} == {
+    assert report.pair_count == pairs
+    assert report.failures == _in_pair_order({
         pair: f"lift of onto map missed generators: {f.image}"
-        for pair, f in firsts.items()}
+        for pair, f in firsts.items()})
     assert main(["check-theorem", "--max-vertices", "2"]) == 3
     assert capsys.readouterr().out.endswith("verdict: FAIL\n")
+
+
+def test_fault_injection_checks_the_pairs_around_the_fault(monkeypatch):
+    """Negative control: with the generator check never passing and the
+    fault injected, every pair with an epimorphism still fails on its
+    first one, before and after the pair that takes the fault (1 -> 1 at
+    <= 2 vertices), which reports the fault instead."""
+    monkeypatch.setattr(acceptance, "is_onto_generators", lambda phi: False)
+    report = acceptance.theorem_report(2, inject_fault=True)
+    firsts, _ = _first_epis(2)
+    want = {pair: f"lift of onto map missed generators: {f.image}"
+            for pair, f in firsts.items()}
+    assert (0, 0) in want and (1, 0) in want
+    want[1, 1] = "injected relator fault detected (expected failure)"
+    assert report.failures == _in_pair_order(want)
 
 
 def test_check_theorem_passes_at_four_vertices(capsys):

@@ -345,7 +345,7 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
     monkeypatch.setattr(acceptance, "group_relators", recording_group_relators)
     monkeypatch.setattr(oracles, "evaluate", counting_evaluate)
     report = acceptance.theorem_report(3)
-    assert report.passed and report.total_epis == 375
+    assert report.passed and report.epimorphisms == 375
     assert len(memos) == 1 and len(patterns) == 1 and len(entries) == 12
     assert sum(len(e.held) for e in entries) == 317
     shapes = memos[0].shapes
@@ -386,6 +386,25 @@ def test_relator_memo_catches_corruption_after_sibling():
     # only the 12 lifts onto the empty graph, every block collapsed, have
     # no surviving block to corrupt
     assert corrupted_maps == 375 - 12
+
+
+def test_a_lift_keeps_a_block_exactly_when_the_target_has_one():
+    """The fault injection tries only each pair's first epimorphism, which
+    places the fault on the pair where trying every one would: at <= 4
+    vertices the lift of every epimorphism has a block to corrupt exactly
+    when the target's pointed graph has a vertex besides the base, and a
+    target with only the base has exactly one epimorphism from each
+    source."""
+    systems = [build_C(g) for g in all_labeled_graphs(4)]
+    for src in systems:
+        for tgt in systems:
+            epis = list(epimorphisms(src.pointed, tgt.pointed))
+            keeps_a_block = tgt.pointed.n > 1
+            assert keeps_a_block or len(epis) == 1
+            for f in epis:
+                phi = lift_graph_epi(f, src, tgt)
+                assert (acceptance._corrupt(phi, src, tgt, f) is not None) \
+                    == keeps_a_block, (f.image, tgt.graph)
 
 
 @pytest.mark.parametrize("rel", [(), (0,), (0, 1, 0), (0, 1, 2, 1),
@@ -510,11 +529,11 @@ def test_block_memo_skipping_a_group_misses_the_fault(monkeypatch):
         return grouped._replace(groups=grouped.groups[1:])
 
     report = acceptance.theorem_report(2, inject_fault=True)
-    assert [p.message for p in report.pair_outcomes if not p.ok] \
+    assert [message for *_, message in report.failures] \
         == ["injected relator fault detected (expected failure)"]
     monkeypatch.setattr(acceptance, "group_relators", skip_first)
     report = acceptance.theorem_report(2, inject_fault=True)
-    assert [p.message for p in report.pair_outcomes if not p.ok] \
+    assert [message for *_, message in report.failures] \
         == ["fault injection not detected"]
 
 
@@ -531,14 +550,19 @@ def test_block_memo_refuses_other_systems():
 
 @pytest.mark.parametrize("inject_fault", [False, True])
 def test_table_path_outcomes_match_full_path(inject_fault):
-    """Per pair, the theorem check reports the outcome, count and message
-    of the loop that sends every epimorphism through the full check, at
-    <= 3 vertices and with the fault injected at <= 2 and <= 3."""
+    """The theorem check reports the same pair count, epimorphism count
+    and failing pairs, with their messages, as the loop that sends every
+    epimorphism through the full check, at <= 3 vertices and with the
+    fault injected at <= 2 and <= 3."""
     for n in (2, 3):
         report = acceptance.theorem_report(n, inject_fault=inject_fault)
-        assert [(p.source_index, p.target_index, p.epi_count, p.ok,
-                 p.message) for p in report.pair_outcomes] \
-            == theorem_outcomes_by_full_path(n, inject_fault)
+        outcomes = theorem_outcomes_by_full_path(n, inject_fault)
+        assert report.pair_count == len(outcomes)
+        assert report.epimorphisms == sum(count for _, _, count, _, _
+                                          in outcomes)
+        assert report.failures == [(i, j, message)
+                                   for i, j, _, ok, message in outcomes
+                                   if not ok]
 
 
 def test_failing_group_never_enters_the_table(monkeypatch, capsys):
@@ -673,9 +697,13 @@ def test_key_table_shapes_are_the_memo_shapes(monkeypatch):
 
 
 def test_pair_loop_builds_one_map_per_pair_with_an_epimorphism(monkeypatch):
-    """Regression guard: at <= 3 vertices the enumeration builds one
+    """Regression guard: at <= 3 vertices the pair loop builds one
     ``VertexMap`` for each of the 83 pairs that have an epimorphism, not
-    one for each of the 375 epimorphisms it counts."""
+    one for each of the 375 epimorphisms it counts, with or without the
+    fault injected."""
+    pointed = [build_C(g).pointed for g in all_labeled_graphs(3)]
+    assert sum(find_epimorphism(p, q) is not None
+               for p in pointed for q in pointed) == 83
     built = []
 
     class Counted(VertexMap):
@@ -684,10 +712,11 @@ def test_pair_loop_builds_one_map_per_pair_with_an_epimorphism(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(graphs, "VertexMap", Counted)
-    report = acceptance.theorem_report(3)
-    assert report.passed and report.total_epis == 375
-    assert sum(p.epi_count > 0 for p in report.pair_outcomes) == 83
-    assert len(built) == 83
+    for inject_fault in (False, True):
+        built.clear()
+        report = acceptance.theorem_report(3, inject_fault=inject_fault)
+        assert report.passed != inject_fault and report.epimorphisms == 375
+        assert len(built) == 83
 
 
 # --- the lift tables against the per-call path -------------------------------
