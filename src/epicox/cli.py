@@ -198,85 +198,104 @@ def _cmd_acceptance(args) -> int:
     return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# --- arguments -------------------------------------------------------------
+
+
+_UNUSED_RADIUS = (f"checked to lie in 0..{SWEEP_MAX_RADIUS}, otherwise "
+                  "unused: the normaliser certificate needs no radius")
+
+
+def _graph_io(p) -> None:
+    p.add_argument("graph", help="graph file (text or JSON), '-' for stdin")
+    p.add_argument("-o", "--output", default=None,
+                   help="write to this file instead of stdout")
+    p.add_argument("--json", action="store_true",
+                   help="emit JSON instead of text")
+
+
+def _k_graph_args(p) -> None:
+    _graph_io(p)
+    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
+                   help=_UNUSED_RADIUS)
+
+
+def _no_args(p) -> None:
+    pass
+
+
+def _check_theorem_args(p) -> None:
+    p.add_argument("--max-vertices", type=_nonnegative_int, default=2)
+    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
+                   help=_UNUSED_RADIUS)
+    p.add_argument("--inject-fault", action="store_true",
+                   help="corrupt one lifted map to confirm the relator "
+                        "check can fail")
+
+
+def _acceptance_args(p) -> None:
+    p.add_argument("--criterion", type=int, action="append", default=None,
+                   help="run only this criterion (repeatable)")
+    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS)
+
+
+# name: (help, handler, argument setup), in the order --help lists them
+_SUBCOMMANDS = {
+    "reduce-f": ("complement the graph, add loops and a dominating base "
+                 "vertex", _cmd_reduce_f, _graph_io),
+    "emit-presentation": ("print the reflection presentation of the block "
+                          "system over a graph", _cmd_emit_presentation,
+                          _graph_io),
+    "build-coxeter": ("print the label matrix of the block system",
+                      _cmd_build_coxeter, _graph_io),
+    "ks-classes": ("conjugacy classes of the block subgroups",
+                   _cmd_ks_classes, _graph_io),
+    "k-graph": ("reconstruct the graph from the block system",
+                _cmd_k_graph, _k_graph_args),
+    "verify-l4": ("check the one-block group is the expected order-120 "
+                  "group with a simple even half", _cmd_verify_l4, _no_args),
+    "check-theorem": ("count every epimorphism between small graphs, lift "
+                      "each pair's first and check its round trip",
+                      _cmd_check_theorem, _check_theorem_args),
+    "acceptance": ("run the acceptance criteria", _cmd_acceptance,
+                   _acceptance_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only the named one.
+
+    A parser for one command still lists them all in its usage line, so
+    its messages read byte for byte as the full parser's would.  The full
+    parser keeps argparse's own listing, which names the argument
+    "command" when it refuses an unknown one."""
     parser = argparse.ArgumentParser(
         prog="epicox",
         description="finite-graph reduction through right-angled-ish "
                     "reflection groups, with verification tooling")
-    sub = parser.add_subparsers(dest="command", required=True)
-    unused = (f"checked to lie in 0..{SWEEP_MAX_RADIUS}, otherwise unused: "
-              "the normaliser certificate needs no radius")
-
-    def add_io(p, needs_graph=True):
-        if needs_graph:
-            p.add_argument("graph",
-                           help="graph file (text or JSON), '-' for stdin")
-        p.add_argument("-o", "--output", default=None,
-                       help="write to this file instead of stdout")
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON instead of text")
-
-    p = sub.add_parser("reduce-f",
-                       help="complement the graph, add loops and a "
-                            "dominating base vertex")
-    add_io(p)
-    p.set_defaults(func=_cmd_reduce_f)
-
-    p = sub.add_parser("emit-presentation",
-                       help="print the reflection presentation of the "
-                            "block system over a graph")
-    add_io(p)
-    p.set_defaults(func=_cmd_emit_presentation)
-
-    p = sub.add_parser("build-coxeter",
-                       help="print the label matrix of the block system")
-    add_io(p)
-    p.set_defaults(func=_cmd_build_coxeter)
-
-    p = sub.add_parser("ks-classes",
-                       help="conjugacy classes of the block subgroups")
-    add_io(p)
-    p.set_defaults(func=_cmd_ks_classes)
-
-    p = sub.add_parser("k-graph",
-                       help="reconstruct the graph from the block system")
-    add_io(p)
-    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
-                   help=unused)
-    p.set_defaults(func=_cmd_k_graph)
-
-    p = sub.add_parser("verify-l4",
-                       help="check the one-block group is the expected "
-                            "order-120 group with a simple even half")
-    p.set_defaults(func=_cmd_verify_l4)
-
-    p = sub.add_parser("check-theorem",
-                       help="count every epimorphism between small graphs, "
-                            "lift each pair's first and check its round "
-                            "trip")
-    p.add_argument("--max-vertices", type=_nonnegative_int, default=2)
-    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
-                   help=unused)
-    p.add_argument("--inject-fault", action="store_true",
-                   help="corrupt one lifted map to confirm the relator "
-                            "check can fail")
-    p.set_defaults(func=_cmd_check_theorem)
-
-    p = sub.add_parser("acceptance", help="run the acceptance criteria")
-    p.add_argument("--criterion", type=int, action="append", default=None,
-                   help="run only this criterion (repeatable)")
-    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS)
-    p.set_defaults(func=_cmd_acceptance)
-
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    for name, (help_text, func, add_arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
-# built on the first call and reused: parsing leaves no state in it
+# One parser per command named first, and the full one for anything else
+# (--help, no arguments, an unknown command): each built on the first call
+# that needs it and reused, since parsing leaves no state in it.  A cold
+# command so builds one subparser, not eight.
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         # one refusal of the radius, before any command reads its input
         check_radius(getattr(args, "radius", 0))

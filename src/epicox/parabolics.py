@@ -59,6 +59,19 @@ def ks_component_candidate(C: CoxeterMatrix, subset, s: int) -> frozenset[int]:
     return frozenset(comp)
 
 
+def _unit_column(nu, i: int) -> int | None:
+    """The j whose column of nu is plus or minus e_i, if there is one.
+
+    Column j of an element is its image of the simple root alpha_j, and
+    nu s_j nu^-1 is the reflection in that root, so s_i nu == nu s_j can
+    hold only for this j."""
+    for j, x in enumerate(nu[i]):
+        if x in (1, -1) and all(row[j] == 0 for k, row in enumerate(nu)
+                                if k != i):
+            return j
+    return None
+
+
 def ks_step(C: CoxeterMatrix, subset, s: int) -> frozenset[int] | None:
     """The subset reached by one conjugation step out of the subset along
     s, or None when the relevant component is not spherical.
@@ -68,6 +81,8 @@ def ks_step(C: CoxeterMatrix, subset, s: int) -> frozenset[int] | None:
     reflection.  nu^-1 s_i nu == s_j holds exactly when s_i nu == nu s_j,
     and each side is one row or column operation on nu (``gen_mul``,
     ``mul_gen``), so the check forms neither nu^-1 nor a full product.
+    The j is read off nu's columns (``_unit_column``), so each generator
+    inside takes one such check, not one per j.
     Anything else is an internal error, not a soft failure.
     """
     I = frozenset(subset)
@@ -85,14 +100,11 @@ def ks_step(C: CoxeterMatrix, subset, s: int) -> frozenset[int] | None:
             raise InternalInconsistencyError(
                 f"conjugator moved generator {i} outside the component")
     for i in sorted(I & K):
-        left = gen_mul(C, i, nu)
-        for j in range(C.n):
-            if left == mul_gen(C, nu, j):
-                target.add(j)
-                break
-        else:
+        j = _unit_column(nu, i)
+        if j is None or gen_mul(C, i, nu) != mul_gen(C, nu, j):
             raise InternalInconsistencyError(
                 f"conjugate of generator {i} is not a simple reflection")
+        target.add(j)
     J = frozenset(target)
     if len(J) != len(I):
         raise InternalInconsistencyError(

@@ -38,13 +38,17 @@ than the identity are the conjugates of w_K for nonempty K of even size.
 So they form one class containing a = w_I exactly when w_I is central in
 W_I and each such K lies in I's component in W_J.
 
-It needs no rank-4 system of its own.  A standard parabolic subgroup is
-the Coxeter group of its own labels, with the same lengths (Humphreys,
-Reflection Groups and Coxeter Groups 5.5), so whether W_K is finite and
-w_K central in it reads the same in the rank-8 subsystem as in W_J.  And
-a step along a generator of J, out of a subset of J, reads only J's
-labels, so when no member of I's component steps out of J, the component
-is I's component in W_J as well.
+The in-block work runs in W_J's own rank-4 system: whether w_I is central
+in W_I, I's conjugacy component and the class test.  A standard parabolic
+subgroup is the Coxeter group of its own labels, with the same lengths
+(Humphreys, Reflection Groups and Coxeter Groups 5.5), so whether W_K is
+finite and w_K central in it reads the same there as in the rank-8
+subsystem.  One check stays at rank 8: no member of the component has a
+step along a generator outside J.  A step along a generator of J, out of
+a subset of J, reads only J's labels, so it is the same step at either
+rank.  When no member steps out of J, the rank-8 component is therefore
+the rank-4 one; when some member does, the certificate fails at either
+rank.  The certificate at rank 4 gives the rank-8 certificate's verdict.
 """
 
 from __future__ import annotations
@@ -153,17 +157,17 @@ def _one_even_class(C: CoxeterMatrix, J, members) -> bool:
 @lru_cache(maxsize=64)
 def _centralizer_certificate(labels: tuple[tuple[int, ...], ...]) -> bool:
     sub = _named(labels)
-    block = frozenset(range(BLOCK_SIZE))
+    J = range(BLOCK_SIZE)
+    wj = sub.submatrix(J)
     I = (0, 2)  # alt_involution's positions 1 and 3
     # their product is an involution exactly when it is w_I, central in W_I
-    if not _central_longest(sub, I):
+    if not _central_longest(wj, I):
         return False
-    members = conjugacy_component(sub, I).members
-    # with no step out of J, these are also I's members in W_J
-    return all(X <= block for X in members) and \
-        all(ks_step(sub, X, s) is None
-            for X in members for s in range(BLOCK_SIZE, sub.n)) and \
-        _one_even_class(sub, block, members)
+    members = conjugacy_component(wj, I).members
+    # with no step out of J, these are also I's members in the subsystem
+    return all(ks_step(sub, X, s) is None
+               for X in members for s in range(BLOCK_SIZE, sub.n)) and \
+        _one_even_class(wj, J, members)
 
 
 def centralizer_certificate(system: LabeledCoxeterSystem, s: int,

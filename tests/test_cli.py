@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main(), except
 where argument parsing itself must refuse, which runs a subprocess."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -524,3 +525,95 @@ def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(PATH3_TEXT))
     assert main(["reduce-f", "-"]) == 0
     assert "n 4" in capsys.readouterr().out
+
+
+# --- one subparser per command, read as the full parser --------------------
+
+
+def _run_main(argv):
+    """stdout, stderr and exit code of main(argv), argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def _parity_cases(graph):
+    yield ["--help"]
+    yield []
+    yield ["bogus"]
+    for command in cli._SUBCOMMANDS:
+        yield [command, "--help"]
+    yield ["k-graph"]
+    yield ["reduce-f"]
+    yield ["k-graph", graph, "--bogus"]
+    yield ["check-theorem", "--bogus"]
+    yield ["verify-l4", "extra"]
+    yield ["k-graph", graph, "--radius", "99"]
+    yield ["check-theorem", "--max-vertices", "1", "--radius", "99"]
+    yield ["acceptance", "--criterion", "1", "--radius", "99"]
+
+
+def test_command_parser_reads_as_the_full_parser(monkeypatch, tmp_path):
+    """Help, usage, errors and exit codes of main are those of main with
+    every subcommand built, on every case where the parser speaks."""
+    f = tmp_path / "edge.txt"
+    f.write_text(EDGE_TEXT)
+    cases = list(_parity_cases(str(f)))
+    got = [_run_main(argv) for argv in cases]
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", lambda command: full)
+    want = [_run_main(argv) for argv in cases]
+    for argv, g, w in zip(cases, got, want):
+        assert g == w, argv
+    # the cases reach help, argparse's refusals and the radius check
+    assert {code for _, _, code in got} == {0, 2}
+    assert sum("invalid choice" in err for _, err, _ in got) == 1
+    assert sum("unrecognized arguments" in err for _, err, _ in got) == 3
+    assert sum("cap exceeded" in err for _, err, _ in got) == 3
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["k-graph", "GRAPH"], 2),
+    (["check-theorem", "--max-vertices", "1"], 2),
+    (["--help"], 9)])
+def test_a_command_builds_only_its_own_subparser(monkeypatch, tmp_path,
+                                                 argv, builds):
+    """The top-level parser and one subparser for a command; all eight
+    for --help."""
+    f = tmp_path / "edge.txt"
+    f.write_text(EDGE_TEXT)
+    argv = [str(f) if a == "GRAPH" else a for a in argv]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    _run_main(argv)
+    assert len(built) == builds
+    _run_main(argv)  # reused
+    assert len(built) == builds
+
+
+def test_import_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import epicox.cli\n"
+            "print(len(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")

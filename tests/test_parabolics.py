@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from epicox import parabolics
 from epicox.construction import (BLOCK_SIZE, LabeledCoxeterSystem, build_C,
                                  build_L4)
-from epicox.coxeter import INFINITE, CoxeterMatrix, is_spherical, mul, mul_gen
+from epicox.coxeter import (INFINITE, CoxeterMatrix, is_spherical,
+                            longest_element, mul, mul_gen)
 from epicox.errors import (EnumerationCapExceeded, FalsificationError,
                            InternalInconsistencyError, PreconditionError)
 from epicox.graphs import FiniteGraph, all_labeled_graphs
@@ -338,3 +339,22 @@ def test_corrupted_conjugator_is_an_internal_fault(monkeypatch, I, s, extra,
                         lambda a, b: mul_gen(L4, mul(a, b), extra))
     with pytest.raises(InternalInconsistencyError, match=moved):
         ks_step(L4, I, s)
+
+
+def test_conjugator_off_the_group_is_an_internal_fault(monkeypatch):
+    """Negative control: nu with e_0 added to its third column is no group
+    element, yet its second column is still e_0, so the columns alone
+    would send generator 0 to generator 1; the product check refuses it."""
+    def corrupted(a, b):
+        rows = [list(row) for row in mul(a, b)]
+        rows[0][2] += 1
+        return tuple(map(tuple, rows))
+
+    assert ks_step(L4, {0}, 1) == {1}
+    monkeypatch.setattr(parabolics, "mul", corrupted)
+    nu = corrupted(longest_element(L4, {0}), longest_element(L4, {0, 1}))
+    assert parabolics._unit_column(nu, 0) == 1
+    with pytest.raises(InternalInconsistencyError,
+                       match="conjugate of generator 0 is not a simple "
+                             "reflection"):
+        ks_step(L4, {0}, 1)

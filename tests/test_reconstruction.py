@@ -309,8 +309,9 @@ ORACLE_BLOCKS = [NON_ADJACENT.m, ADJACENT.m] + [
 
 
 def test_block_rank_certificate_matches_rank_8(fresh_sweep_cache):
-    """The class test in W_J's own rank-4 system gives the verdict the
-    rank-8 one gives, on both shapes and the 64 oo-biased blocks."""
+    """The certificate, its in-block work done in W_J's own rank-4 system,
+    gives the verdict the rank-8 one gives, on both shapes and the 64
+    oo-biased blocks."""
     held = [_centralizer_certificate(labels) for labels in ORACLE_BLOCKS]
     assert held == [centralizer_certificate_at_rank_8(labels)
                     for labels in ORACLE_BLOCKS]
