@@ -14,18 +14,19 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .construction import alt_involution, build_C, build_L4, verify_L4_is_S5
-from .coxeter import (enumerate_parabolic, evaluate, identity,
-                      is_spherical, length, longest_element, mul,
+from .construction import (BLOCK_SIZE, alt_involution, build_C, build_L4,
+                           verify_L4_is_S5)
+from .coxeter import (CoxeterMatrix, Word, enumerate_parabolic, evaluate,
+                      identity, is_spherical, length, longest_element, mul,
                       preserves_form, reduced_word)
 from .errors import FalsificationError, PreconditionError
 from .graphs import (FiniteGraph, all_labeled_graphs, count_epimorphisms,
                      f_reduce, find_epimorphism, find_injective_hom)
 from .homomorphisms import (GeneratorMap, induced_k_map, is_onto_generators,
-                            lift_graph_epi)
-from .oracles import (RelatorGroups, RelatorMemo, bfs_lengths,
-                      bounded_centralizer_check, group_relators, label_shape,
-                      naive_hom_exists, words_commute_by_matrices)
+                            lift_graph_epi, presentation_of)
+from .oracles import (bfs_lengths, bounded_centralizer_check,
+                      naive_hom_exists, relators_hold,
+                      relators_hold_by_matrices, words_commute_by_matrices)
 from .parabolics import (conjugacy_component, ks_component_candidate, ks_step)
 from .reconstruction import (KGraph, centralizer_certificate,
                              commuting_witness, k_graph, verify_reconstruction)
@@ -206,49 +207,92 @@ THEOREM_MAX_VERTICES = 5
 class _TheoremGraph:
     """What the epimorphism loop needs of one graph, built once: its class
     graph (which carries the system and the pointed graph); as a source,
-    its relators grouped by block pair, with each group's token and the
-    vertices of its two blocks; as a target, the verified table of every
-    (token, x, y) key a homomorphism into it can produce (``_key_table``)."""
+    its relator groups (``group_relators``); as a target, the verified
+    table of every (token, x, y) key a homomorphism into it can produce
+    (``_key_table``)."""
     kg: KGraph
-    groups: RelatorGroups
+    groups: tuple[tuple[object, int, int, tuple[Word, ...]], ...]
     held: set[tuple[object, int, int]]
 
 
+def group_relators(source: CoxeterMatrix, patterns: dict) -> tuple:
+    """``presentation_of(source)``'s relators grouped by block pair.
+
+    Each group is (token, a, b, relators): the relators whose letters lie
+    in the blocks of vertices a <= b (a == b for a relator inside one
+    block, squares included), in the source's letters, and the token of
+    their pattern, the same relators written in block-local letters (block
+    a's positions as 0-3, block b's as 4-7).  The pattern and the images of
+    the two blocks fix every mapped word of the group, for any generator
+    map.  patterns interns the patterns for a run: equal patterns, from
+    any source, get one token, so one answer serves them all.  A token is
+    a bare object, equal only to itself, so patterns interned in two
+    different dicts can never share an answer.
+    """
+    by_pair: dict[tuple[int, int], list[Word]] = {}
+    for rel in presentation_of(source).relators:
+        a, b = sorted((rel[0] // BLOCK_SIZE, rel[1] // BLOCK_SIZE))
+        by_pair.setdefault((a, b), []).append(rel)
+    groups = []
+    for (a, b), rels in by_pair.items():
+        u, v = a * BLOCK_SIZE, b * BLOCK_SIZE
+        pattern = tuple(tuple(g - u if g < u + BLOCK_SIZE
+                              else g - v + BLOCK_SIZE for g in rel)
+                        for rel in rels)
+        token = patterns.setdefault(pattern, object())
+        groups.append((token, a, b, tuple(rels)))
+    return tuple(groups)
+
+
 def _pair_shapes(system) -> dict[tuple[int, int], tuple[tuple, tuple]]:
-    """Per pointed pair (x, y) of the target, the ``label_shape`` of a
-    block pair that a lift sends to x and y: x's pointed block, then
-    y's."""
-    to, n = system.pointed_blocks, system.pointed.n
-    return {(x, y): label_shape(to[x] + to[y], system.matrix)
-            for x, y in itertools.product(range(n), repeat=2)}
+    """Per pointed pair (x, y) of the target, the label shape of a block
+    pair that a lift sends to x and y: the images of the two blocks, x's
+    pointed block then y's, in local letters numbered in order of first
+    appearance (None, the identity, stays None), and the target labels
+    among those letters.  With a group's token it is the key of the run's
+    answers."""
+    to, m = system.pointed_blocks, system.matrix.m
+    shapes = {}
+    for x, y in itertools.product(range(system.pointed.n), repeat=2):
+        local: dict[int, int] = {}
+        letters = tuple([None if g is None
+                         else local.setdefault(g, len(local))
+                         for g in to[x] + to[y]])
+        shapes[x, y] = letters, tuple([tuple([m[g][h] for h in local])
+                                       for g in local])
+    return shapes
 
 
-def _key_table(memo: RelatorMemo, reps: dict, j: int,
+def _key_table(answers: dict, reps: dict, j: int,
                system) -> set[tuple[object, int, int]]:
-    """Every admissible key of target j, each read from the memo's entry
-    for (token, shape of (x, y)), the shapes from ``_pair_shapes``.  Only
-    a shape the memo lacks is asked of ``group_holds``, on the lift of the
-    vertex map that sends a to x, b to y and the rest to the base, so
-    matrices decide every answer.  reps holds one (source index, source
-    system, group) per token and kind.  A failing key raises
-    FalsificationError: left out, it would let later maps that meet it
-    pass unexamined."""
+    """Every admissible key of target j, each read from the run's answer
+    for (token, shape of (x, y)), the shapes from ``_pair_shapes``.  A
+    word in letters L is trivial exactly when it is trivial in the Coxeter
+    group of the labels among L (Humphreys, Reflection Groups and Coxeter
+    Groups 5.5), so equal keys get equal answers, in any target.  Only a
+    key the answers lack is decided, by ``relators_hold`` on the lift of
+    the vertex map that sends a to x, b to y and the rest to the base, so
+    matrices decide every answer, never the label rule.  reps holds one
+    (source index, source system, group) per token and kind.  A failing
+    key raises FalsificationError: left out, it would let later maps that
+    meet it pass unexamined."""
     tp, to = system.pointed, system.pointed_blocks
     shapes = _pair_shapes(system)
     held = set()
     for (token, kind), (i, source, group) in reps.items():
-        _, a, b, _ = group
+        _, a, b, rels = group
         for (x, y), shape in shapes.items():
             if kind == "edge" and not tp.graph.adjacent(x, y) \
                     or kind == "own" and x != y:
                 continue
-            hit = memo.shapes.get((token, *shape))
+            key = (token, *shape)
+            hit = answers.get(key)
             if hit is None:
                 images = sum((to[x] if v == a else to[y] if v == b
                               else to[-1]
                               for v in range(source.vertex_count)), ())
-                hit = memo.group_holds(
-                    GeneratorMap(source.matrix, system.matrix, images), group)
+                hit = answers[key] = relators_hold(
+                    GeneratorMap(source.matrix, system.matrix, images), rels)
             if not hit:
                 raise FalsificationError(
                     f"target {j}: the {kind} relators of blocks {a}, {b} "
@@ -265,14 +309,14 @@ def theorem_report(max_vertices: int,
     the induced class map reproduces f through the reconstruction
     isomorphisms.
 
-    Relators are checked as matrices through one RelatorMemo, held for
-    this run only, which answers a block-pair group once per label shape,
-    in any target; each source's relators are grouped by block pair once,
-    with their patterns interned for the run.  Before any pair, each
+    Relators are checked as matrices and kept in one dict, answers, held
+    for this run only, which answers a block-pair group once per label
+    shape, in any target; each source's relators are grouped by block pair
+    once, with their patterns interned for the run.  Before any pair, each
     target's table gets every key (token, x, y) that a base-preserving
     homomorphism can produce, each verified (``_key_table``): (x, x) for a
     block's own relators, x adjacent to y for an edge's, any (x, y) for a
-    non-edge's.  A key is read off the memo by the label shape of (x, y),
+    non-edge's.  A key is read off answers by the label shape of (x, y),
     computed once per target and pair.
 
     ``count_epimorphisms`` counts each pair's epimorphisms and builds only
@@ -282,12 +326,17 @@ def theorem_report(max_vertices: int,
     so their keys are admissible and held; they are onto the vertices, so
     their lifts hit every generator; and the induced map reads only the
     class of each target block, which the first epimorphism, onto and
-    fully checked, has shown to be that block's vertex.
+    fully checked, has shown to be that block's vertex.  Two run-time
+    guards back that argument: ``lift_graph_epi`` re-checks that the first
+    map is a homomorphism (83 calls at <= 3 vertices), the fact the later
+    keys' admissibility rests on, and the lookup of its keys in the table
+    re-checks ``_key_table``'s admissibility filter.
 
     inject_fault corrupts the first lift, in pair order, that keeps a block,
-    to prove the relator check can fail; the corrupted map goes through the
-    memo's block-pair check, without the table, and the corrupted pair is
-    reported as a failure.  Trying only each pair's first epimorphism places
+    to prove the relator check can fail; the corrupted map is not
+    lift-shaped, so ``relators_hold_by_matrices`` judges it, every relator
+    as matrices, without the table, and the corrupted pair is reported as
+    a failure.  Trying only each pair's first epimorphism places
     the fault on the same pair as trying every one: a lift keeps a block
     exactly when some non-base source vertex goes to a non-base target
     vertex, which every onto, base-preserving map into a target with a
@@ -307,14 +356,14 @@ def theorem_report(max_vertices: int,
         verify_reconstruction(g, kg=kg)
         grouped = group_relators(kg.system.matrix, patterns)
         kgs.append((kg, grouped))
-        for group in grouped.groups:
+        for group in grouped:
             token, a, b, _ = group
             kind = ("own" if a == b else "edge" if g.adjacent(a, b)
                     else "non-edge")
             reps.setdefault((token, kind), (i, kg.system, group))
-    memo = RelatorMemo()
+    answers = {}
     entries = [_TheoremGraph(kg, grouped,
-                             _key_table(memo, reps, j, kg.system))
+                             _key_table(answers, reps, j, kg.system))
                for j, (kg, grouped) in enumerate(kgs)]
     epis, failures = 0, []
     fault_pending = inject_fault
@@ -331,11 +380,11 @@ def theorem_report(max_vertices: int,
             if corrupted is not None:
                 fault_pending = False
                 message = ("fault injection not detected"
-                           if memo.blocks_hold(corrupted, src.groups)
+                           if relators_hold_by_matrices(corrupted)
                            else "injected relator fault detected "
                                 "(expected failure)")
             elif not all((token, f.image[a], f.image[b]) in tgt.held
-                         for token, a, b, _ in src.groups.groups):
+                         for token, a, b, _ in src.groups):
                 message = f"relators failed for {f.image}"
             elif not is_onto_generators(phi):
                 message = f"lift of onto map missed generators: {f.image}"

@@ -4,12 +4,7 @@ Exhaustive vertex maps, plain breadth-first search, relators evaluated
 as matrices, and a sweep of the word-length ball for the claim
 ``reconstruction``'s certificate proves.  The acceptance criteria and the
 tests compare the package's answers against these rather than against the
-code path under test.  ``group_relators`` and ``RelatorMemo`` are
-``check-theorem``'s memoised matrix check: relators are still evaluated
-as matrices, but grouped by block pair and answered once per label shape
-by one memo per run.  ``check-theorem`` reads from it, once per target,
-every key a base-preserving homomorphism can produce, by ``label_shape``,
-and keeps a table.
+code path under test.
 
 The sweep rests on the parabolic factorisation W = W_J . JW, W the
 subsystem on two blocks and J the first block (Bjorner-Brenti,
@@ -37,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,115 +76,20 @@ def bfs_lengths(C, subset):
     return dist
 
 
-class RelatorGroups(NamedTuple):
-    """A source system's relators, grouped by the pair of blocks they touch.
-
-    Each entry is (token, a, b, relators): the relators whose letters lie
-    in the blocks of vertices a <= b (a == b for a relator inside one
-    block, squares included), in the source's letters, and the token of
-    their pattern, the same relators written in block-local letters (block
-    a's positions as 0-3, block b's as 4-7).  The pattern and the images of
-    the two blocks fix every mapped word of the group, for any generator
-    map.  Built by ``group_relators``.  A named tuple because a frozen
-    dataclass costs about ten times as much to define at import.
-    """
-    source: CoxeterMatrix
-    groups: tuple[tuple[object, int, int, tuple[Word, ...]], ...]
-
-
-def group_relators(source: CoxeterMatrix, patterns: dict) -> RelatorGroups:
-    """Group ``presentation_of(source)``'s relators by block pair.
-
-    patterns interns the patterns for a run: equal patterns, from any
-    source, get one token, so a memo answers them from one entry.  A token
-    is a bare object, equal only to itself, so patterns interned in two
-    different dicts can never share a memo entry.
-    """
-    by_pair: dict[tuple[int, int], list[Word]] = {}
-    for rel in presentation_of(source).relators:
-        a, b = sorted((rel[0] // BLOCK_SIZE, rel[1] // BLOCK_SIZE))
-        by_pair.setdefault((a, b), []).append(rel)
-    groups = []
-    for (a, b), rels in by_pair.items():
-        u, v = a * BLOCK_SIZE, b * BLOCK_SIZE
-        pattern = tuple(tuple(g - u if g < u + BLOCK_SIZE
-                              else g - v + BLOCK_SIZE for g in rel)
-                        for rel in rels)
-        token = patterns.setdefault(pattern, object())
-        groups.append((token, a, b, tuple(rels)))
-    return RelatorGroups(source, tuple(groups))
-
-
-def label_shape(images, target: CoxeterMatrix) -> tuple[tuple, tuple]:
-    """The label shape of a block pair's images, the first block's four
-    then the second's: the images in local letters, numbered in order of
-    first appearance (None, the identity, stays None), and the target
-    labels among those letters.  With a group's token it is the key of
-    ``RelatorMemo.shapes``."""
-    local: dict[int, int] = {}
-    letters = tuple([None if g is None else local.setdefault(g, len(local))
-                     for g in images])
-    rows = [target.m[x] for x in local]
-    return letters, tuple([tuple([row[y] for y in local]) for row in rows])
-
-
-class RelatorMemo:
-    """The matrix relator oracle for one run, memoised by label shape.
-
-    ``group_holds`` answers a ``RelatorGroups`` entry from one key in
-    ``shapes``: the group's token and the ``label_shape`` of the images of
-    its two blocks, their local letters and the target labels among them.
-    A word in letters L is trivial exactly when it is trivial in the
-    Coxeter group of the labels among L (Humphreys, Reflection Groups and
-    Coxeter Groups 5.5), so equal keys get equal answers, in any target,
-    and one memo serves every target of a run.  Only a miss sends the
-    group's relators through ``relators_hold``, which evaluates each
-    distinct mapped word as integer matrices from the target's identity,
-    so no answer comes from the label rule.  ``blocks_hold`` asks it for
-    every group of any generator map's source.  A memo lives only as long
-    as the run that fills it.
-    """
-
-    def __init__(self):
-        self.shapes: dict[tuple[object, tuple, tuple], bool] = {}
-
-    @staticmethod
-    def relators_hold(phi: GeneratorMap, relators) -> bool:
-        """Does every relator, pushed through the map, evaluate to the
-        identity?  Each distinct mapped word is evaluated once, in relator
-        order, up to the first that fails."""
-        idn = identity(phi.target)
-        words = dict.fromkeys(map_word(phi, rel) for rel in relators)
-        return all(evaluate(phi.target, word) == idn for word in words)
-
-    def group_holds(self, phi: GeneratorMap, group) -> bool:
-        """``relators_hold`` for one ``RelatorGroups`` entry of the map's
-        source, read from ``shapes``."""
-        token, a, b, rels = group
-        img = phi.images
-        shape = (token, *label_shape(img[a * BLOCK_SIZE:(a + 1) * BLOCK_SIZE]
-                                     + img[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE],
-                                     phi.target))
-        hit = self.shapes.get(shape)
-        if hit is None:
-            hit = self.shapes[shape] = self.relators_hold(phi, rels)
-        return hit
-
-    def blocks_hold(self, phi: GeneratorMap, groups: RelatorGroups) -> bool:
-        """``relators_hold`` for the source's relators, one lookup per
-        block pair; groups is the map's source grouped by
-        ``group_relators``."""
-        if phi.source != groups.source:
-            raise PreconditionError("map from a different source system")
-        return all(self.group_holds(phi, group) for group in groups.groups)
+def relators_hold(phi: GeneratorMap, relators) -> bool:
+    """Does every relator, pushed through the map, evaluate to the
+    identity?  Each distinct mapped word is evaluated once, in relator
+    order, up to the first that fails."""
+    idn = identity(phi.target)
+    words = dict.fromkeys(map_word(phi, rel) for rel in relators)
+    return all(evaluate(phi.target, word) == idn for word in words)
 
 
 def relators_hold_by_matrices(phi: GeneratorMap) -> bool:
     """Does every source relator, pushed through the map, evaluate to the
     identity matrix of the target?  One-shot: nothing is kept between
     calls."""
-    return RelatorMemo.relators_hold(phi,
-                                     presentation_of(phi.source).relators)
+    return relators_hold(phi, presentation_of(phi.source).relators)
 
 
 def words_commute_by_matrices(C: CoxeterMatrix, wa: Word, wb: Word) -> bool:

@@ -12,7 +12,9 @@ with its class test at rank 8 that the block-rank class test replaced, the
 class test over all of W_J that the one over subsets replaced, the label
 rule over all pairs of generators that the loop over finite-label pairs
 replaced, and the theorem check with every epimorphism through the full
-path that the key tables and the first-epimorphism rule replaced.  The oracles shared with the
+path that the key tables and the first-epimorphism rule replaced, and the
+label shape of a generator map's two block images, the key the theorem
+check reads off a target pair instead.  The oracles shared with the
 acceptance criteria live in ``epicox.oracles``.
 """
 
@@ -33,8 +35,8 @@ from epicox.errors import (EnumerationCapExceeded, FalsificationError,
 from epicox.graphs import VertexMap, all_labeled_graphs, epimorphisms
 from epicox.homomorphisms import (GeneratorMap, induced_k_map,
                                   is_onto_generators, lift_graph_epi)
-from epicox.oracles import (RelatorMemo, _conjugation_distances,
-                            _even_involutions, group_relators)
+from epicox.oracles import (_conjugation_distances, _even_involutions,
+                            relators_hold_by_matrices)
 from epicox.parabolics import (conjugacy_component, ks_component_candidate,
                                ks_step)
 from epicox.reconstruction import _named, k_graph
@@ -381,16 +383,13 @@ def verify_relators_all_pairs(phi) -> bool:
 
 def full_path_passes(f, src, tgt) -> bool:
     """Whether a base-preserving vertex map f between the pointed graphs of
-    two class graphs passes the full check, with a fresh relator memo:
-    it lifts, the lift's relators hold as matrices, it hits every
-    generator, and it induces f."""
+    two class graphs passes the full check: it lifts, the lift's relators
+    hold as matrices, it hits every generator, and it induces f."""
     try:
         phi = lift_graph_epi(f, src.system, tgt.system)
     except PreconditionError:  # not a homomorphism of pointed graphs
         return False
-    return (RelatorMemo().blocks_hold(
-                phi, group_relators(src.system.matrix, {}))
-            and is_onto_generators(phi)
+    return (relators_hold_by_matrices(phi) and is_onto_generators(phi)
             and induced_k_map(src.system, tgt, phi) == f)
 
 
@@ -399,9 +398,6 @@ def theorem_outcomes_by_full_path(max_vertices, inject_fault=False):
     every epimorphism through the full check and no table: the loop the
     key tables replaced, as it was."""
     kgs = [k_graph(g) for g in all_labeled_graphs(max_vertices)]
-    patterns = {}
-    groups = [group_relators(kg.system.matrix, patterns) for kg in kgs]
-    memo = RelatorMemo()
     outcomes = []
     fault_pending = inject_fault
     for i, src in enumerate(kgs):
@@ -418,11 +414,11 @@ def theorem_outcomes_by_full_path(max_vertices, inject_fault=False):
                         fault_pending, ok = False, False
                         message = (
                             "fault injection not detected"
-                            if memo.blocks_hold(corrupted, groups[i])
+                            if relators_hold_by_matrices(corrupted)
                             else "injected relator fault detected "
                                  "(expected failure)")
                         break
-                if not memo.blocks_hold(phi, groups[i]):
+                if not relators_hold_by_matrices(phi):
                     ok, message = False, f"relators failed for {f.image}"
                     break
                 if not is_onto_generators(phi):
@@ -436,3 +432,19 @@ def theorem_outcomes_by_full_path(max_vertices, inject_fault=False):
                     break
             outcomes.append((i, j, len(epis), ok, message))
     return outcomes
+
+
+def map_shape(phi, a, b):
+    """The label shape of a generator map's images of the blocks of source
+    vertices a and b, a's four then b's: the images in local letters,
+    numbered in order of first appearance (None, the identity, stays None),
+    and the target labels among those letters.  Read off the built map;
+    the theorem check reads the same shape off the target pair (x, y)
+    alone (``acceptance._pair_shapes``)."""
+    img = phi.images
+    local = {}
+    letters = tuple(None if g is None else local.setdefault(g, len(local))
+                    for g in img[a * BLOCK_SIZE:(a + 1) * BLOCK_SIZE]
+                    + img[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
+    return letters, tuple(tuple(phi.target.m[g][h] for h in local)
+                          for g in local)

@@ -317,8 +317,8 @@ def test_check_theorem_fault_injection(capsys):
     (3, "graphs: 12\nordered pairs: 144\nepimorphisms: 375\n"),
     (4, "graphs: 76\nordered pairs: 5776\nepimorphisms: 33535\n")])
 def test_check_theorem_fault_caught_by_matrices(capsys, vertices, counts):
-    """The memoised matrix relator oracle still catches the injected
-    fault, and the whole output is as before memoisation."""
+    """The one-shot matrix relator oracle catches the injected fault, and
+    the whole output, counts, failing pair and verdict, is pinned."""
     rc = main(["check-theorem", "--max-vertices", str(vertices),
                "--radius", "2", "--inject-fault"])
     assert rc == 3

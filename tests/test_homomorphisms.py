@@ -19,12 +19,11 @@ from epicox.homomorphisms import (GeneratorMap, _classify_block_image,
                                   verify_relators)
 from epicox import acceptance, graphs, homomorphisms, oracles
 from epicox.cli import main
-from epicox.oracles import (RelatorMemo, group_relators,
-                            relators_hold_by_matrices)
+from epicox.oracles import relators_hold, relators_hold_by_matrices
 from epicox.reconstruction import k_graph
 from oracles import (full_path_passes, induced_classes_per_call,
-                     lift_images_per_call, theorem_outcomes_by_full_path,
-                     verify_relators_all_pairs)
+                     lift_images_per_call, map_shape,
+                     theorem_outcomes_by_full_path, verify_relators_all_pairs)
 
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
@@ -311,22 +310,22 @@ def test_block_image_classification_matches_enumeration(system):
             assert _classify_block_image(target, images) == expected
 
 
-# --- the memoised matrix relator oracle --------------------------------------
+# --- the matrix relator answers, keyed by label shape -------------------------
 
 
 def test_relator_memo_matches_fresh_evaluation(monkeypatch):
     """Over all pairs of graphs with <= 3 vertices, the theorem check
-    builds one memo, whose 13 entries by label shape are the only place it
-    evaluates mapped words as matrices, and its 12 targets' tables hold 317
-    keys.  Each shape entry equals a fresh evaluation of the group's
-    pattern in the Coxeter group of the shape's labels."""
-    memos, evaluated, patterns, entries = [], [], {}, []
-    entry = acceptance._TheoremGraph
+    keeps one dict of answers, whose 13 entries by label shape are the
+    only place it evaluates mapped words as matrices, and its 12 targets'
+    tables hold 317 keys.  Each shape entry equals a fresh evaluation of
+    the group's pattern in the Coxeter group of the shape's labels."""
+    answers, evaluated, patterns, entries = [], [], {}, []
+    entry, key_table = acceptance._TheoremGraph, acceptance._key_table
+    group_relators = acceptance.group_relators
 
-    class Recording(RelatorMemo):
-        def __init__(self):
-            super().__init__()
-            memos.append(self)
+    def recording_key_table(answered, *args):
+        answers.append(answered)
+        return key_table(answered, *args)
 
     def recording_entry(*args):
         entries.append(entry(*args))
@@ -340,15 +339,16 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
         patterns[id(interned)] = interned
         return group_relators(source, interned)
 
-    monkeypatch.setattr(acceptance, "RelatorMemo", Recording)
+    monkeypatch.setattr(acceptance, "_key_table", recording_key_table)
     monkeypatch.setattr(acceptance, "_TheoremGraph", recording_entry)
     monkeypatch.setattr(acceptance, "group_relators", recording_group_relators)
     monkeypatch.setattr(oracles, "evaluate", counting_evaluate)
     report = acceptance.theorem_report(3)
     assert report.passed and report.epimorphisms == 375
-    assert len(memos) == 1 and len(patterns) == 1 and len(entries) == 12
+    assert len({id(a) for a in answers}) == 1 and len(answers) == 12
+    assert len(patterns) == 1 and len(entries) == 12
     assert sum(len(e.held) for e in entries) == 317
-    shapes = memos[0].shapes
+    shapes = answers[0]
     assert len(shapes) == 13
     assert len(evaluated) == 34
     (interned,) = patterns.values()
@@ -364,23 +364,22 @@ def test_relator_memo_matches_fresh_evaluation(monkeypatch):
 
 def test_relator_memo_catches_corruption_after_sibling():
     """Negative control: on every lift between graphs with <= 3 vertices,
-    the corrupted map of the fault injection fails the memo's relator
-    check, which its correct sibling has just passed through the same
-    memo, and a fresh evaluation agrees."""
+    the corrupted map of the fault injection fails ``relators_hold``,
+    which its correct sibling has just passed, and the one-shot matrix
+    oracle agrees."""
     graphs = all_labeled_graphs(3)
     systems = [build_C(g) for g in graphs]
     relators = [presentation_of(sys_.matrix).relators for sys_ in systems]
     corrupted_maps = 0
-    memo = RelatorMemo()
     for src, rels in zip(systems, relators):
         for tgt in systems:
             for f in epimorphisms(src.pointed, tgt.pointed):
                 phi = lift_graph_epi(f, src, tgt)
-                assert memo.relators_hold(phi, rels)
+                assert relators_hold(phi, rels)
                 bad = acceptance._corrupt(phi, src, tgt, f)
                 if bad is None:
                     continue
-                assert not memo.relators_hold(bad, rels)
+                assert not relators_hold(bad, rels)
                 assert not relators_hold_by_matrices(bad)
                 corrupted_maps += 1
     # only the 12 lifts onto the empty graph, every block collapsed, have
@@ -418,11 +417,24 @@ def test_relator_memo_answers_any_word_as_fresh_evaluation(rel):
     for images in (tuple(range(C.n)), (None, 0, 0, *range(3, C.n))):
         phi = GeneratorMap(C, C, images)
         want = evaluate(C, map_word(phi, rel)) == idn
-        memo = RelatorMemo()
-        assert memo.relators_hold(phi, (rel,)) == want
+        assert relators_hold(phi, (rel,)) == want
 
 
-# --- the block-pair memo -------------------------------------------------------
+# --- the block-pair answers -----------------------------------------------------
+
+
+def _held_by_map_shape(answers, m, grouped):
+    """Whether every group of the source holds under generator map m: each
+    group's answer is kept in answers under its token and ``map_shape``, a
+    key that maps met earlier may have filled, and checked against a fresh
+    ``relators_hold`` of the group."""
+    held = True
+    for token, a, b, rels in grouped:
+        fresh = relators_hold(m, rels)
+        assert answers.setdefault((token, *map_shape(m, a, b)), fresh) \
+            == fresh, (a, b)
+        held = held and fresh
+    return held
 
 
 def test_relator_groups_partition_the_relators_by_block_pair():
@@ -433,10 +445,10 @@ def test_relator_groups_partition_the_relators_by_block_pair():
     patterns, tokens = {}, set()
     for graph in all_labeled_graphs(3):
         C = build_C(graph).matrix
-        groups = group_relators(C, patterns)
-        assert sorted(rel for *_, rels in groups.groups for rel in rels) \
+        groups = acceptance.group_relators(C, patterns)
+        assert sorted(rel for *_, rels in groups for rel in rels) \
             == sorted(presentation_of(C).relators)
-        for token, a, b, rels in groups.groups:
+        for token, a, b, rels in groups:
             assert a <= b < graph.n
             assert all({g // BLOCK_SIZE for g in rel} <= {a, b}
                        for rel in rels)
@@ -446,32 +458,26 @@ def test_relator_groups_partition_the_relators_by_block_pair():
 
 def test_block_memo_matches_per_relator_memo_on_every_lift():
     """Over every lift between graphs with <= 3 vertices and its corrupted
-    sibling, one memo for all of them (patterns interned across all
-    sources, as in a run) answers as the per-relator memo and a fresh
-    matrix evaluation do, and its answer for each of the map's groups is
-    the per-relator answer on that group's relators."""
+    sibling, with one dict of answers for all of them (patterns interned
+    across all sources, as in a run), each group's answer under its
+    map-side shape key is a fresh ``relators_hold`` of the group, and
+    together they answer as the one-shot matrix oracle does."""
     systems = [build_C(g) for g in all_labeled_graphs(3)]
-    patterns = {}
-    answers = {True: 0, False: 0}
-    memo, per_relator = RelatorMemo(), RelatorMemo()
+    patterns, answers = {}, {}
+    verdicts = {True: 0, False: 0}
     for src in systems:
-        grouped = group_relators(src.matrix, patterns)
-        rels = presentation_of(src.matrix).relators
+        grouped = acceptance.group_relators(src.matrix, patterns)
         for tgt in systems:
             for f in epimorphisms(src.pointed, tgt.pointed):
                 phi = lift_graph_epi(f, src, tgt)
                 for m in (phi, acceptance._corrupt(phi, src, tgt, f)):
                     if m is None:
                         continue
-                    got = memo.blocks_hold(m, grouped)
-                    assert got == per_relator.relators_hold(m, rels)
+                    got = _held_by_map_shape(answers, m, grouped)
                     assert got == relators_hold_by_matrices(m)
                     assert got == (m is phi)
-                    answers[got] += 1
-                    for group in grouped.groups:
-                        assert memo.group_holds(m, group) \
-                            == per_relator.relators_hold(m, group[3]), group
-    assert answers == {True: 375, False: 375 - 12}
+                    verdicts[got] += 1
+    assert verdicts == {True: 375, False: 375 - 12}
 
 
 @pytest.mark.parametrize("source,target", [
@@ -481,25 +487,24 @@ def test_block_memo_matches_per_relator_memo_on_every_lift():
 @given(data=st.data())
 def test_block_memo_matches_per_relator_memo_between_systems(source, target,
                                                              data):
-    """Random and block-shaped maps, several through one memo so that later
-    maps meet the entries earlier ones left, each followed by the splices
-    of consecutive maps (the first block of one, the rest of the next),
-    which share a block with each: each block-pair answer equals the
-    per-relator memo's and a fresh matrix evaluation's."""
+    """Random and block-shaped maps, several sharing one dict of answers so
+    that later maps meet the entries earlier ones left, each followed by
+    the splices of consecutive maps (the first block of one, the rest of
+    the next), which share a block with each: each group's answer under
+    its map-side shape key is a fresh ``relators_hold`` of the group, and
+    together they answer as the one-shot matrix oracle does."""
     random_maps = st.lists(st.sampled_from([None, *range(target.n)]),
                            min_size=source.n, max_size=source.n)
     maps = data.draw(st.lists(st.one_of(random_maps,
                                         block_maps(source, target)),
                               min_size=1, max_size=6))
     maps += [a[:BLOCK_SIZE] + b[BLOCK_SIZE:] for a, b in zip(maps, maps[1:])]
-    grouped = group_relators(source, {})
-    rels = presentation_of(source).relators
-    memo, per_relator = RelatorMemo(), RelatorMemo()
+    grouped = acceptance.group_relators(source, {})
+    answers = {}
     for images in maps:
         phi = GeneratorMap(source, target, tuple(images))
-        got = memo.blocks_hold(phi, grouped)
-        assert got == per_relator.relators_hold(phi, rels)
-        assert got == relators_hold_by_matrices(phi)
+        assert _held_by_map_shape(answers, phi, grouped) \
+            == relators_hold_by_matrices(phi)
 
 
 def test_block_memo_keys_on_both_blocks():
@@ -507,42 +512,15 @@ def test_block_memo_keys_on_both_blocks():
     both blocks onto the first target block keeps every cross relator,
     the blocks onto the two target blocks breaks (s_1 s_1')^2, since the
     target's blocks share no edge.  The second map must not read the
-    first one's entry."""
+    first one's answer."""
     source, target = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
-    grouped = group_relators(source, {})
-    memo = RelatorMemo()
+    grouped = acceptance.group_relators(source, {})
+    answers = {}
     folded = GeneratorMap(source, target, (0, 1, 2, 3) * 2)
     spread = GeneratorMap(source, target, tuple(range(8)))
-    assert memo.blocks_hold(folded, grouped)
-    assert not memo.blocks_hold(spread, grouped)
+    assert _held_by_map_shape(answers, folded, grouped)
+    assert not _held_by_map_shape(answers, spread, grouped)
     assert not relators_hold_by_matrices(spread)
-
-
-def test_block_memo_skipping_a_group_misses_the_fault(monkeypatch):
-    """Negative control: with each source's first group, its first block's
-    own relators, left out of the block path, the corrupted map of the
-    fault injection passes, and the run reports the fault as undetected."""
-    group = oracles.group_relators
-
-    def skip_first(source, patterns):
-        grouped = group(source, patterns)
-        return grouped._replace(groups=grouped.groups[1:])
-
-    report = acceptance.theorem_report(2, inject_fault=True)
-    assert [message for *_, message in report.failures] \
-        == ["injected relator fault detected (expected failure)"]
-    monkeypatch.setattr(acceptance, "group_relators", skip_first)
-    report = acceptance.theorem_report(2, inject_fault=True)
-    assert [message for *_, message in report.failures] \
-        == ["fault injection not detected"]
-
-
-def test_block_memo_refuses_other_systems():
-    C, D = build_C(EDGE).matrix, build_C(TWO_POINTS).matrix
-    grouped = group_relators(C, {})
-    with pytest.raises(PreconditionError, match="source"):
-        RelatorMemo().blocks_hold(GeneratorMap(D, C, tuple(range(8))),
-                                  grouped)
 
 
 # --- the theorem check's key tables against the full path -------------------
@@ -566,27 +544,27 @@ def test_table_path_outcomes_match_full_path(inject_fault):
 
 
 def test_failing_group_never_enters_the_table(monkeypatch, capsys):
-    """Negative control: with the memo answering False for the edge
-    pattern whenever its two blocks go to two distinct target blocks, the
-    first such key, asked while the tables are built, falsifies the run:
-    at <= 3 vertices theorem_report raises FalsificationError naming the
-    target and the key before any pair is checked, and check-theorem exits
-    3 with the claim falsified."""
+    """Negative control: with the relator check answering False for the
+    edge pattern whenever its two blocks go to two distinct target blocks,
+    the first such key, asked while the tables are built, falsifies the
+    run: at <= 3 vertices theorem_report raises FalsificationError naming
+    the target and the key before any pair is checked, and check-theorem
+    exits 3 with the claim falsified."""
     failing = []
 
-    class Failing(RelatorMemo):
-        def group_holds(self, phi, group):
-            token, a, b, rels = group
-            # two distinct blocks whose pattern has more than (s_4 s_4')^2
-            # are adjacent
+    def failing_relators_hold(phi, rels):
+        blocks = sorted({g // BLOCK_SIZE for rel in rels for g in rel})
+        # two distinct blocks whose pattern has more than (s_4 s_4')^2
+        # are adjacent
+        if len(blocks) == 2 and len(rels) > 1:
+            a, b = blocks
             fa, fb = phi.images[a * BLOCK_SIZE], phi.images[b * BLOCK_SIZE]
-            if (a != b and len(rels) > 1 and None not in (fa, fb)
-                    and fa // BLOCK_SIZE != fb // BLOCK_SIZE):
+            if None not in (fa, fb) and fa // BLOCK_SIZE != fb // BLOCK_SIZE:
                 failing.append((a, b, fa // BLOCK_SIZE, fb // BLOCK_SIZE))
                 return False
-            return super().group_holds(phi, group)
+        return relators_hold(phi, rels)
 
-    monkeypatch.setattr(acceptance, "RelatorMemo", Failing)
+    monkeypatch.setattr(acceptance, "relators_hold", failing_relators_hold)
     with pytest.raises(FalsificationError) as raised:
         acceptance.theorem_report(3)
     # the first graph with an edge is the first source of the edge pattern
@@ -602,11 +580,35 @@ def test_failing_group_never_enters_the_table(monkeypatch, capsys):
     assert captured.err == f"claim falsified: {raised.value}\n"
 
 
+def test_pair_check_reads_its_keys_from_the_table(monkeypatch, capsys):
+    """Negative control for the per-pair lookup, the run-time check of the
+    tables' admissibility filter: with the (x, x) keys of edge groups left
+    out of every table, each pair whose first epimorphism folds an edge
+    onto one vertex fails with its relators, 23 pairs at <= 3 vertices,
+    and check-theorem exits 3."""
+    key_table = acceptance._key_table
+
+    def no_folded_edges(answers, reps, j, system):
+        edge = {token for token, kind in reps if kind == "edge"}
+        return {key for key in key_table(answers, reps, j, system)
+                if key[0] not in edge or key[1] != key[2]}
+
+    monkeypatch.setattr(acceptance, "_key_table", no_folded_edges)
+    report = acceptance.theorem_report(3)
+    assert len(report.failures) == 23
+    assert all(message.startswith("relators failed for ")
+               for *_, message in report.failures)
+    assert (11, 1, "relators failed for (0, 0, 0, 1)") in report.failures
+    assert main(["check-theorem", "--max-vertices", "3"]) == 3
+    assert "pair 11 -> 1: relators failed for (0, 0, 0, 1)\n" \
+        in capsys.readouterr().out
+
+
 def test_key_tables_hold_exactly_the_homomorphism_keys(monkeypatch):
     """At <= 3 vertices each target's table is the set of (token, f(a),
     f(b)) keys of every base-preserving homomorphism f into it, onto or
     not, from every source, found over all vertex maps; the 375 onto ones
-    each pass the full check with a fresh memo.  At <= 4 vertices the
+    each pass the full check by matrices.  At <= 4 vertices the
     tables hold 3,453 keys."""
     entries = []
     entry = acceptance._TheoremGraph
@@ -628,7 +630,7 @@ def test_key_tables_hold_exactly_the_homomorphism_keys(monkeypatch):
                 if not is_homomorphism(f, sp.graph, tp.graph):
                     continue
                 keys |= {(token, f.image[a], f.image[b])
-                         for token, a, b, _ in src.groups.groups}
+                         for token, a, b, _ in src.groups}
                 if len(set(f.image)) == tp.n:
                     assert full_path_passes(f, src.kg, tgt.kg), f.image
                     epis += 1
@@ -641,16 +643,16 @@ def test_key_tables_hold_exactly_the_homomorphism_keys(monkeypatch):
 
 def test_key_table_shapes_are_the_memo_shapes(monkeypatch):
     """For every admissible key at <= 4 vertices, the shape the table
-    looks up for the pair (x, y) is the key ``group_holds`` reads on the
-    lift of the vertex map that sends a to x, b to y and the rest to the
-    base.  The run keeps 13 shapes and evaluates 34 words as matrices,
-    at <= 3 as at <= 4."""
+    looks up for the pair (x, y) is ``map_shape`` of the group's blocks on
+    the lift of the vertex map that sends a to x, b to y and the rest to
+    the base, and its answer holds.  The run keeps one dict of 13 shapes
+    and evaluates 34 words as matrices, at <= 3 as at <= 4."""
     calls, evaluated = [], []
     key_table = acceptance._key_table
 
-    def recording_key_table(memo, reps, j, system):
-        calls.append((memo, reps, system))
-        return key_table(memo, reps, j, system)
+    def recording_key_table(answers, reps, j, system):
+        calls.append((answers, reps, system))
+        return key_table(answers, reps, j, system)
 
     def counting_evaluate(C, word):
         evaluated.append(word)
@@ -662,18 +664,11 @@ def test_key_table_shapes_are_the_memo_shapes(monkeypatch):
         calls.clear()
         evaluated.clear()
         assert acceptance.theorem_report(n).passed
-        assert len({id(memo) for memo, *_ in calls}) == 1
-        assert len(calls[0][0].shapes) == 13 and len(evaluated) == 34
-
-    asked = []
-
-    class Asked(dict):
-        def get(self, key, default=None):
-            asked.append(key)
-            return super().get(key, default)
+        assert len({id(answers) for answers, *_ in calls}) == 1
+        assert len(calls[0][0]) == 13 and len(evaluated) == 34
 
     keys = 0
-    for _, reps, system in calls:
+    for answers, reps, system in calls:
         shapes = acceptance._pair_shapes(system)
         tp = system.pointed
         for (token, kind), (_, source, group) in reps.items():
@@ -688,10 +683,8 @@ def test_key_table_shapes_are_the_memo_shapes(monkeypatch):
                 image[a], image[b] = x, y
                 phi = lift_graph_epi(VertexMap(len(image), tp.n,
                                                tuple(image)), source, system)
-                memo = RelatorMemo()
-                memo.shapes = Asked()
-                assert memo.group_holds(phi, group)
-                assert asked[-1] == (token, *shapes[x, y]), (kind, x, y)
+                assert shapes[x, y] == map_shape(phi, a, b), (kind, x, y)
+                assert answers[(token, *shapes[x, y])]
                 keys += 1
     assert keys == 3453
 
@@ -755,6 +748,76 @@ def _kgraph4(index):
        target=st.integers(0, len(GRAPHS4) - 1))
 def test_lift_tables_match_per_call_path_at_four_vertices(source, target):
     _tables_match_per_call(_kgraph4(source), _kgraph4(target))
+
+
+# --- sampled epimorphisms past the exhaustive ceiling ------------------------
+
+
+@st.composite
+def coloured_graphs(draw):
+    """A graph G on 6 to 16 vertices, a colouring of its vertices onto k
+    classes plus the base (colour k), and H: the quotient graph on the k
+    classes plus random extra edges.  With k >= 2, G has an edge from a
+    vertex of class 0 to one of class 1."""
+    n = draw(st.integers(6, 16))
+    k = draw(st.integers(1, n))
+    order = draw(st.permutations(range(n)))
+    colour = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    for cls, v in enumerate(order[:k]):
+        colour[v] = cls
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = {p for p, kept in zip(pairs, keep) if kept}
+    if k >= 2:
+        edges.add(tuple(sorted(order[:2])))
+    quotient = {tuple(sorted((colour[u], colour[v]))) for u, v in edges
+                if colour[u] != colour[v] and k not in (colour[u], colour[v])}
+    class_pairs = list(itertools.combinations(range(k), 2))
+    if class_pairs:
+        quotient |= draw(st.sets(st.sampled_from(class_pairs)))
+    return (FiniteGraph.from_edges(n, sorted(edges)), tuple(colour),
+            FiniteGraph.from_edges(k, sorted(quotient)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coloured_graphs())
+def test_sampled_epimorphisms_past_the_exhaustive_ceiling(sample):
+    """Past the theorem check's ceiling of 5 vertices (block systems of
+    rank 24 to 64): the colouring is a base-preserving epimorphism of the
+    pointed graphs, and its lift passes the full path (relators as
+    matrices, onto generators, the induced map) and the production path
+    (every group key of the lift is in the table ``_key_table`` builds for
+    H from G's groups).  Negative controls: the corrupted lift fails the
+    matrix oracle, and with H's edge between classes 0 and 1 dropped the
+    colouring is refused as a non-homomorphism before any lift."""
+    G, colour, H = sample
+    k = H.n
+    src, tgt = build_C(G), k_graph(H)
+    f = VertexMap(G.n + 1, k + 1, (*colour, k))
+    phi = lift_graph_epi(f, src, tgt.system)
+    assert relators_hold_by_matrices(phi)
+    assert is_onto_generators(phi)
+    assert induced_k_map(src, tgt, phi) == f
+
+    groups = acceptance.group_relators(src.matrix, {})
+    reps = {}
+    for group in groups:
+        token, a, b, _ = group
+        kind = ("own" if a == b else "edge" if G.adjacent(a, b)
+                else "non-edge")
+        reps.setdefault((token, kind), (0, src, group))
+    held = acceptance._key_table({}, reps, 1, tgt.system)
+    assert all((token, f.image[a], f.image[b]) in held
+               for token, a, b, _ in groups)
+
+    bad = acceptance._corrupt(phi, src, tgt.system, f)
+    assert bad is not None and not relators_hold_by_matrices(bad)
+    if k >= 2:
+        broken = FiniteGraph.from_edges(
+            k, [e for e in H.edges() if e != (0, 1)])
+        with pytest.raises(PreconditionError, match="not a homomorphism"):
+            lift_graph_epi(f, src, build_C(broken))
 
 
 # --- end to end --------------------------------------------------------------
