@@ -1,15 +1,23 @@
 """Command line front end.
 
+Each command's arguments are one table, ``_SUBCOMMANDS``.  A well-formed
+command line is read straight from it and never imports argparse: a
+known command, then only its exact flags, each value in its own token,
+integers in ASCII digits, and each positional once.  argparse, built from
+the same table, answers every other line: help, usage, refusals,
+abbreviations, "--" and "--flag=value".
+
 Exit codes: 0 success, 1 internal inconsistency, 2 bad input or resource
 cap, 3 a checked mathematical claim failed on the given instance.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from collections.abc import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import coxeter
 from .acceptance import CRITERIA, run_criterion, theorem_report
@@ -25,10 +33,14 @@ from .oracles import DEFAULT_RADIUS, SWEEP_MAX_RADIUS, check_radius
 from .parabolics import classify_s5_classes
 from .reconstruction import k_graph
 
+if TYPE_CHECKING:
+    import argparse
+
 
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
@@ -201,63 +213,63 @@ def _cmd_acceptance(args) -> int:
 # --- arguments -------------------------------------------------------------
 
 
+class _Arg(NamedTuple):
+    """One argument of a command: its flags, then what add_argument takes.
+
+    A positional has its name as its one flag; an option lists its long
+    flag last.  Every argument with a type is an integer."""
+    flags: tuple[str, ...]
+    help: str | None = None
+    type: Callable[[str], int] | None = None
+    default: object = None
+    action: str | None = None  # "store_true" or "append"; None stores
+
+    @property
+    def dest(self) -> str:
+        """The attribute argparse sets: the name, or the long flag."""
+        return self.flags[-1].lstrip("-").replace("-", "_")
+
+
 _UNUSED_RADIUS = (f"checked to lie in 0..{SWEEP_MAX_RADIUS}, otherwise "
                   "unused: the normaliser certificate needs no radius")
+_RADIUS = _Arg(("--radius",), _UNUSED_RADIUS, _nonnegative_int,
+               DEFAULT_RADIUS)
+_GRAPH_IO = (
+    _Arg(("graph",), "graph file (text or JSON), '-' for stdin"),
+    _Arg(("-o", "--output"), "write to this file instead of stdout"),
+    _Arg(("--json",), "emit JSON instead of text", default=False,
+         action="store_true"),
+)
 
-
-def _graph_io(p) -> None:
-    p.add_argument("graph", help="graph file (text or JSON), '-' for stdin")
-    p.add_argument("-o", "--output", default=None,
-                   help="write to this file instead of stdout")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON instead of text")
-
-
-def _k_graph_args(p) -> None:
-    _graph_io(p)
-    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
-                   help=_UNUSED_RADIUS)
-
-
-def _no_args(p) -> None:
-    pass
-
-
-def _check_theorem_args(p) -> None:
-    p.add_argument("--max-vertices", type=_nonnegative_int, default=2)
-    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS,
-                   help=_UNUSED_RADIUS)
-    p.add_argument("--inject-fault", action="store_true",
-                   help="corrupt one lifted map to confirm the relator "
-                        "check can fail")
-
-
-def _acceptance_args(p) -> None:
-    p.add_argument("--criterion", type=int, action="append", default=None,
-                   help="run only this criterion (repeatable)")
-    p.add_argument("--radius", type=_nonnegative_int, default=DEFAULT_RADIUS)
-
-
-# name: (help, handler, argument setup), in the order --help lists them
+# name: (help, handler, arguments), in the order --help lists them
 _SUBCOMMANDS = {
     "reduce-f": ("complement the graph, add loops and a dominating base "
-                 "vertex", _cmd_reduce_f, _graph_io),
+                 "vertex", _cmd_reduce_f, _GRAPH_IO),
     "emit-presentation": ("print the reflection presentation of the block "
                           "system over a graph", _cmd_emit_presentation,
-                          _graph_io),
+                          _GRAPH_IO),
     "build-coxeter": ("print the label matrix of the block system",
-                      _cmd_build_coxeter, _graph_io),
+                      _cmd_build_coxeter, _GRAPH_IO),
     "ks-classes": ("conjugacy classes of the block subgroups",
-                   _cmd_ks_classes, _graph_io),
+                   _cmd_ks_classes, _GRAPH_IO),
     "k-graph": ("reconstruct the graph from the block system",
-                _cmd_k_graph, _k_graph_args),
+                _cmd_k_graph, (*_GRAPH_IO, _RADIUS)),
     "verify-l4": ("check the one-block group is the expected order-120 "
-                  "group with a simple even half", _cmd_verify_l4, _no_args),
+                  "group with a simple even half", _cmd_verify_l4, ()),
     "check-theorem": ("count every epimorphism between small graphs, lift "
                       "each pair's first and check its round trip",
-                      _cmd_check_theorem, _check_theorem_args),
-    "acceptance": ("run the acceptance criteria", _cmd_acceptance,
-                   _acceptance_args),
+                      _cmd_check_theorem, (
+                          _Arg(("--max-vertices",), None, _nonnegative_int,
+                               2),
+                          _RADIUS,
+                          _Arg(("--inject-fault",),
+                               "corrupt one lifted map to confirm the "
+                               "relator check can fail", default=False,
+                               action="store_true"))),
+    "acceptance": ("run the acceptance criteria", _cmd_acceptance, (
+        _Arg(("--criterion",), "run only this criterion (repeatable)", int,
+             action="append"),
+        _RADIUS._replace(help=None))),
 }
 
 
@@ -268,6 +280,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     its messages read byte for byte as the full parser's would.  The full
     parser keeps argparse's own listing, which names the argument
     "command" when it refuses an unknown one."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="epicox",
         description="finite-graph reduction through right-angled-ish "
@@ -277,25 +290,74 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     else:
         sub = parser.add_subparsers(dest="command", required=True,
                                     metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-    for name, (help_text, func, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_text, func, arguments) in _SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
+            for arg in arguments:
+                p.add_argument(*arg.flags, **{
+                    key: value for key, value in arg._asdict().items()
+                    if key != "flags" and value is not None})
             p.set_defaults(func=func)
     return parser
 
 
-# One parser per command named first, and the full one for anything else
-# (--help, no arguments, an unknown command): each built on the first call
-# that needs it and reused, since parsing leaves no state in it.  A cold
-# command so builds one subparser, not eight.
-_parser = functools.cache(build_parser)
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for a well-formed command line, or
+    None for any other.
+
+    Well formed: a command, then its exact flags, each value in the token
+    after its flag and not starting with "-", an integer value in ASCII
+    digits that its type takes, and the command's positionals (tokens not
+    starting with "-", or "-" itself), none missing and none extra.  Help,
+    abbreviations, "--", "--flag=value" and every refusal are left to
+    argparse."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, func, arguments = _SUBCOMMANDS[argv[0]]
+    values = {arg.dest: arg.default for arg in arguments}
+    options = {flag: arg for arg in arguments for flag in arg.flags
+               if flag.startswith("-")}
+    positionals = [arg.dest for arg in arguments
+                   if not arg.flags[0].startswith("-")]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        arg = options.get(token)
+        if arg is None:
+            if token.startswith("-") and token != "-" or not positionals:
+                return None
+            values[positionals.pop(0)] = token
+            continue
+        if arg.action == "store_true":
+            values[arg.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if arg.type is not None:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = arg.type(value)
+            except ValueError:  # past Python's int-string digit limit
+                return None
+        if arg.action == "append":
+            values[arg.dest] = [*(values[arg.dest] or ()), value]
+        else:
+            values[arg.dest] = value
+    if positionals:
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = _parser(command).parse_args(argv)
+    args = _read_args(argv)
+    if args is None:
+        # argparse answers, with a parser for the command named first, or
+        # the full one for anything else (--help, no arguments, an unknown
+        # command)
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         # one refusal of the radius, before any command reads its input
         check_radius(getattr(args, "radius", 0))

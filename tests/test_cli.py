@@ -495,8 +495,8 @@ def test_acceptance_exit_code_follows_exception(monkeypatch, capsys,
 
 
 def test_acceptance_options_do_not_carry_over(monkeypatch, capsys):
-    """main reuses one parser, so a --criterion given to one call must not
-    reach the next."""
+    """Each call starts from the table's defaults: a --criterion given to
+    one call must not reach the next."""
     ran = []
 
     def stub(number):
@@ -566,7 +566,7 @@ def test_command_parser_reads_as_the_full_parser(monkeypatch, tmp_path):
     cases = list(_parity_cases(str(f)))
     got = [_run_main(argv) for argv in cases]
     full = cli.build_parser()
-    monkeypatch.setattr(cli, "_parser", lambda command: full)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
     want = [_run_main(argv) for argv in cases]
     for argv, g, w in zip(cases, got, want):
         assert g == w, argv
@@ -578,13 +578,16 @@ def test_command_parser_reads_as_the_full_parser(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("argv,builds", [
-    (["k-graph", "GRAPH"], 2),
-    (["check-theorem", "--max-vertices", "1"], 2),
-    (["--help"], 9)])
+    (["k-graph", "GRAPH", "--bogus"], 2),
+    (["check-theorem", "--max-vertices", "-1"], 2),
+    (["--help"], 9),
+    (["k-graph", "GRAPH"], 0),
+    (["check-theorem", "--max-vertices", "1"], 0)])
 def test_a_command_builds_only_its_own_subparser(monkeypatch, tmp_path,
                                                  argv, builds):
-    """The top-level parser and one subparser for a command; all eight
-    for --help."""
+    """No parser for a well-formed command line; the top-level parser and
+    one subparser when a command's line is refused; all eight for
+    --help."""
     f = tmp_path / "edge.txt"
     f.write_text(EDGE_TEXT)
     argv = [str(f) if a == "GRAPH" else a for a in argv]
@@ -596,24 +599,160 @@ def test_a_command_builds_only_its_own_subparser(monkeypatch, tmp_path,
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli._parser.cache_clear()
     _run_main(argv)
     assert len(built) == builds
-    _run_main(argv)  # reused
-    assert len(built) == builds
 
 
-def test_import_builds_no_parser():
-    code = ("import argparse\n"
-            "built = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def counting(self, *args, **kwargs):\n"
-            "    built.append(1)\n"
-            "    init(self, *args, **kwargs)\n"
-            "argparse.ArgumentParser.__init__ = counting\n"
+def test_import_builds_no_parser(tmp_path):
+    """Neither importing the command line nor a cold well-formed command
+    imports argparse, or the gettext and locale modules it brings."""
+    f = tmp_path / "edge.txt"
+    f.write_text(EDGE_TEXT)
+    code = ("import contextlib, io, json, sys\n"
+            "def loaded():\n"
+            "    return [m for m in ('argparse', 'gettext', 'locale')\n"
+            "            if m in sys.modules]\n"
             "import epicox.cli\n"
-            "print(len(built))\n")
+            "seen = [loaded()]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = epicox.cli.main(argv)\n"
+            "    seen.append((code, loaded()))\n"
+            "print(seen)\n")
+    commands = [["k-graph", str(f), "--json"],
+                ["check-theorem", "--max-vertices", "1"]]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[[], (0, []), (0, [])]\n")
+
+
+# --- help and refusals, pinned as argparse wrote them before the table -----
+
+
+_GOLDEN = json.loads((ROOT / "tests" / "cli_help_golden.json").read_text())
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != _GOLDEN["python"],
+    reason="argparse's help layout differs between Python versions")
+def test_help_and_refusals_read_as_pinned(monkeypatch):
+    """stdout, stderr and exit code of --help, every <command> --help and
+    four refusals, at 80 columns, as captured before the argument table
+    existed (tests/cli_help_golden.json)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = _GOLDEN["cases"]
+    assert [c["argv"] for c in cases[:len(cli._SUBCOMMANDS) + 1]] == [
+        ["--help"], *([command, "--help"] for command in cli._SUBCOMMANDS)]
+    for case in cases:
+        assert _run_main(case["argv"]) == (
+            case["stdout"], case["stderr"], case["code"]), case["argv"]
+
+
+# --- the reader of well-formed command lines, against argparse --------------
+
+
+_FULL_PARSER = cli.build_parser()
+
+
+def _argparse_namespace(argv):
+    """What the full argparse parser makes of argv; a refusal fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return _FULL_PARSER.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses what the reader took: {argv}\n"
+                        + err.getvalue())
+
+
+def _readme_examples():
+    """The argument lists of the README's command line examples."""
+    text = (ROOT / "README.md").read_text()
+    return [line.split("#")[0].split()[1:] for line in text.splitlines()
+            if line.startswith("epicox ")]
+
+
+_BENCH_ARGV = [["k-graph", "graph.txt", "--json", "--radius", "6"],
+               ["check-theorem", "--max-vertices", "3", "--radius", "6"]]
+
+
+def test_reader_takes_the_bench_and_readme_command_lines():
+    """The reader answers the benchmark's two command lines and every
+    README example itself, with argparse's namespace."""
+    examples = _readme_examples()
+    assert len(examples) == 11
+    for argv in _BENCH_ARGV + examples:
+        got = cli._read_args(argv)
+        assert got is not None, argv
+        assert vars(got) == vars(_argparse_namespace(argv)), argv
+
+
+_FLAGS = sorted({flag for _, _, arguments in cli._SUBCOMMANDS.values()
+                 for arg in arguments for flag in arg.flags
+                 if flag.startswith("-")})
+_ODD_TOKENS = ["-", "--", "-h", "--help", "--max-v", "--rad", "--radius=6",
+               "-ox", "-o-", "", "x", "graph.txt", "--bogus", "k-graph"]
+_NUMBERS = ["0", "6", "9", "007", "99", "-1", "+3", " 3", "3 ", "\u0663",
+            "1_0", "1.5", "0x1", "9" * 5000]
+_any_token = st.sampled_from(_FLAGS + _ODD_TOKENS + _NUMBERS)
+
+
+def _piece(arg):
+    """One well-formed use of an argument: a file name for a positional,
+    the flag alone for a switch, else the flag and a value."""
+    if not arg.flags[0].startswith("-"):
+        return st.tuples(st.sampled_from(["graph.txt", "-", ""]))
+    if arg.action == "store_true":
+        return st.tuples(st.sampled_from(arg.flags))
+    values = ["0", "6", "007"] if arg.type else ["out.txt", ""]
+    return st.tuples(st.sampled_from(arg.flags), st.sampled_from(values))
+
+
+_odd_piece = st.one_of(
+    st.tuples(_any_token),
+    st.tuples(st.sampled_from(_FLAGS),
+              st.sampled_from(_NUMBERS + _ODD_TOKENS)))
+
+
+def _command_line(command):
+    """Argument lists for one command: its positionals, most often once
+    each, and well-formed uses of its options with odd pieces mixed in,
+    in any order."""
+    arguments = cli._SUBCOMMANDS.get(command, ("", None, ()))[2]
+    positionals = [_piece(arg) for arg in arguments
+                   if not arg.flags[0].startswith("-")]
+    options = [_piece(arg) for arg in arguments
+               if arg.flags[0].startswith("-")]
+    given = st.sampled_from([1, 1, 1, 0, 2]).flatmap(
+        lambda k: st.tuples(*(positionals * k)))
+    rest = st.lists(st.one_of(*options, *options, *options, _odd_piece)
+                    if options else _odd_piece, max_size=4)
+    return st.tuples(given, rest).flatmap(
+        lambda parts: st.permutations([*parts[0], *parts[1]])).map(
+        lambda pieces: [command, *(t for piece in pieces for t in piece)])
+
+
+_argv = st.sampled_from([*cli._SUBCOMMANDS, "bogus", "-h"]).flatmap(
+    _command_line)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=_argv)
+def test_reader_matches_argparse(argv):
+    """Whenever the reader takes a command line, argparse takes it too and
+    sets the same attributes to the same values."""
+    got = cli._read_args(argv)
+    if got is not None:
+        assert vars(got) == vars(_argparse_namespace(argv))
+
+
+def test_reader_leaves_a_radius_past_the_digit_limit_to_argparse():
+    """int() refuses 5,000 digits with a ValueError; the reader declines
+    and argparse refuses the value, exit 2."""
+    argv = ["k-graph", "graph.txt", "--radius", "9" * 5000]
+    assert cli._read_args(argv) is None
+    out, err, code = _run_main(argv)
+    assert (out, code) == ("", 2)
+    assert "argument --radius: invalid _nonnegative_int value" in err

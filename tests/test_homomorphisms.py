@@ -313,7 +313,7 @@ def test_block_image_classification_matches_enumeration(system):
 # --- the matrix relator answers, keyed by label shape -------------------------
 
 
-def test_relator_memo_matches_fresh_evaluation(monkeypatch):
+def test_shape_answers_match_fresh_evaluation(monkeypatch):
     """Over all pairs of graphs with <= 3 vertices, the theorem check
     keeps one dict of answers, whose 13 entries by label shape are the
     only place it evaluates mapped words as matrices, and its 12 targets'
@@ -456,7 +456,7 @@ def test_relator_groups_partition_the_relators_by_block_pair():
     assert len(patterns) == 3 and tokens == set(patterns.values())
 
 
-def test_block_memo_matches_per_relator_memo_on_every_lift():
+def test_group_answers_match_the_matrix_oracle_on_every_lift():
     """Over every lift between graphs with <= 3 vertices and its corrupted
     sibling, with one dict of answers for all of them (patterns interned
     across all sources, as in a run), each group's answer under its
@@ -507,7 +507,7 @@ def test_block_memo_matches_per_relator_memo_between_systems(source, target,
             == relators_hold_by_matrices(phi)
 
 
-def test_block_memo_keys_on_both_blocks():
+def test_group_answers_key_on_both_blocks():
     """Two maps of an edge into two points that agree on the first block:
     both blocks onto the first target block keeps every cross relator,
     the blocks onto the two target blocks breaks (s_1 s_1')^2, since the
@@ -641,7 +641,7 @@ def test_key_tables_hold_exactly_the_homomorphism_keys(monkeypatch):
     assert sum(len(e.held) for e in entries) == 3453
 
 
-def test_key_table_shapes_are_the_memo_shapes(monkeypatch):
+def test_key_table_shapes_are_the_map_shapes(monkeypatch):
     """For every admissible key at <= 4 vertices, the shape the table
     looks up for the pair (x, y) is ``map_shape`` of the group's blocks on
     the lift of the vertex map that sends a to x, b to y and the rest to
