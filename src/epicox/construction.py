@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .coxeter import (CoxeterMatrix, Word, close_under_multiplication,
                       enumerate_parabolic, identity, invert, length, mul,
                       simple_reflection)
@@ -61,15 +59,6 @@ class LabeledCoxeterSystem:
         or codomain of the graph maps that lift to this system.  Built once
         per system."""
         return make_pointed(self.graph.reflexive_closure())
-
-    @cached_property
-    def label_array(self) -> np.ndarray:
-        """The label matrix as a uint8 array, infinity as 0: read once per
-        system for the tests that look at many labels at a time."""
-        n = self.matrix.n
-        # every label is 0, 1, 2 or 3, so each row is its own bytes
-        return np.frombuffer(b"".join(map(bytes, self.matrix.m)),
-                             dtype=np.uint8).reshape(n, n)
 
     @cached_property
     def block_generators(self) -> tuple[tuple[int, ...], ...]:

@@ -45,27 +45,44 @@ _PAIRING = {2: 0, 3: -1, INFINITE: -2}
 @dataclass(frozen=True)
 class CoxeterMatrix:
     n: int
-    m: tuple[tuple[int, ...], ...]
+    # one bytes row per generator, m[i][j] the label: the int 2, 3 or
+    # INFINITE, and 1 on the diagonal; rows given as int sequences convert
+    m: tuple[bytes, ...]
     names: tuple[str, ...]
 
     def __post_init__(self):
         if self.n < 0:
             raise PreconditionError("rank must be nonnegative")
-        if len(self.m) != self.n or any(len(row) != self.n for row in self.m):
+        m = self.m
+        if len(m) != self.n or any(len(row) != self.n for row in m):
             raise PreconditionError("label matrix shape does not match n")
         if len(self.names) != self.n:
             raise PreconditionError("need one name per generator")
         if len(set(self.names)) != self.n:
             raise PreconditionError("generator names must be distinct")
-        for i in range(self.n):
-            if self.m[i][i] != 1:
-                raise PreconditionError(f"diagonal label at {i} must be 1")
-            for j in range(i + 1, self.n):
-                if self.m[i][j] != self.m[j][i]:
-                    raise PreconditionError(f"labels not symmetric at ({i},{j})")
-                if self.m[i][j] not in (2, 3, INFINITE):
-                    raise PreconditionError(
-                        f"label {self.m[i][j]} at ({i},{j}) outside {{2,3,oo}}")
+        try:
+            rows = tuple(map(bytes, m))
+        except (TypeError, ValueError):  # a label that is not a byte
+            rows = None
+        # the diagonal by index, one 1 and only {0, 2, 3} besides it, and
+        # each row equal to its column of the joined rows
+        flat = b"".join(rows or ())
+        if rows is None or not all(
+                row[i] == 1 and row.translate(None, b"\0\2\3") == b"\1"
+                and flat[i::self.n] == row for i, row in enumerate(rows)):
+            # name the first bad label, walking the rows as given
+            for i in range(self.n):
+                if m[i][i] != 1:
+                    raise PreconditionError(f"diagonal label at {i} must be 1")
+                for j in range(i + 1, self.n):
+                    if m[i][j] != m[j][i]:
+                        raise PreconditionError(
+                            f"labels not symmetric at ({i},{j})")
+                    if m[i][j] not in (2, 3, INFINITE):
+                        raise PreconditionError(
+                            f"label {m[i][j]} at ({i},{j}) outside {{2,3,oo}}")
+            raise PreconditionError("labels must be integers")
+        object.__setattr__(self, "m", rows)
 
     # Per generator, its neighbours and their root coefficients: the column
     # operations of mul_gen and the row operations of gen_mul.  Built on the
@@ -93,17 +110,21 @@ class CoxeterMatrix:
     def from_labels(n: int, labels, names=None) -> CoxeterMatrix:
         """Build from (i, j, m) triples; unlisted off-diagonal pairs get the
         infinite label."""
-        m = [[INFINITE] * n for _ in range(n)]
+        m = [bytearray(n) for _ in range(n)]  # all INFINITE
         for i in range(n):
             m[i][i] = 1
         for i, j, lab in labels:
             if i == j:
                 raise PreconditionError("cannot relabel the diagonal")
-            m[i][j] = lab
-            m[j][i] = lab
+            try:
+                m[i][j] = m[j][i] = lab
+            except (TypeError, ValueError):  # a label that is not a byte
+                i, j = sorted((i, j))
+                raise PreconditionError(
+                    f"label {lab} at ({i},{j}) outside {{2,3,oo}}") from None
         if names is None:
             names = tuple(f"g{i}" for i in range(n))
-        return CoxeterMatrix(n, tuple(tuple(row) for row in m), tuple(names))
+        return CoxeterMatrix(n, tuple(m), tuple(names))
 
     def label(self, i: int, j: int) -> int:
         return self.m[i][j]
@@ -111,7 +132,7 @@ class CoxeterMatrix:
     def submatrix(self, order) -> CoxeterMatrix:
         """Restriction to the given generators, in the given order."""
         order = tuple(order)
-        m = tuple(tuple(self.m[i][j] for j in order) for i in order)
+        m = tuple(bytes(self.m[i][j] for j in order) for i in order)
         return CoxeterMatrix(len(order), m, tuple(self.names[i] for i in order))
 
 

@@ -23,12 +23,12 @@ from functools import cached_property
 from .errors import PreconditionError, as_int
 
 # The parsers refuse more vertices before allocating the n-by-n adjacency.
-# The block system's labels are a 4n-by-4n tuple of tuples, so memory grows
-# about as n^2.  On G(512, 1/2), Python 3.11, peak RSS (ru_maxrss) is
-# 143-144 MB for build-coxeter, ks-classes and k-graph, 167 MB for
-# emit-presentation and 214 MB for k-graph --json, of which importing the
-# package takes 28 MB.  At 1024 vertices four times the rest, about 0.8 GB
-# for k-graph --json, is an estimate, not a measurement.
+# The labels (4n rows of 4n bytes) and the output grow about as n^2.  On
+# G(512, 1/2), Python 3.11, peak RSS (ru_maxrss) is 91 MB for
+# build-coxeter, ks-classes and k-graph, 130 MB for emit-presentation and
+# 177 MB for k-graph --json, of which importing the command line takes
+# 28 MB.  At 1024 vertices four times the rest, about 0.6 GB for k-graph
+# --json, is an estimate, not a measurement.
 MAX_VERTICES = 512
 
 

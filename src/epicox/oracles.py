@@ -322,7 +322,7 @@ def _conjugation_distances(sub: CoxeterMatrix, block, A: np.ndarray,
 # build_C system has two such blocks, adjacent or not, times the radii used;
 # the bound keeps any other system's cache small.
 @lru_cache(maxsize=16)
-def _centralizer_core(labels: tuple[tuple[int, ...], ...], radius: int) -> bool:
+def _centralizer_core(labels: tuple[bytes, ...], radius: int) -> bool:
     sub = _named(labels)
     block = frozenset(range(BLOCK_SIZE))
     A = _even_involutions(sub, block)

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .construction import BLOCK_SIZE, LabeledCoxeterSystem
-from .coxeter import (ELEMENT_CAP, INFINITE, CoxeterMatrix, gen_mul,
-                      is_spherical, longest_element, mul, mul_gen)
+from .construction import LabeledCoxeterSystem
+from .coxeter import (ELEMENT_CAP, CoxeterMatrix, gen_mul, is_spherical,
+                      longest_element, mul, mul_gen)
 from .errors import (EnumerationCapExceeded, FalsificationError,
                      InternalInconsistencyError, PreconditionError)
 
@@ -136,7 +134,7 @@ def conjugacy_component(C: CoxeterMatrix, subset,
     return ConjugacyClass.from_members(members)
 
 
-def a4_chains(C: CoxeterMatrix, labels: np.ndarray) -> set[frozenset[int]]:
+def a4_chains(C: CoxeterMatrix) -> set[frozenset[int]]:
     """Generator sets of the labelled 4-chains: label-3 paths a-b-c-d whose
     pairs (a,c), (a,d) and (b,d) have label 2.  With labels in {2, 3, oo}
     these are exactly the subsets of at most four generators whose standard
@@ -144,28 +142,38 @@ def a4_chains(C: CoxeterMatrix, labels: np.ndarray) -> set[frozenset[int]]:
     finite type on four simply laced generators has another order
     (Humphreys, *Reflection Groups and Coxeter Groups* 2.11).
 
-    labels is C's label matrix as a uint8 array
-    (``LabeledCoxeterSystem.label_array``).  The label-3 neighbours are
-    read off it in one pass, and only the few paths of 3s are checked
-    label by label."""
-    three = [[] for _ in range(C.n)]
-    for i, j in zip(*(x.tolist() for x in np.nonzero(labels == 3))):
-        three[i].append(j)
+    The label-3 neighbours of each generator are found with ``bytes.find``
+    on its label row, and only the few paths of 3s are checked label by
+    label."""
+    three = []
+    for row in C.m:
+        found, j = [], row.find(3)
+        while j >= 0:
+            found.append(j)
+            j = row.find(3, j + 1)
+        three.append(found)
     return {frozenset((a, b, c, d))
             for a in range(C.n) for b in three[a] for c in three[b]
             for d in three[c]
             if C.m[a][c] == C.m[a][d] == C.m[b][d] == 2}
 
 
-def _alone_by_labels(system: LabeledCoxeterSystem) -> np.ndarray:
+def _alone_by_labels(system: LabeledCoxeterSystem) -> list[bool]:
     """alone[v]: every generator outside the block of v has an infinite
     label to some generator of the block.  Then no step leaves the block
-    (``classify_s5_classes``), which this reads for all blocks at once."""
-    n = system.vertex_count
-    into = (system.label_array == INFINITE).reshape(n, BLOCK_SIZE,
-                                                    system.matrix.n)
-    return (into.any(axis=1)
-            | np.eye(n, dtype=bool).repeat(BLOCK_SIZE, axis=1)).all(axis=1)
+    (``classify_s5_classes``).  Each block ORs its four label rows as ints,
+    translated so that byte s is 1 where the label is oo, or the diagonal's
+    1 by which the block's own generators cover themselves."""
+    rows = system.matrix.m
+    table = bytes.maketrans(b"\0\1\2\3", b"\1\1\0\0")
+    every = int.from_bytes(b"\1" * system.matrix.n, "little")
+    alone = []
+    for block in system.block_generators:
+        into = 0
+        for g in block:
+            into |= int.from_bytes(rows[g].translate(table), "little")
+        alone.append(into == every)
+    return alone
 
 
 def classify_s5_classes(system: LabeledCoxeterSystem) -> list[ConjugacyClass]:
@@ -185,14 +193,14 @@ def classify_s5_classes(system: LabeledCoxeterSystem) -> list[ConjugacyClass]:
     test; ``conjugacy_component`` decides the blocks that fail it.
     """
     C = system.matrix
-    hits = a4_chains(C, system.label_array)
+    hits = a4_chains(C)
     expected = [system.block(v) for v in range(system.vertex_count)]
     if hits != set(expected):
         raise FalsificationError(
             "census mismatch: order-120 nonabelian subsets are "
             f"{sorted(tuple(sorted(h)) for h in hits)}, expected one per block")
     classes = []
-    for T, alone in zip(expected, _alone_by_labels(system).tolist()):
+    for T, alone in zip(expected, _alone_by_labels(system)):
         comp = ConjugacyClass.from_members({T}) if alone \
             else conjugacy_component(C, T)
         if comp.members != {T}:

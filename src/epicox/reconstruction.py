@@ -57,8 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from .construction import (BLOCK_SIZE, LabeledCoxeterSystem, alt_involution,
                            build_C)
 from .coxeter import (CoxeterMatrix, Word, evaluate, gen_mul, is_spherical,
@@ -94,15 +92,18 @@ class KGraph:
 
 
 def _two_block_labels(system: LabeledCoxeterSystem, s: int,
-                      t: int) -> tuple[tuple[int, ...], ...]:
+                      t: int) -> tuple[bytes, ...]:
     """The labels among the generators of the blocks of s and t, the block
-    of s first, each block in position order."""
-    order = system.block_generators[s] + system.block_generators[t]
+    of s first, each block in position order: eight 8-byte rows, each cut
+    from a generator's label row at the two blocks."""
     m = system.matrix.m
-    return tuple(tuple(m[i][j] for j in order) for i in order)
+    gs, gt = system.block_generators[s], system.block_generators[t]
+    cs, ct = gs[0], gt[0]
+    return tuple(m[g][cs:cs + BLOCK_SIZE] + m[g][ct:ct + BLOCK_SIZE]
+                 for g in gs + gt)
 
 
-def _named(labels: tuple[tuple[int, ...], ...]) -> CoxeterMatrix:
+def _named(labels: tuple[bytes, ...]) -> CoxeterMatrix:
     # canonical names so structurally equal pairs share a cache entry
     return CoxeterMatrix(len(labels), labels,
                          tuple(f"g{i}" for i in range(len(labels))))
@@ -111,11 +112,11 @@ def _named(labels: tuple[tuple[int, ...], ...]) -> CoxeterMatrix:
 # Two block involutions lie in the standard subgroup on their two blocks,
 # and elements of a standard subgroup commute in W exactly when they commute
 # in it.  So the answer depends only on the pair's rank-8 label block, read
-# from the group, and is decided once per distinct block at rank 8.  A
-# build_C system has two such blocks, adjacent or not; the bound keeps any
-# other system's cache small.
+# from the group, and this cache decides it once per distinct block at rank
+# 8: k_graph asks it about every pair.  A build_C system has two such
+# blocks, adjacent or not; the bound keeps any other system's cache small.
 @lru_cache(maxsize=64)
-def _shape_commutes(labels: tuple[tuple[int, ...], ...]) -> bool:
+def _shape_commutes(labels: tuple[bytes, ...]) -> bool:
     sub = _named(labels)
     # alt_involution's positions 1 and 3 in each of the two blocks
     wa, wb = (0, 2), (BLOCK_SIZE, BLOCK_SIZE + 2)
@@ -155,7 +156,7 @@ def _one_even_class(C: CoxeterMatrix, J, members) -> bool:
 # Keyed and bounded like _shape_commutes: a build_C system has two label
 # blocks, and only the non-adjacent one ever reaches the certificate.
 @lru_cache(maxsize=64)
-def _centralizer_certificate(labels: tuple[tuple[int, ...], ...]) -> bool:
+def _centralizer_certificate(labels: tuple[bytes, ...]) -> bool:
     sub = _named(labels)
     J = range(BLOCK_SIZE)
     wj = sub.submatrix(J)
@@ -180,52 +181,31 @@ def centralizer_certificate(system: LabeledCoxeterSystem, s: int,
     return _centralizer_certificate(_two_block_labels(system, s, t))
 
 
-def _pair_blocks(system: LabeledCoxeterSystem):
-    """Every vertex pair s < t, in row-major order, with its rank-8 label
-    block read from the group as 48 bytes: the two blocks' own labels and
-    the labels between them, which fix the rest since labels are
-    symmetric."""
-    n = system.vertex_count
-    step = BLOCK_SIZE * BLOCK_SIZE
-    # the labels between the blocks of u and v: step bytes at step (u n + v)
-    raw = np.ascontiguousarray(
-        system.label_array.reshape(n, BLOCK_SIZE, n, BLOCK_SIZE)
-        .transpose(0, 2, 1, 3)).tobytes()
-    own = [raw[step * (n + 1) * v:step * ((n + 1) * v + 1)] for v in range(n)]
-    for s in range(n):
-        for t in range(s + 1, n):
-            at = step * (n * s + t)
-            yield s, t, own[s] + raw[at:at + step] + own[t]
-
-
 def k_graph(graph: FiniteGraph) -> KGraph:
     """Class graph of the block system of the input graph.
 
     Reflexive by construction; an off-diagonal edge is present exactly when
     a commuting witness exists.  Every witnessless pair must also pass the
     normaliser certificate; it holds on the one label block such a pair has
-    in a build_C system, so a failure is a fault of the code.  Both are
-    decided once per distinct label block, at the first pair showing it.
+    in a build_C system, so a failure is a fault of the code.  Every pair's
+    label block is read in row-major order, and the caches of both decide
+    each distinct block once, at the first pair showing it.
     """
     system = build_C(graph)
     classes = tuple(classify_s5_classes(system))
     n = len(classes)
     adj = [[u == v for v in range(n)] for u in range(n)]
     witnesses: dict[tuple[int, int], tuple[Word, Word]] = {}
-    decided: dict[bytes, bool] = {}
-    for s, t, block in _pair_blocks(system):
-        commutes = decided.get(block)
-        if commutes is None:
-            labels = _two_block_labels(system, s, t)
-            commutes = decided[block] = _shape_commutes(labels)
-            if not commutes and not _centralizer_certificate(labels):
-                raise InternalInconsistencyError(
-                    f"vertices {s},{t}: no commuting witness, and the "
-                    "normaliser certificate does not hold on their blocks")
-        if commutes:
+    for s, t in combinations(range(n), 2):
+        labels = _two_block_labels(system, s, t)
+        if _shape_commutes(labels):
             adj[s][t] = adj[t][s] = True
             witnesses[(s, t)] = (alt_involution(system, s),
                                  alt_involution(system, t))
+        elif not _centralizer_certificate(labels):
+            raise InternalInconsistencyError(
+                f"vertices {s},{t}: no commuting witness, and the "
+                "normaliser certificate does not hold on their blocks")
     g = FiniteGraph(n, tuple(tuple(row) for row in adj), reflexive=True)
     return KGraph(g, classes, witnesses, system)
 

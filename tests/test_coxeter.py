@@ -51,6 +51,77 @@ def test_diagonal_must_be_one():
         CoxeterMatrix(2, ((2, 3), (3, 1)), ("a", "b"))
 
 
+def test_int_rows_equal_the_bytes_rows():
+    """Rows given as int tuples are stored as bytes, and the matrix equals
+    and hashes like the one from_labels builds."""
+    given = CoxeterMatrix(3, ((1, 3, 0), (3, 1, 2), (0, 2, 1)),
+                          ("g0", "g1", "g2"))
+    built = CoxeterMatrix.from_labels(3, [(0, 1, 3), (1, 2, 2)])
+    assert given == built and hash(given) == hash(built)
+    assert given.m == built.m == (b"\1\3\0", b"\3\1\2", b"\0\2\1")
+    assert (given.m[0][1], given.m[0][2]) == (3, INFINITE)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (((1, -1), (-1, 1)), "label -1 at (0,1) outside {2,3,oo}"),
+    (((1, 256), (256, 1)), "label 256 at (0,1) outside {2,3,oo}"),
+    (((1, 2.5), (2.5, 1)), "label 2.5 at (0,1) outside {2,3,oo}"),
+    (((1, 1), (1, 1)), "label 1 at (0,1) outside {2,3,oo}"),
+    (((1, 2), (3, 1)), "labels not symmetric at (0,1)"),
+    (((2, 3), (3, 1)), "diagonal label at 0 must be 1"),
+    (((1, 2, 3), (2, 1, -1), (3, -1, 1)),
+     "label -1 at (1,2) outside {2,3,oo}"),
+    (((1, 2.0), (2.0, 1)), "labels must be integers"),
+], ids=["-1", "256", "2.5", "off-diagonal 1", "asymmetric", "diagonal",
+        "first bad label", "float 2.0"])
+def test_bad_labels_are_named(rows, message):
+    """Each bad label is a PreconditionError naming the first one, never a
+    ValueError or TypeError from the bytes conversion.  A float equal to a
+    label is refused too."""
+    with pytest.raises(PreconditionError) as err:
+        CoxeterMatrix(len(rows), rows, tuple("abc"[:len(rows)]))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("label", [-1, 256, 2.5])
+def test_from_labels_refuses_a_label_outside_a_byte(label):
+    with pytest.raises(PreconditionError) as err:
+        CoxeterMatrix.from_labels(3, [(0, 1, 2), (2, 1, label)])
+    assert str(err.value) == f"label {label} at (1,2) outside {{2,3,oo}}"
+
+
+@st.composite
+def near_valid_rows(draw):
+    """A valid label matrix as int rows, with one entry maybe overwritten."""
+    n = draw(st.integers(1, 5))
+    rows = [[1 if i == j else INFINITE for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = draw(st.sampled_from([2, 3, INFINITE]))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 255, 256]))
+    return tuple(map(tuple, rows))
+
+
+def _valid_by_definition(rows):
+    n = len(rows)
+    return all(rows[i][i] == 1 for i in range(n)) and all(
+        rows[i][j] == rows[j][i] and rows[i][j] in (2, 3, INFINITE)
+        for i, j in itertools.combinations(range(n), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid_rows())
+def test_bytes_checks_accept_exactly_the_valid_matrices(rows):
+    names = tuple(f"g{i}" for i in range(len(rows)))
+    if _valid_by_definition(rows):
+        assert CoxeterMatrix(len(rows), rows, names).m == \
+            tuple(map(bytes, rows))
+    else:
+        with pytest.raises(PreconditionError):
+            CoxeterMatrix(len(rows), rows, names)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(PreconditionError):
         CoxeterMatrix.from_labels(2, [(0, 1, 2)], names=("a", "a"))

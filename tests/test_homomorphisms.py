@@ -485,8 +485,8 @@ def test_group_answers_match_the_matrix_oracle_on_every_lift():
     for a, s in SMALL_SYSTEMS.items() for b, t in SMALL_SYSTEMS.items()])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_block_memo_matches_per_relator_memo_between_systems(source, target,
-                                                             data):
+def test_group_answers_match_the_matrix_oracle_between_systems(source, target,
+                                                               data):
     """Random and block-shaped maps, several sharing one dict of answers so
     that later maps meet the entries earlier ones left, each followed by
     the splices of consecutive maps (the first block of one, the rest of

@@ -2,7 +2,9 @@
 benchmark's layer tracer (``perfbench/layertrace.py``) wraps."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import epicox
@@ -16,6 +18,19 @@ def test_every_exported_name_resolves():
     stale = [name for name in epicox.__all__
              if getattr(epicox, name, missing) is missing]
     assert stale == []
+
+
+def test_import_loads_no_numpy():
+    """numpy serves the sweep oracle alone: importing the package, and
+    building, censusing and reconstructing a graph with it, loads none."""
+    code = ("import sys, epicox\n"
+            "g = epicox.FiniteGraph.from_edges(3, [(0, 1)])\n"
+            "epicox.verify_reconstruction(g)\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def _layertrace(monkeypatch):

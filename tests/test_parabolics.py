@@ -3,7 +3,6 @@ system."""
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +24,6 @@ from oracles import ks_step_by_products, s5_subsets_by_enumeration
 L4 = build_L4()
 EDGE = FiniteGraph.from_edges(2, [(0, 1)])
 TWO_POINTS = FiniteGraph.from_edges(2, [])
-
-
-def chains(C):
-    """a4_chains on C, its labels handed over as the uint8 array it reads."""
-    return a4_chains(C, np.array(C.m, dtype=np.uint8).reshape(C.n, C.n))
 
 
 def test_component_candidate_braided_neighbor():
@@ -131,8 +125,7 @@ def test_census_matches_enumeration_on_small_graphs():
     for graph in all_labeled_graphs(4):
         system = build_C(graph)
         C = system.matrix
-        assert a4_chains(C, system.label_array) \
-            == s5_subsets_by_enumeration(C), graph.edges()
+        assert a4_chains(C) == s5_subsets_by_enumeration(C), graph.edges()
 
 
 def _labelled(n, threes, twos):
@@ -159,7 +152,7 @@ TRIANGLE_OF_3S = _labelled(4, [(0, 1), (1, 2), (0, 2), (2, 3)],
     (TRIANGLE_OF_3S, set()),
 ], ids=["A4 chain", "A5 chain", "D4 star", "4-cycle of 3s", "triangle of 3s"])
 def test_census_on_named_diagrams(C, expected):
-    assert chains(C) == expected
+    assert a4_chains(C) == expected
     assert s5_subsets_by_enumeration(C) == expected
 
 
@@ -176,7 +169,7 @@ def label_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(label_matrices())
 def test_census_matches_enumeration_on_random_labels(C):
-    assert chains(C) == s5_subsets_by_enumeration(C)
+    assert a4_chains(C) == s5_subsets_by_enumeration(C)
 
 
 # --- the census step test read off the labels, against conjugacy_component ---
@@ -194,7 +187,7 @@ def test_label_test_matches_components_on_small_graphs():
     for graph in all_labeled_graphs(4):
         system = build_C(graph)
         C = system.matrix
-        assert _alone_by_labels(system).tolist() == [True] * graph.n
+        assert _alone_by_labels(system) == [True] * graph.n
         classes = classify_s5_classes(system)
         for v, cls in enumerate(classes):
             T = system.block(v)
@@ -242,13 +235,13 @@ def test_label_test_matches_components_on_random_labels(system):
     class, and the census answers as if every class came from
     conjugacy_component."""
     C = system.matrix
-    alone = _alone_by_labels(system).tolist()
+    alone = _alone_by_labels(system)
     for v, ok in enumerate(alone):
         T = system.block(v)
         assert ok == _alone_by_definition(C, T)
         if ok:
             assert conjugacy_component(C, T).members == {T}
-    if a4_chains(C, system.label_array) != {system.block(v) for v in range(system.vertex_count)}:
+    if a4_chains(C) != {system.block(v) for v in range(system.vertex_count)}:
         return
     try:
         want = _classes_by_components(system)
@@ -269,7 +262,7 @@ def test_label_test_falls_back_to_the_component(monkeypatch):
         m[4][t] = m[t][4] = 2
     C = CoxeterMatrix(8, tuple(map(tuple, m)), base.names)
     system = LabeledCoxeterSystem(C, TWO_POINTS)
-    assert _alone_by_labels(system).tolist() == [False, True]
+    assert _alone_by_labels(system) == [False, True]
     assert ks_step(C, system.block(0), 4) == system.block(0)
     asked = []
     real = parabolics.conjugacy_component

@@ -419,17 +419,36 @@ def test_cold_k_graph_pays_only_for_what_it_reads(monkeypatch,
     assert inverses == []
 
 
-def test_k_graph_reads_one_label_block_per_shape(monkeypatch):
-    """G(16, 1/2) has 120 pairs and two label blocks: k_graph reads each
-    block once, and its edges and witnesses are commuting_witness's, pair
-    by pair."""
-    reads = _counting(monkeypatch, reconstruction, "_two_block_labels")
+def test_k_graph_reads_one_label_block_per_shape():
+    """G(16, 1/2) has 120 pairs and two label blocks: k_graph decides each
+    block once, two misses of the witness cache and one of the
+    certificate's, and its edges and witnesses are commuting_witness's,
+    pair by pair."""
+    reconstruction._shape_commutes.cache_clear()
+    reconstruction._centralizer_certificate.cache_clear()
     kg = k_graph(G16)
-    assert len(reads) == 2
+    assert reconstruction._shape_commutes.cache_info().misses == 2
+    assert reconstruction._centralizer_certificate.cache_info().misses == 1
     assert kg.graph == G16.reflexive_closure()
     for s, t in itertools.combinations(range(16), 2):
         assert kg.witnesses.get((s, t)) == \
             commuting_witness(kg.system, s, t)
+
+
+def test_two_block_labels_are_the_submatrix():
+    """The eight 8-byte rows cut from the label rows are the submatrix on
+    the two blocks, for every ordered pair of every graph on <= 4
+    vertices."""
+    pairs = 0
+    for g in all_labeled_graphs(4):
+        system = build_C(g)
+        for s, t in itertools.permutations(range(g.n), 2):
+            labels = _two_block_labels(system, s, t)
+            assert labels == system.matrix.submatrix(
+                system.block_generators[s] + system.block_generators[t]).m
+            assert all(type(row) is bytes for row in labels)
+            pairs += 1
+    assert pairs == 820
 
 
 def test_conjugation_distances_are_shortest_conjugators():
